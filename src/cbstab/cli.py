@@ -19,7 +19,7 @@ from .core import (
     EinsteinSpace,
     Functional,
     contribution_cutoff,
-    index_nullity,
+    index_reports,
     validate_spectrum,
 )
 from .errors import (
@@ -198,7 +198,6 @@ def _source_doc(source: SpectrumSource) -> dict:
 
 def _cmd_index(args) -> int:
     kinds = _selected_functionals(args.functional)
-    doc_warnings: list[str] = []
     if args.spectrum_file is not None:
         if args.dim is not None or args.einstein_constant is not None:
             raise _UsageError("--spectrum-file excludes --dim/--lambda")
@@ -208,7 +207,8 @@ def _cmd_index(args) -> int:
         if args.strict and declared is None:
             raise IncompleteSpectrum(
                 "strict mode requires the spectrum file to declare complete_up_to")
-        doc_warnings.extend(loaded.warnings)
+        validation = loaded.validation
+        doc_warnings = list(validation.warnings)
     else:
         if args.dim is None:
             raise _UsageError("need either --dim (built-in sphere) or --spectrum-file")
@@ -223,18 +223,15 @@ def _cmd_index(args) -> int:
         source = SpectrumSource(
             origin=ClosedFormSphere(space.dimension, space.einstein_constant),
             declared_complete_up_to=declared)
-
+        validation = validate_spectrum(space, bands)
+        # strict runs of a built-in sphere list no validation notes
+        doc_warnings = [] if args.strict else list(validation.warnings)
     if args.strict:
-        validate_spectrum(space, bands, strict=True)
-    else:
-        report = validate_spectrum(space, bands, strict=False)
-        doc_warnings.extend(w for w in report.warnings if w not in doc_warnings)
+        validation.raise_first_violation()
 
-    reports = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for kind in kinds:
-            reports.append(index_nullity(space, bands, kind, complete_up_to=declared))
+        reports = index_reports(space, bands, kinds, complete_up_to=declared)
     doc_warnings.extend(str(w.message) for w in caught)
 
     doc = {

@@ -34,6 +34,8 @@ Rational = Union[Fraction, int, str]
 
 def as_rational(value: Rational) -> Fraction:
     """Coerce int / "p/q" string / Fraction to an exact Fraction."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise DomainError(
             f"refusing float {value!r}: eigenvalues and Einstein constants are exact rationals")
@@ -84,6 +86,16 @@ class SpectralBand:
         _check_band(self)
 
 
+def _prechecked_band(eigenvalue: Fraction, multiplicity: int, kind: BandKind) -> SpectralBand:
+    """A SpectralBand built without __post_init__, for callers that have already
+    checked its invariants: a Fraction eigenvalue >= 0 and an int multiplicity >= 1."""
+    band = object.__new__(SpectralBand)
+    object.__setattr__(band, "eigenvalue", eigenvalue)
+    object.__setattr__(band, "multiplicity", multiplicity)
+    object.__setattr__(band, "kind", kind)
+    return band
+
+
 def _check_band(band) -> None:
     if not isinstance(band.multiplicity, int) or band.multiplicity < 1:
         raise InvalidBand(f"multiplicity must be a positive integer, got {band.multiplicity!r}")
@@ -124,55 +136,124 @@ def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
     return two_lam
 
 
-def _merge_bands(bands: Iterable[SpectralBand]) -> list[SpectralBand]:
-    # file-sourced spectra may repeat (eigenvalue, kind); merge by summing
-    merged: dict[tuple[Fraction, BandKind], int] = {}
-    for band in bands:
-        _check_band(band)
-        key = (band.eigenvalue, band.kind)
-        merged[key] = merged.get(key, 0) + band.multiplicity
-    return [SpectralBand(eig, mult, kind) for (eig, kind), mult in merged.items()]
-
-
 _KIND_ORDER = {BandKind.GRADIENT: 0, BandKind.DIVERGENCE_FREE: 1}
+
+
+def _compare(mu: Fraction, root: Fraction) -> int:
+    """sign(mu - root), by integer cross-multiplication (denominators are positive)."""
+    diff = mu.numerator * root.denominator - root.numerator * mu.denominator
+    return (diff > 0) - (diff < 0)
+
+
+def _merge_bands(bands: Iterable[SpectralBand]) -> dict[tuple[int, int, BandKind], list]:
+    """Sum the multiplicities of repeated (eigenvalue, kind) rows.
+
+    Maps (numerator, denominator, kind) to [eigenvalue, multiplicity]; the
+    reduced integer pair identifies the Fraction and hashes much faster.
+    A SpectralBand was checked when it was built; any other band-like
+    object is checked here.
+    """
+    merged: dict[tuple[int, int, BandKind], list] = {}
+    for band in bands:
+        mu = band.eigenvalue
+        if type(band) is not SpectralBand:
+            _check_band(band)
+            mu = as_rational(mu)
+        key = (mu.numerator, mu.denominator, band.kind)
+        row = merged.get(key)
+        if row is None:
+            merged[key] = [mu, band.multiplicity]
+        else:
+            row[1] += band.multiplicity
+    return merged
+
+
+def _jacobi_sign(kind: Functional, vs_two_lam: int, vs_c: int) -> int:
+    """Sign of jacobi_eigenvalue from sign(mu - 2*lambda) and sign(mu - c)."""
+    if kind is Functional.ENERGY:
+        return vs_two_lam
+    if kind is Functional.BIENERGY:
+        return vs_two_lam * vs_two_lam
+    return vs_two_lam * vs_c
+
+
+def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
+                  kinds: Iterable[Functional],
+                  complete_up_to: Rational | None = None) -> list[IndexReport]:
+    """Exact index and nullity of each functional in `kinds`, in that order.
+
+    Every Jacobi eigenvalue changes sign only at mu = 2*lambda and at
+    mu = c = (2/3)(6 - m)*lambda, so the bands are merged once, each merged
+    band up to the largest contribution cutoff gets those two signs, and
+    every functional's counts follow from them; jacobi_eigenvalue is
+    evaluated only for the bands a report lists.
+
+    `complete_up_to` declares that `bands` lists every eigenvalue up to that
+    bound.  If the declared bound does not reach a functional's contribution
+    cutoff the counts could miss negative or zero bands, so
+    IncompleteSpectrum is raised.  Without a declaration one
+    SpectrumCompletenessWarning per functional is emitted and the
+    computation proceeds on the bands given.
+    """
+    kinds = list(kinds)
+    merged = _merge_bands(bands)
+    cutoffs = [contribution_cutoff(space, kind) for kind in kinds]
+    if complete_up_to is None:
+        for _ in kinds:
+            warnings.warn(
+                "band list has no declared completeness bound; index/nullity may undercount",
+                SpectrumCompletenessWarning, stacklevel=2)
+    else:
+        declared = as_rational(complete_up_to)
+        for cutoff in cutoffs:
+            if declared < cutoff:
+                raise IncompleteSpectrum(
+                    f"bands declared complete up to {complete_up_to} but contributions "
+                    f"extend to {cutoff}")
+    if not kinds:
+        return []
+
+    # past the largest cutoff every selected Jacobi eigenvalue is positive
+    top = max(cutoffs)
+    top_num, top_den = top.numerator, top.denominator
+    rows = [(mu, mult, kind) for (num, den, kind), (mu, mult) in merged.items()
+            if num * top_den <= top_num * den]
+    # by eigenvalue, gradient first at ties: two stable sorts compare each
+    # Fraction once instead of an (eigenvalue, kind) tuple's == and <
+    rows.sort(key=lambda row: _KIND_ORDER[row[2]])
+    rows.sort(key=lambda row: row[0])
+    two_lam = 2 * space.einstein_constant
+    c_root = Fraction(2, 3) * (6 - space.dimension) * space.einstein_constant
+    signed = [(_prechecked_band(mu, mult, kind), _compare(mu, two_lam), _compare(mu, c_root))
+              for mu, mult, kind in rows]
+
+    reports = []
+    for kind in kinds:
+        index = 0
+        nullity = 0
+        contributing = []
+        for band, vs_two_lam, vs_c in signed:
+            sign = _jacobi_sign(kind, vs_two_lam, vs_c)
+            if sign > 0:
+                continue
+            if sign < 0:
+                index += band.multiplicity
+            else:
+                nullity += band.multiplicity
+            contributing.append((band, jacobi_eigenvalue(kind, space, band.eigenvalue)))
+        reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
+                                   contributing_bands=tuple(contributing)))
+    return reports
 
 
 def index_nullity(space: EinsteinSpace, bands: Iterable[SpectralBand], kind: Functional,
                   complete_up_to: Rational | None = None) -> IndexReport:
     """Exact index and nullity of `kind` at the identity map of `space`.
 
-    `complete_up_to` declares that `bands` lists every eigenvalue up to that
-    bound.  If the declared bound does not reach the contribution cutoff the
-    counts could miss negative or zero bands, so IncompleteSpectrum is
-    raised.  Without a declaration a SpectrumCompletenessWarning is emitted
-    and the computation proceeds on the bands given.
+    The single-functional form of index_reports, with the same completeness
+    rules.
     """
-    merged = _merge_bands(bands)
-    cutoff = contribution_cutoff(space, kind)
-    if complete_up_to is not None:
-        if as_rational(complete_up_to) < cutoff:
-            raise IncompleteSpectrum(
-                f"bands declared complete up to {complete_up_to} but contributions "
-                f"extend to {cutoff}")
-    else:
-        warnings.warn(
-            "band list has no declared completeness bound; index/nullity may undercount",
-            SpectrumCompletenessWarning, stacklevel=2)
-
-    index = 0
-    nullity = 0
-    contributing = []
-    for band in merged:
-        j = jacobi_eigenvalue(kind, space, band.eigenvalue)
-        if j < 0:
-            index += band.multiplicity
-            contributing.append((band, j))
-        elif j == 0:
-            nullity += band.multiplicity
-            contributing.append((band, j))
-    contributing.sort(key=lambda pair: (pair[0].eigenvalue, _KIND_ORDER[pair[0].kind]))
-    return IndexReport(functional=kind, index=index, nullity=nullity,
-                       contributing_bands=tuple(contributing))
+    return index_reports(space, bands, [kind], complete_up_to)[0]
 
 
 @dataclass(frozen=True)
@@ -194,6 +275,12 @@ class SpectrumValidation:
     def warnings(self) -> tuple[str, ...]:
         return tuple(issue.message for issue in self.issues)
 
+    def raise_first_violation(self) -> None:
+        """Strict mode: raise BoundViolation for the first violation, if any."""
+        for issue in self.issues:
+            if issue.severity == "violation":
+                raise BoundViolation(issue.message, band=issue.band)
+
 
 def validate_spectrum(space: EinsteinSpace, bands: Iterable[SpectralBand],
                       strict: bool = False) -> SpectrumValidation:
@@ -209,27 +296,31 @@ def validate_spectrum(space: EinsteinSpace, bands: Iterable[SpectralBand],
         return SpectrumValidation(issues=())
     m = space.dimension
     obata = Fraction(m, m - 1) * lam if m > 1 else None
+    two_lam = 2 * lam
     issues = []
     for band in bands:
-        _check_band(band)
+        mu = band.eigenvalue
+        if type(band) is not SpectralBand:
+            _check_band(band)
+            mu = as_rational(mu)
         if band.kind is BandKind.GRADIENT and obata is not None:
-            if band.eigenvalue < obata:
+            vs_obata = _compare(mu, obata)
+            if vs_obata < 0:
                 issues.append(ValidationIssue(
                     band, "violation",
                     f"gradient band mu={band.eigenvalue} below Lichnerowicz-Obata "
                     f"bound {obata}"))
-            elif band.eigenvalue == obata:
+            elif vs_obata == 0:
                 issues.append(ValidationIssue(
                     band, "rigidity",
                     f"gradient band mu={band.eigenvalue} saturates the Obata bound: "
                     f"round sphere only"))
         elif band.kind is BandKind.DIVERGENCE_FREE:
-            if band.eigenvalue < 2 * lam:
+            if _compare(mu, two_lam) < 0:
                 issues.append(ValidationIssue(
                     band, "violation",
-                    f"divergence-free band mu={band.eigenvalue} below 2*lambda={2 * lam}"))
+                    f"divergence-free band mu={band.eigenvalue} below 2*lambda={two_lam}"))
+    validation = SpectrumValidation(issues=tuple(issues))
     if strict:
-        for issue in issues:
-            if issue.severity == "violation":
-                raise BoundViolation(issue.message, band=issue.band)
-    return SpectrumValidation(issues=tuple(issues))
+        validation.raise_first_violation()
+    return validation

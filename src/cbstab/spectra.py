@@ -29,10 +29,13 @@ from fractions import Fraction
 from typing import Union
 
 from .core import (
+    _KIND_ORDER,
+    _prechecked_band,
     BandKind,
     EinsteinSpace,
     Rational,
     SpectralBand,
+    SpectrumValidation,
     as_rational,
     validate_spectrum,
 )
@@ -104,9 +107,6 @@ def divergence_free_bands(m: int, einstein_constant: Rational, up_to: Rational) 
     return bands
 
 
-_KIND_ORDER = {BandKind.GRADIENT: 0, BandKind.DIVERGENCE_FREE: 1}
-
-
 def sphere_bands(m: int, einstein_constant: Rational, up_to: Rational) -> list[SpectralBand]:
     """All sphere bands up to the bound, sorted by eigenvalue then kind."""
     bands = gradient_bands(m, einstein_constant, up_to)
@@ -158,7 +158,11 @@ class LoadedSpectrum:
     space: EinsteinSpace
     bands: tuple[SpectralBand, ...]
     source: SpectrumSource
-    warnings: tuple[str, ...]
+    validation: SpectrumValidation
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return self.validation.warnings
 
 
 _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "bands"}
@@ -167,11 +171,20 @@ _KIND_NAMES = {kind.value: kind for kind in BandKind}
 
 
 def _rational_field(raw, where: str) -> Fraction:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise ParseError(f"{where} must be an integer or a 'p/q' string, got {raw!r}")
-    if not isinstance(raw, (str, int)):
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise ParseError(f"{where} must be an integer or a 'p/q' string, got {raw!r}")
     try:
+        if isinstance(raw, str):
+            # Plain ASCII "p" and "p/q" with q > 0 skip the regular expression
+            # in Fraction(str); every other string goes through it, so it
+            # alone defines the accepted syntax and the error text.
+            num, slash, den = raw.partition("/")
+            if num.isascii() and num.isdigit() and (
+                    not slash or (den.isascii() and den.isdigit())):
+                p = int(num)
+                q = int(den) if slash else 1
+                if q:
+                    return Fraction(p, q)
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where} is not a rational: {raw!r} ({exc})") from exc
@@ -190,23 +203,24 @@ def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
             raise ParseError(f"{where} has unknown fields {sorted(unknown)}")
     eigenvalue = _rational_field(raw["eigenvalue"], f"{where}.eigenvalue")
     mult = raw["multiplicity"]
-    if isinstance(mult, bool) or not isinstance(mult, int):
-        raise InvalidBand(f"{where}.multiplicity must be an integer, got {mult!r}")
+    if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+        raise InvalidBand(f"{where}.multiplicity must be a positive integer, got {mult!r}")
     kind_name = raw["kind"]
-    if kind_name not in _KIND_NAMES:
+    kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
+    if kind is None:
         raise ParseError(
             f"{where}.kind must be one of {sorted(_KIND_NAMES)}, got {kind_name!r}")
-    if eigenvalue < 0:
+    if eigenvalue.numerator < 0:
         raise InvalidBand(f"{where}.eigenvalue must be >= 0, got {eigenvalue}")
-    return SpectralBand(eigenvalue, mult, _KIND_NAMES[kind_name])
+    return _prechecked_band(eigenvalue, mult, kind)
 
 
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:
     """Load a JSON spectrum file and validate its bounds non-strictly.
 
-    Bound violations and rigidity notes from validate_spectrum become the
-    `warnings` of the result; structural problems raise ParseError,
-    MissingField or InvalidBand.
+    The result carries the validate_spectrum report as `validation`; its
+    bound violations and rigidity notes are the `warnings` of the result.
+    Structural problems raise ParseError, MissingField or InvalidBand.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -241,9 +255,8 @@ def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectr
     space = EinsteinSpace(dimension=dimension, einstein_constant=lam, name=name)
     source = SpectrumSource(origin=FileOrigin(path=str(path)),
                             declared_complete_up_to=complete_up_to)
-    report = validate_spectrum(space, bands, strict=False)
     return LoadedSpectrum(space=space, bands=bands, source=source,
-                          warnings=report.warnings)
+                          validation=validate_spectrum(space, bands))
 
 
 def spectrum_document(space: EinsteinSpace, bands: list[SpectralBand] | tuple[SpectralBand, ...],

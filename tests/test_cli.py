@@ -1,8 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
+import cbstab.core
 from cbstab.cli import main
 
 PI = math.pi
@@ -165,6 +167,25 @@ def test_malformed_file_exits_66(tmp_path, capsys):
     assert code == 66
 
 
+def test_malformed_band_exits_66_with_position(tmp_path, capsys):
+    base = {"name": "x", "dimension": 4, "einstein_constant": "3"}
+    cases = [
+        ({"eigenvalue": "4", "multiplicity": 5, "kind": ["gradient"]}, "bands[1].kind"),
+        ({"eigenvalue": "4", "multiplicity": 5, "kind": {"k": 1}}, "bands[1].kind"),
+        ({"eigenvalue": "4", "multiplicity": 0, "kind": "gradient"}, "bands[1].multiplicity"),
+        ({"eigenvalue": "4", "multiplicity": -3, "kind": "gradient"}, "bands[1].multiplicity"),
+    ]
+    for bad_band, where in cases:
+        path = tmp_path / "bad-band.json"
+        path.write_text(json.dumps(dict(base, bands=[
+            {"eigenvalue": "6", "multiplicity": 10, "kind": "divergence_free"}, bad_band])),
+            encoding="utf-8")
+        code, out, err = run(capsys, "index", "--spectrum-file", str(path))
+        assert code == 66, bad_band
+        assert out == ""
+        assert where in err
+
+
 def test_strict_validation_exits_2(tmp_path, capsys):
     violating = tmp_path / "violating.json"
     violating.write_text(json.dumps({
@@ -199,7 +220,8 @@ def test_strict_requires_declared_completeness(tmp_path, capsys):
     assert code == 2
     code, out, _ = run(capsys, "index", "--spectrum-file", str(undeclared))
     assert code == 0
-    assert any("completeness" in w for w in json.loads(out)["warnings"])
+    # one completeness warning per functional
+    assert sum("completeness" in w for w in json.loads(out)["warnings"]) == 3
 
 
 def test_declared_bound_below_cutoff_exits_2(tmp_path, capsys):
@@ -276,3 +298,45 @@ def test_index_reports_source(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to module.name through every cbstab binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "cbstab" or mod_name.startswith("cbstab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_index_cost_counters(tmp_path, capsys, monkeypatch):
+    # duplicates, a violation, a rigidity note and exact hits on both roots
+    # (2*lambda = 6 and c = 4 on S^4)
+    bands = [("3", 2, "gradient"), ("4", 5, "gradient"), ("8/2", 1, "gradient"),
+             ("5", 3, "divergence_free"), ("6", 10, "divergence_free"), ("12/2", 4, "gradient"),
+             ("9", 7, "gradient"), ("6", 1, "divergence_free")]
+    path = tmp_path / "counted.json"
+    path.write_text(json.dumps({
+        "name": "counted", "dimension": 4, "einstein_constant": "3",
+        "bands": [{"eigenvalue": e, "multiplicity": n, "kind": k} for e, n, k in bands],
+    }), encoding="utf-8")
+    validations = count_calls(monkeypatch, cbstab.core, "validate_spectrum")
+    jacobi = count_calls(monkeypatch, cbstab.core, "jacobi_eigenvalue")
+    for argv in (["--spectrum-file", str(path)], ["--dim", "4"], ["--dim", "4", "--strict"]):
+        validations.clear()
+        jacobi.clear()
+        code, out, _ = run(capsys, "index", *argv, "--functional", "all")
+        assert code == 0, argv
+        reports = json.loads(out)["reports"]
+        assert len(validations) == 1, argv
+        contributing = sum(len(r["contributing_bands"]) for r in reports)
+        assert contributing > 0
+        assert len(jacobi) == contributing, argv

@@ -8,8 +8,10 @@ from cbstab.core import (
     EinsteinSpace,
     Functional,
     SpectralBand,
+    as_rational,
     contribution_cutoff,
     index_nullity,
+    index_reports,
     jacobi_eigenvalue,
     validate_spectrum,
 )
@@ -157,11 +159,21 @@ def test_contributing_bands_sorted_gradient_first_at_ties():
 def test_incomplete_spectrum_raises():
     with pytest.raises(IncompleteSpectrum):
         index_nullity(S4, S4_BANDS, Functional.ENERGY, complete_up_to=4)
+    # S^4: 2*lambda = 6 covers the energy, but c = 4 is no further root; on
+    # S^2 (lambda = 1) the conformal cutoff c = 8/3 lies past 2*lambda = 2
+    s2 = EinsteinSpace(2, Fraction(1))
+    reports = index_reports(s2, [band(2, 3, GRAD)], [Functional.ENERGY], complete_up_to=2)
+    assert (reports[0].index, reports[0].nullity) == (0, 3)
+    with pytest.raises(IncompleteSpectrum, match="extend to 8/3"):
+        index_reports(s2, [band(2, 3, GRAD)], list(Functional), complete_up_to=2)
 
 
 def test_undeclared_completeness_warns():
     with pytest.warns(SpectrumCompletenessWarning):
         index_nullity(S4, S4_BANDS, Functional.ENERGY)
+    with pytest.warns(SpectrumCompletenessWarning) as record:
+        index_reports(S4, S4_BANDS, list(Functional))
+    assert len(record) == 3
 
 
 def test_index_nullity_rejects_invalid_band():
@@ -208,3 +220,72 @@ def test_validate_spectrum_skips_ricci_flat():
     flat = EinsteinSpace(4, Fraction(0))
     report = validate_spectrum(flat, [band(0, 1, GRAD), band(0, 1, DIVFREE)], strict=True)
     assert report.ok and not report.issues
+
+
+def test_as_rational_returns_fraction_unchanged():
+    value = Fraction(6, 8)
+    assert as_rational(value) is value
+    assert as_rational("6/8") == value
+    with pytest.raises(DomainError):
+        as_rational(0.75)
+
+
+def brute_force_report(space, bands, kind):
+    """Reference: merge by Fraction key, then jacobi_eigenvalue on every band."""
+    merged = {}
+    for b in bands:
+        merged[(b.eigenvalue, b.kind)] = merged.get((b.eigenvalue, b.kind), 0) + b.multiplicity
+    index = nullity = 0
+    contributing = []
+    for (mu, kind_of_band), mult in merged.items():
+        j = jacobi_eigenvalue(kind, space, mu)
+        if j < 0:
+            index += mult
+        elif j == 0:
+            nullity += mult
+        if j <= 0:
+            contributing.append((SpectralBand(mu, mult, kind_of_band), j))
+    contributing.sort(key=lambda pair: (pair[0].eigenvalue, pair[0].kind is DIVFREE))
+    return index, nullity, contributing
+
+
+def random_spectrum(rng, m):
+    """Bands around the Jacobi roots 2*lambda and c, the Obata bound and 0,
+    with exact hits on each and repeated (eigenvalue, kind) rows."""
+    lam = Fraction(0) if rng.random() < 0.15 else Fraction(rng.randint(1, 40), rng.randint(1, 6))
+    space = EinsteinSpace(m, lam)
+    roots = [2 * lam, Fraction(2, 3) * (6 - m) * lam, Fraction(0)]
+    if m > 1:
+        roots.append(Fraction(m, m - 1) * lam)
+    hits = [r for r in roots if r >= 0]
+    span = 3 * max(hits) + 1
+    bands = []
+    for _ in range(rng.randint(0, 60)):
+        roll = rng.random()
+        if bands and roll < 0.2:
+            mu, kind = rng.choice(bands).eigenvalue, rng.choice([GRAD, DIVFREE])
+        elif roll < 0.45:
+            mu, kind = rng.choice(hits), rng.choice([GRAD, DIVFREE])
+        else:
+            q = rng.randint(1, 12)
+            mu, kind = Fraction(rng.randint(0, int(span * q)), q), rng.choice([GRAD, DIVFREE])
+        bands.append(SpectralBand(mu, rng.randint(1, 9), kind))
+    return space, bands
+
+
+def test_root_counting_matches_brute_force():
+    rng = random.Random(20260417)
+    for trial in range(600):
+        m = trial % 12 + 1  # c > 0 for m < 6, c = 0 at m = 6, c < 0 for m > 6
+        space, bands = random_spectrum(rng, m)
+        kinds = list(Functional)
+        rng.shuffle(kinds)
+        kinds = kinds[:rng.randint(1, 3)]
+        reports = index_reports(space, bands, kinds, complete_up_to=10 ** 6)
+        assert [r.functional for r in reports] == kinds
+        for report in reports:
+            expected = brute_force_report(space, bands, report.functional)
+            got = (report.index, report.nullity, list(report.contributing_bands))
+            assert got == expected, (m, space.einstein_constant, report.functional)
+            single = index_nullity(space, bands, report.functional, complete_up_to=10 ** 6)
+            assert single == report

@@ -13,6 +13,7 @@ from cbstab.spectra import (
     divergence_free_multiplicity,
     gradient_bands,
     gradient_multiplicity,
+    _rational_field,
     load_spectrum,
     spectrum_document,
     sphere_bands,
@@ -276,3 +277,23 @@ def test_load_spectrum_unknown_fields(tmp_path):
     load_spectrum(path)
     with pytest.raises(ParseError):
         load_spectrum(path, strict=True)
+
+
+# Strings the "p/q" fast path takes, strings it must hand to Fraction(str),
+# and the integer-conversion digit limit, which both must report alike.
+PARITY_STRINGS = ["6/8", "7", "0", " 3/4", "+3/4", "-1/2", "1.5", "1e3", "3_000/4", "3/ 4",
+                  "1/0", "0/0", "\u0663/4", "\u00b2/4", "", "9" * 5000, "1/" + "7" * 5000]
+
+
+@pytest.mark.parametrize("text", PARITY_STRINGS, ids=lambda text: repr(text)[:16])
+def test_rational_field_matches_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ParseError) as info:
+            _rational_field(text, "bands[0].eigenvalue")
+        assert str(info.value) == f"bands[0].eigenvalue is not a rational: {text!r} ({exc})"
+    else:
+        got = _rational_field(text, "bands[0].eigenvalue")
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
