@@ -8,6 +8,7 @@ failure, 3 numerical failure, 64 usage error, 66 file error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,6 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first call to main, not at import, and reused after that
+    return build_parser()
 
 
 def _space_and_bands(dim: int, einstein_constant: Fraction | None, up_to: Fraction):
@@ -333,7 +340,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

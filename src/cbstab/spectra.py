@@ -166,7 +166,8 @@ class LoadedSpectrum:
 
 
 _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "bands"}
-_BAND_FIELDS = {"eigenvalue", "multiplicity", "kind"}
+# a tuple, so a band missing several fields always names the same one first
+_BAND_FIELDS = ("eigenvalue", "multiplicity", "kind")
 _KIND_NAMES = {kind.value: kind for kind in BandKind}
 
 
@@ -198,7 +199,7 @@ def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
         if name not in raw:
             raise MissingField(f"{where} is missing required field {name!r}")
     if strict:
-        unknown = set(raw) - _BAND_FIELDS
+        unknown = set(raw).difference(_BAND_FIELDS)
         if unknown:
             raise ParseError(f"{where} has unknown fields {sorted(unknown)}")
     eigenvalue = _rational_field(raw["eigenvalue"], f"{where}.eigenvalue")

@@ -1,11 +1,13 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
 import cbstab.core
-from cbstab.cli import main
+from cbstab.cli import build_parser, main
 
 PI = math.pi
 
@@ -340,3 +342,30 @@ def test_index_cost_counters(tmp_path, capsys, monkeypatch):
         contributing = sum(len(r["contributing_bands"]) for r in reports)
         assert contributing > 0
         assert len(jacobi) == contributing, argv
+
+
+def test_parser_built_once_and_reused(capsys, monkeypatch):
+    import cbstab.cli
+
+    assert build_parser() is not build_parser()  # still a fresh parser per call
+    run(capsys, "energy", "--dim", "4", "--t", "1")
+    monkeypatch.setattr(cbstab.cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    code, _, err = run(capsys, "energy", "--dim", "1", "--t", "1")
+    assert code == 64 and "usage error" in err
+
+
+def test_missing_band_field_is_hash_seed_independent(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "x", "dimension": 4, "einstein_constant": "3",
+                                "bands": [{"kind": "gradient"}]}), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    stderrs = set()
+    for seed in ("0", "1"):  # these two named different fields before the fix
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "cbstab.cli", "index",
+                               "--spectrum-file", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 66
+        stderrs.add(proc.stderr)
+    assert len(stderrs) == 1
+    assert "missing required field 'eigenvalue'" in stderrs.pop()

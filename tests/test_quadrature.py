@@ -12,6 +12,7 @@ from cbstab.quadrature import (
     sin_power_integral_exact,
     sphere_volume,
     sphere_volume_exact,
+    trapezoid_ladder,
 )
 
 
@@ -138,3 +139,51 @@ def test_config_invariants():
         QuadratureConfig(abs_tolerance=-1e-3)
     with pytest.raises(DomainError):
         QuadratureConfig(initial_panels=0)
+
+
+def _sech_sums(calls):
+    def sums(nodes):
+        calls.append(list(nodes))
+        return (math.fsum(1.0 / math.cosh(x) ** 2 for x in nodes),
+                math.fsum(math.exp(-x * x) for x in nodes))
+    return sums
+
+
+def test_trapezoid_ladder_integrals():
+    calls = []
+    result = trapezoid_ladder(_sech_sums(calls), 20.0, 0.5)
+    assert result.values[0] == pytest.approx(2.0, rel=1e-13)
+    assert result.values[1] == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    assert all(0.0 < e < 1e-9 for e in result.errors)
+    assert abs(result.values[0] - 2.0) <= result.errors[0]
+
+
+def test_trapezoid_ladder_levels_share_nodes():
+    calls = []
+    result = trapezoid_ladder(_sech_sums(calls), 20.0, 0.5)
+    nodes = [x for level in calls for x in level]
+    assert len(nodes) == len(set(nodes)) == result.nodes
+    assert sorted(nodes) == sorted(-x for x in nodes)  # symmetric about 0
+    assert calls[0] == [0.5 * j for j in range(-40, 41)]
+    assert len(calls) >= 2
+    for i in range(1, len(calls)):
+        # a halving adds one midpoint per gap of the level before
+        assert len(calls[i]) == sum(len(c) for c in calls[:i]) - 1
+
+
+def test_trapezoid_ladder_budget():
+    tight = QuadratureConfig(max_doublings=1, rel_tolerance=1e-30, abs_tolerance=1e-300)
+    with pytest.raises(QuadratureFailure, match="largest change per level"):
+        trapezoid_ladder(_sech_sums([]), 20.0, 2.0, tight)
+    # the first level never has more than base_nodes * initial_panels nodes a side
+    calls = []
+    starved = QuadratureConfig(base_nodes=4, initial_panels=1, rel_tolerance=0.5)
+    trapezoid_ladder(_sech_sums(calls), 20.0, 0.5, starved)
+    assert calls[0] == [5.0 * j for j in range(-4, 5)]
+
+
+def test_trapezoid_ladder_nonfinite():
+    with pytest.raises(NonFiniteSample):
+        trapezoid_ladder(lambda nodes: (float("nan"),), 1.0, 0.5)
+    with pytest.raises(DomainError):
+        trapezoid_ladder(lambda nodes: (0.0,), 0.0, 0.5)
