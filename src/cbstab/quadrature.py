@@ -131,7 +131,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
 # Relative rounding error allowed for in every trapezoid_ladder estimate,
 # 256 units in the last place.  Once the rule has converged, the change
 # between two levels is the rounding noise of the node values and can miss
-# it; against the committed 60-digit reference (m = 2..12, t in
+# it; against the committed high-precision reference (m = 2..12, t in
 # [1e-8, 1e8]) the family's worst rounding error is about 5e-15, a tenth
 # of this floor.
 LADDER_ROUNDOFF = 2.0 ** -44

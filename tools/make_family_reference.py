@@ -1,11 +1,11 @@
 """Write tests/data/family_reference.json: E, E2 and E2c of the family at high precision.
 
-    python3 tools/make_family_reference.py [--out PATH] [--dps N]
+    python3 tools/make_family_reference.py [--out PATH]
 
 Needs mpmath (developed against 1.3.0); without it the script says so and
 exits 0, because cbstab itself stays stdlib-only.  Every value is computed
-two independent ways and the script refuses to write when they disagree
-beyond 1e-25 relative:
+at 60 decimal digits two independent ways, and the script refuses to write
+when they disagree beyond 1e-25 relative:
 
 * the x-form, x = log tan(r/2) and s = log t, integrated over the real line
   with unit-spaced breakpoints across the window that holds both bumps;
@@ -13,8 +13,9 @@ beyond 1e-25 relative:
   sin(alpha)/sin(r) and cos(alpha) - cos(r), split at the layer
   r = 2*atan(1/t) and at distances from it that double towards both ends.
 
-The points are m = 2..12 on the grid log10 t = -8, -7, ..., 8, plus the
-energy-sweep benchmark's defect probes and (6, 6.948e7).
+The x-form value is stored to 30 significant digits.  The points are
+m = 2..12 on the grid log10 t = -8, -7, ..., 8, plus the energy-sweep
+benchmark's defect probes and (6, 6.948e7).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(ROOT, "tests", "data", "family_reference.json")
+DPS = 60
 AGREEMENT = 1e-25
 DIMENSIONS = range(2, 13)
 LOG10_T = range(-8, 9)
@@ -116,17 +118,14 @@ def r_form(mp, m, t):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=DEFAULT_OUT)
-    parser.add_argument("--dps", type=int, default=60, help="decimal digits, at least 40")
     args = parser.parse_args(argv)
     try:
         import mpmath
     except ImportError:
         print("make_family_reference: mpmath is not installed; nothing written")
         return 0
-    if args.dps < 40:
-        parser.error("--dps must be at least 40")
     mp = mpmath.mp
-    mp.dps = args.dps
+    mp.dps = DPS
 
     points = [(m, 10.0 ** k) for m in DIMENSIONS for k in LOG10_T]
     points += [p for p in EXTRA_POINTS if p not in points]
@@ -152,7 +151,7 @@ def main(argv=None) -> int:
     doc = {
         "generator": "tools/make_family_reference.py",
         "mpmath": mpmath.__version__,
-        "dps": args.dps,
+        "dps": DPS,
         "agreement": AGREEMENT,
         "worst_relative_gap": worst,
         "points": rows,
