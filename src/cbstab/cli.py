@@ -16,13 +16,7 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 
-from .core import (
-    EinsteinSpace,
-    Functional,
-    contribution_cutoff,
-    index_reports,
-    validate_spectrum,
-)
+from .core import Functional, index_reports
 from .errors import (
     BoundViolation,
     CbstabError,
@@ -38,9 +32,8 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .spectra import (
     ClosedFormSphere,
     SpectrumSource,
-    circle_bands,
+    builtin_spectrum,
     load_spectrum,
-    sphere_bands,
     spectrum_document,
 )
 from .verify import SUITES, run_suites
@@ -156,20 +149,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _space_and_bands(dim: int, einstein_constant: Fraction | None, up_to: Fraction):
-    """Built-in space plus bands covering [0, up_to]."""
-    if dim == 1:
-        if einstein_constant not in (None, 0):
-            raise _UsageError("the circle is flat; --lambda must be 0 or omitted for --dim 1")
-        return circle_bands(up_to)
-    lam = einstein_constant if einstein_constant is not None else Fraction(dim - 1)
-    if lam <= 0:
-        raise _UsageError(f"--lambda must be positive for dim >= 2, got {lam}")
-    space = EinsteinSpace(dimension=dim, einstein_constant=lam,
-                          name=f"S^{dim}" if lam == dim - 1 else f"S^{dim} (lambda={lam})")
-    return space, sphere_bands(dim, lam, up_to)
-
-
 def _selected_functionals(selector: str) -> list[Functional]:
     if selector == "all":
         return [Functional.ENERGY, Functional.BIENERGY, Functional.CONFORMAL_BIENERGY]
@@ -209,32 +188,18 @@ def _cmd_index(args) -> int:
         if args.dim is not None or args.einstein_constant is not None:
             raise _UsageError("--spectrum-file excludes --dim/--lambda")
         loaded = load_spectrum(args.spectrum_file, strict=args.strict)
-        space, bands, source = loaded.space, loaded.bands, loaded.source
-        declared = source.declared_complete_up_to
-        if args.strict and declared is None:
+    elif args.dim is None:
+        raise _UsageError("need either --dim (built-in sphere) or --spectrum-file")
+    else:
+        loaded = builtin_spectrum(args.dim, args.einstein_constant, kinds)
+    space, bands, source = loaded.space, loaded.bands, loaded.source
+    declared = source.declared_complete_up_to
+    if args.strict:
+        if declared is None:
             raise IncompleteSpectrum(
                 "strict mode requires the spectrum file to declare complete_up_to")
-        validation = loaded.validation
-        doc_warnings = list(validation.warnings)
-    else:
-        if args.dim is None:
-            raise _UsageError("need either --dim (built-in sphere) or --spectrum-file")
-        if args.dim < 1:
-            raise _UsageError(f"--dim must be >= 1, got {args.dim}")
-        probe_space = (EinsteinSpace(args.dim, args.einstein_constant
-                                     if args.einstein_constant is not None
-                                     else Fraction(max(args.dim - 1, 0))))
-        up_to = max(contribution_cutoff(probe_space, kind) for kind in kinds)
-        space, bands = _space_and_bands(args.dim, args.einstein_constant, up_to)
-        declared = up_to
-        source = SpectrumSource(
-            origin=ClosedFormSphere(space.dimension, space.einstein_constant),
-            declared_complete_up_to=declared)
-        validation = validate_spectrum(space, bands)
-        # strict runs of a built-in sphere list no validation notes
-        doc_warnings = [] if args.strict else list(validation.warnings)
-    if args.strict:
-        validation.raise_first_violation()
+        loaded.validation.raise_first_violation()
+    doc_warnings = list(loaded.warnings)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -294,17 +259,9 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.dim < 1:
-        raise _UsageError(f"--dim must be >= 1, got {args.dim}")
-    lam = args.einstein_constant
-    probe = EinsteinSpace(args.dim, lam if lam is not None else Fraction(max(args.dim - 1, 0)))
-    up_to = args.up_to
-    if up_to is None:
-        up_to = max(contribution_cutoff(probe, kind) for kind in Functional)
-    elif up_to < 0:
-        raise _UsageError(f"--up-to must be >= 0, got {up_to}")
-    space, bands = _space_and_bands(args.dim, lam, up_to)
-    print(json.dumps(spectrum_document(space, bands, complete_up_to=up_to), indent=2))
+    loaded = builtin_spectrum(args.dim, args.einstein_constant, up_to=args.up_to)
+    print(json.dumps(spectrum_document(loaded.space, loaded.bands,
+                                       loaded.source.declared_complete_up_to), indent=2))
     return 0
 
 

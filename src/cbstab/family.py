@@ -68,18 +68,6 @@ def _check_m(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class FamilyPoint:
-    """One map of the family: sphere dimension m and parameter t (t=1 is Id)."""
-
-    dimension: int
-    parameter: float
-
-    def __post_init__(self):
-        _check_m(self.dimension)
-        _check_t(self.parameter)
-
-
-@dataclass(frozen=True)
 class FamilyEvaluation:
     energy: float
     energy_error: float

@@ -26,17 +26,19 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .core import (
     _KIND_ORDER,
     _prechecked_band,
     BandKind,
     EinsteinSpace,
+    Functional,
     Rational,
     SpectralBand,
     SpectrumValidation,
     as_rational,
+    contribution_cutoff,
     validate_spectrum,
 )
 from .errors import DomainError, InvalidBand, MissingField, ParseError
@@ -163,6 +165,35 @@ class LoadedSpectrum:
     @property
     def warnings(self) -> tuple[str, ...]:
         return self.validation.warnings
+
+
+def builtin_spectrum(m: int, lam: Rational | None = None,
+                     kinds: Iterable[Functional] = tuple(Functional),
+                     up_to: Rational | None = None) -> LoadedSpectrum:
+    """The closed-form spectrum of the round m-sphere, or of the flat circle for m = 1.
+
+    `lam` defaults to the unit sphere's m - 1; the circle must have lam = 0
+    and every other sphere lam > 0.  The bands run up to `up_to`, by default
+    the largest contribution cutoff over `kinds` (0 for no kinds), and that
+    bound is declared complete.  The result carries the same ClosedFormSphere
+    source and validate_spectrum report that load_spectrum gives a file.
+    """
+    if not isinstance(m, int) or m < 1:
+        raise DomainError(f"need integer m >= 1, got {m!r}")
+    lam = Fraction(m - 1) if lam is None else as_rational(lam)
+    if m == 1 and lam != 0:
+        raise DomainError(f"the circle is flat; its Einstein constant must be 0, got {lam}")
+    if m > 1 and lam <= 0:
+        raise DomainError(f"Einstein constant must be positive for m >= 2, got {lam}")
+    space = EinsteinSpace(dimension=m, einstein_constant=lam,
+                          name=f"S^{m}" if lam == m - 1 else f"S^{m} (lambda={lam})")
+    if up_to is None:
+        up_to = max((contribution_cutoff(space, kind) for kind in kinds), default=Fraction(0))
+    bands = tuple(circle_bands(up_to)[1] if m == 1 else sphere_bands(m, lam, up_to))
+    source = SpectrumSource(origin=ClosedFormSphere(m, lam),
+                            declared_complete_up_to=as_rational(up_to))
+    return LoadedSpectrum(space=space, bands=bands, source=source,
+                          validation=validate_spectrum(space, bands))
 
 
 _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "bands"}

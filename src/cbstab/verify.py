@@ -1,8 +1,10 @@
 """Named verification suites behind `cbstab verify` and the acceptance tests.
 
 Each suite returns CheckResult records; a suite passes when every record
-does.  Tolerances are fixed here, not configurable, so the suites mean the
-same thing in every run; only the quadrature budget can be overridden.
+does.  Tolerances and sample points are fixed here, not configurable, so the
+suites mean the same thing in every run; only the quadrature budget can be
+overridden.  The acceptance tests (tests/test_acceptance.py) call these
+suites through run_suites and define no check of their own.
 """
 
 from __future__ import annotations
@@ -12,26 +14,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    EinsteinSpace,
-    Functional,
-    SpectralBand,
-    contribution_cutoff,
-    index_nullity,
-)
+from .core import EinsteinSpace, Functional, SpectralBand, index_reports
 from .family import c_constant, epsilon_schedule, evaluate_family, upper_bound
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, sphere_volume
-from .spectra import circle_bands, sphere_bands, unit_sphere
-from .variation import SignVerdict, fd_second_derivative
+from .spectra import builtin_spectrum
+from .variation import (
+    ABS_TOLERANCE_AT_ZERO,
+    REL_TOLERANCE,
+    SignVerdict,
+    fd_second_derivative,
+)
 
 CONSTANCY_REL_TOL = 1e-8
 SPOT_REL_TOL = 1e-8
 SPOT_ABS_TOL = 1e-10
-HESSIAN_REL_TOL = 1e-3
-HESSIAN_ZERO_ABS_TOL = 1e-4
 SYMMETRY_REL_TOL = 1e-9
+DECOMPOSITION_ABS_FLOOR = 1e-12
 SCALING_SAMPLES = 50
 SCALING_SEED = 20250808
+DECOMPOSITION_GRID = sorted({(m, t) for m in (3, 4, 5, 6) for t in (0.3, 1.0, 2.5)}
+                            | {(m, t) for m in (4, 5, 6, 7) for t in (0.05, 0.5, 1.0, 3.0, 20.0)})
 
 
 @dataclass(frozen=True)
@@ -49,19 +51,10 @@ def _check(suite: str, name: str, expected, got, tolerance: str, passed: bool) -
                        tolerance=tolerance, passed=bool(passed))
 
 
-def _unit_sphere_bands(m: int, kind: Functional):
-    space = unit_sphere(m)
-    cutoff = contribution_cutoff(space, kind)
-    if m == 1:
-        space, bands = circle_bands(cutoff)
-    else:
-        bands = sphere_bands(m, space.einstein_constant, cutoff)
-    return space, bands, cutoff
-
-
-def _sphere_report(m: int, kind: Functional):
-    space, bands, cutoff = _unit_sphere_bands(m, kind)
-    return index_nullity(space, bands, kind, complete_up_to=cutoff)
+def _sphere_reports(spectrum):
+    """Energy, bienergy and c-bienergy reports of a built-in spectrum, from one merge."""
+    return index_reports(spectrum.space, spectrum.bands, Functional,
+                         complete_up_to=spectrum.source.declared_complete_up_to)
 
 
 def _expected_energy(m: int) -> tuple[int, int]:
@@ -83,10 +76,8 @@ def _expected_c_bienergy(m: int) -> tuple[int, int]:
 def suite_tables(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     """Index/nullity tables for unit spheres m = 1..10, exact."""
     out = []
-    for m in range(1, 11):
-        e = _sphere_report(m, Functional.ENERGY)
-        e2 = _sphere_report(m, Functional.BIENERGY)
-        e2c = _sphere_report(m, Functional.CONFORMAL_BIENERGY)
+    reports = {m: _sphere_reports(builtin_spectrum(m)) for m in range(1, 11)}
+    for m, (e, e2, e2c) in reports.items():
         want_e = _expected_energy(m)
         want_e2c = _expected_c_bienergy(m)
         out.append(_check("tables", f"energy S^{m}", want_e, (e.index, e.nullity),
@@ -96,15 +87,12 @@ def suite_tables(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
         out.append(_check("tables", f"c_bienergy S^{m}", want_e2c, (e2c.index, e2c.nullity),
                           "exact", (e2c.index, e2c.nullity) == want_e2c))
 
-    e4 = _sphere_report(4, Functional.ENERGY)
-    e2c4 = _sphere_report(4, Functional.CONFORMAL_BIENERGY)
+    e4, _, e2c4 = reports[4]
     got = (e2c4.index, e4.index, e2c4.nullity, e4.nullity)
     out.append(_check("tables", "S^4 exception", (0, 5, 15, 10), got,
                       "exact", got == (0, 5, 15, 10)))
     for m in range(5, 11):
-        e = _sphere_report(m, Functional.ENERGY)
-        e2 = _sphere_report(m, Functional.BIENERGY)
-        e2c = _sphere_report(m, Functional.CONFORMAL_BIENERGY)
+        e, e2, e2c = reports[m]
         ok = e2c.index == e.index and e2c.nullity == e2.nullity
         out.append(_check("tables", f"S^{m} index/nullity coincidence",
                           (e.index, e2.nullity), (e2c.index, e2c.nullity), "exact", ok))
@@ -115,19 +103,19 @@ def suite_tables(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
 
 def _scaling_invariance_check() -> CheckResult:
     rng = random.Random(SCALING_SEED)
+    bases = {m: builtin_spectrum(m) for m in (4, 5, 7)}
+    base_reports = {m: _sphere_reports(spectrum) for m, spectrum in bases.items()}
     failures = 0
     for _ in range(SCALING_SAMPLES):
         c = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        for m in (4, 5, 7):
-            for kind in Functional:
-                space, bands, cutoff = _unit_sphere_bands(m, kind)
-                base = index_nullity(space, bands, kind, complete_up_to=cutoff)
-                scaled_space = EinsteinSpace(m, space.einstein_constant * c)
-                scaled_bands = [SpectralBand(b.eigenvalue * c, b.multiplicity, b.kind)
-                                for b in bands]
-                scaled = index_nullity(scaled_space, scaled_bands, kind,
-                                       complete_up_to=cutoff * c)
-                if (base.index, base.nullity) != (scaled.index, scaled.nullity):
+        for m, spectrum in bases.items():
+            scaled_space = EinsteinSpace(m, spectrum.space.einstein_constant * c)
+            scaled_bands = [SpectralBand(b.eigenvalue * c, b.multiplicity, b.kind)
+                            for b in spectrum.bands]
+            scaled = index_reports(scaled_space, scaled_bands, Functional,
+                                   complete_up_to=spectrum.source.declared_complete_up_to * c)
+            for base, report in zip(base_reports[m], scaled):
+                if (base.index, base.nullity) != (report.index, report.nullity):
                     failures += 1
     return _check("tables", f"scaling invariance ({SCALING_SAMPLES} rational factors)",
                   "0 mismatches", f"{failures} mismatches", "exact", failures == 0)
@@ -170,16 +158,16 @@ def suite_hessian(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     out = []
     report = fd_second_derivative(4, quad)
     out.append(_check("hessian", "m=4 second derivative vanishes", "0",
-                      f"{report.fd_value:.3e}", f"abs {HESSIAN_ZERO_ABS_TOL:g}",
-                      abs(report.fd_value) <= HESSIAN_ZERO_ABS_TOL
+                      f"{report.fd_value:.3e}", f"abs {ABS_TOLERANCE_AT_ZERO:g}",
+                      abs(report.fd_value) <= ABS_TOLERANCE_AT_ZERO
                       and report.sign_verdict is SignVerdict.ZERO))
     for m in (5, 6, 7):
         report = fd_second_derivative(m, quad)
-        ok = (report.relative_gap <= HESSIAN_REL_TOL
+        ok = (report.relative_gap <= REL_TOLERANCE
               and report.sign_verdict is SignVerdict.NEGATIVE)
         out.append(_check("hessian", f"m={m} fd matches prediction",
                           f"{report.prediction:.10g}", f"{report.fd_value:.10g}",
-                          f"rel {HESSIAN_REL_TOL:g}", ok))
+                          f"rel {REL_TOLERANCE:g}", ok))
     return out
 
 
@@ -234,22 +222,20 @@ def suite_symmetry(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]
                               worst <= SYMMETRY_REL_TOL))
 
     for m in (4, 5, 6, 7, 8):
-        for t in (0.05, 0.37, 1.0, 3.0, 20.0):
+        for t in (0.05, 0.37, 0.5, 1.0, 3.0, 20.0):
             ev = evaluate_family(m, t, quad)
             out.append(_check("symmetry", f"positivity m={m} t={t}", "> 0",
                               f"{ev.c_bienergy:.6e}", "strict", ev.c_bienergy > 0.0))
 
-    for m in (3, 4, 5, 6):
-        for t in (0.3, 1.0, 2.5):
-            ev = evaluate_family(m, t, quad)
-            coef = 2.0 * (m - 1) * (m - 3) / 3.0
-            combined = (ev.c_bienergy_error + ev.bienergy_error
-                        + abs(coef) * ev.energy_error
-                        + 1e-12 * max(1.0, abs(ev.c_bienergy)))
-            gap = abs(ev.c_bienergy - (ev.bienergy + coef * ev.energy))
-            out.append(_check("symmetry", f"decomposition m={m} t={t}",
-                              f"gap <= {combined:.3e}", f"{gap:.3e}",
-                              "combined quadrature error", gap <= combined))
+    for m, t in DECOMPOSITION_GRID:
+        ev = evaluate_family(m, t, quad)
+        coef = 2.0 * (m - 1) * (m - 3) / 3.0
+        combined = (ev.c_bienergy_error + ev.bienergy_error
+                    + abs(coef) * ev.energy_error + DECOMPOSITION_ABS_FLOOR)
+        gap = abs(ev.c_bienergy - (ev.bienergy + coef * ev.energy))
+        out.append(_check("symmetry", f"decomposition m={m} t={t}",
+                          f"gap <= {combined:.3e}", f"{gap:.3e}",
+                          "combined quadrature error", gap <= combined))
     return out
 
 

@@ -1,179 +1,64 @@
-"""Acceptance gate: every criterion at its stated tolerance.
+"""Acceptance gate: every verification suite passes, within its time budget.
 
-Each test prints one PASS/FAIL line (visible with pytest -s or in the
-captured output of a failing run); `cbstab verify` covers the same ground
-from the command line.
+Each check, with its tolerance and sample points, is defined once, in
+cbstab.verify; these tests run the same suites as `cbstab verify` and print
+the checks that failed (visible with pytest -s or in a failing run's output).
+The `tables` and `constancy` suites are each run once and their checks split
+between two criterion tests; every other suite is one `test_verify_suite`.
 """
 
-import math
-import random
+import functools
 import time
-from fractions import Fraction
 
-from cbstab.core import (
-    EinsteinSpace,
-    Functional,
-    SpectralBand,
-    contribution_cutoff,
-    index_nullity,
-)
-from cbstab.family import epsilon_schedule, evaluate_family, upper_bound
-from cbstab.quadrature import sphere_volume
-from cbstab.spectra import circle_bands, sphere_bands, unit_sphere
-from cbstab.variation import SignVerdict, fd_second_derivative
+import pytest
 
-PI = math.pi
+from cbstab.verify import SUITES, run_suites
+
+TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
 
 
-def _stamp(criterion, passed):
-    print(f"[acceptance] criterion {criterion}: {'PASS' if passed else 'FAIL'}")
-    assert passed
+@functools.cache
+def _timed_run(suite):
+    start = time.perf_counter()
+    results = run_suites([suite])
+    return tuple(results), time.perf_counter() - start
 
 
-def _sphere_report(m, kind):
-    space = unit_sphere(m)
-    cutoff = contribution_cutoff(space, kind)
-    if m == 1:
-        space, bands = circle_bands(cutoff)
-    else:
-        bands = sphere_bands(m, space.einstein_constant, cutoff)
-    return index_nullity(space, bands, kind, complete_up_to=cutoff)
+def _assert_suite(suite, select=lambda name: True):
+    results, elapsed = _timed_run(suite)
+    chosen = [r for r in results if select(r.name)]
+    failed = [r for r in chosen if not r.passed]
+    for r in failed:
+        print(f"FAIL {r.suite}/{r.name}: expected {r.expected}, got {r.got} "
+              f"(tolerance: {r.tolerance})")
+    assert chosen and not failed
+    assert elapsed < TIME_LIMITS_S.get(suite, float("inf"))
+
+
+def _is_s4_or_coincidence(name):
+    return name == "S^4 exception" or name.endswith("index/nullity coincidence")
 
 
 def test_criterion_1_sphere_tables_exact():
-    """Known index/nullity tables for unit spheres m = 1..10, exact, < 1 s."""
-    start = time.perf_counter()
-    ok = True
-    for m in range(1, 11):
-        e = _sphere_report(m, Functional.ENERGY)
-        e2c = _sphere_report(m, Functional.CONFORMAL_BIENERGY)
-        want_e = (0, 1) if m == 1 else (0, 6) if m == 2 else (m + 1, m * (m + 1) // 2)
-        if m in (1, 3):
-            want_e2c = (0, m * (m + 1) // 2)
-        elif m in (2, 4):
-            want_e2c = (0, (m + 1) * (m + 2) // 2)
-        else:
-            want_e2c = (m + 1, m * (m + 1) // 2)
-        ok &= (e.index, e.nullity) == want_e
-        ok &= (e2c.index, e2c.nullity) == want_e2c
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 1.0
-    _stamp(1, ok)
+    """The energy, bienergy and c-bienergy tables for S^1..S^10, and scaling invariance."""
+    _assert_suite("tables", lambda name: not _is_s4_or_coincidence(name))
 
 
 def test_criterion_2_s4_exception_and_coincidence():
     """S^4 is the lone exception; for m in 5..10 the reports coincide."""
-    ok = True
-    e = _sphere_report(4, Functional.ENERGY)
-    e2 = _sphere_report(4, Functional.BIENERGY)
-    e2c = _sphere_report(4, Functional.CONFORMAL_BIENERGY)
-    ok &= (e2c.index, e.index) == (0, 5)
-    ok &= (e2c.nullity, e.nullity) == (15, 10)
-    ok &= (e2.nullity, e.nullity) == (10, 10)
-    for m in range(5, 11):
-        e = _sphere_report(m, Functional.ENERGY)
-        e2 = _sphere_report(m, Functional.BIENERGY)
-        e2c = _sphere_report(m, Functional.CONFORMAL_BIENERGY)
-        ok &= e2c.index == e.index
-        ok &= e2c.nullity == e2.nullity
-    _stamp(2, ok)
+    _assert_suite("tables", _is_s4_or_coincidence)
 
 
 def test_criterion_3_h4c_constancy():
-    """|E2c(phi_t) - 32 pi^2/3| / (32 pi^2/3) <= 1e-8 on 21 log-spaced t, < 5 s."""
-    start = time.perf_counter()
-    target = 32.0 * PI ** 2 / 3.0
-    worst = 0.0
-    for k in range(-10, 11):
-        t = 10.0 ** (k / 10.0)
-        ev = evaluate_family(4, t)
-        worst = max(worst, abs(ev.c_bienergy - target) / target)
-    elapsed = time.perf_counter() - start
-    _stamp(3, worst <= 1e-8 and elapsed < 5.0)
+    """E2c(phi_t) on S^4 is constant in t."""
+    _assert_suite("constancy", lambda name: "(Id)" not in name)
 
 
 def test_criterion_4_closed_form_spot_values():
-    """E2c(Id), E(Id) and E2(Id) against their closed forms for m = 4..8."""
-    ok = True
-    for m in range(4, 9):
-        ev = evaluate_family(m, 1.0)
-        omega_m = sphere_volume(m)
-        want_e2c = m * (m - 1) * (m - 3) / 3.0 * omega_m
-        ok &= abs(ev.c_bienergy - want_e2c) / want_e2c <= 1e-8
-        ok &= abs(ev.energy - 0.5 * m * omega_m) / (0.5 * m * omega_m) <= 1e-8
-        ok &= abs(ev.bienergy) <= 1e-10
-    _stamp(4, ok)
+    """E2c(Id), E(Id) and E2(Id) against their closed forms."""
+    _assert_suite("constancy", lambda name: "(Id)" in name)
 
 
-def test_criterion_5_hessian_consistency():
-    """FD second derivative vs spectral prediction, < 30 s."""
-    start = time.perf_counter()
-    ok = True
-    report = fd_second_derivative(4)
-    ok &= abs(report.fd_value) <= 1e-4
-    ok &= report.sign_verdict is SignVerdict.ZERO
-    for m in (5, 6, 7):
-        report = fd_second_derivative(m)
-        ok &= report.relative_gap <= 1e-3
-        ok &= report.sign_verdict is SignVerdict.NEGATIVE
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 30.0
-    _stamp(5, ok)
-
-
-def test_criterion_6_epsilon_construction():
-    """E2c(phi_t) + quadrature error < eps for the scheduled t."""
-    ok = True
-    for m, eps in ((5, 1.0), (5, 0.1), (6, 0.5), (7, 0.25)):
-        t, _ = epsilon_schedule(m, eps)
-        ev = evaluate_family(m, t)
-        ok &= ev.c_bienergy + ev.c_bienergy_error < eps
-    _stamp(6, ok)
-
-
-def test_criterion_7_property_suites():
-    """Scaling invariance, inversion symmetry, positivity, decomposition, bound."""
-    ok = True
-
-    # scaling invariance over 50 seeded rational factors
-    rng = random.Random(20250808)
-    for _ in range(50):
-        c = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        for m in (4, 5, 7):
-            space = unit_sphere(m)
-            for kind in Functional:
-                cutoff = contribution_cutoff(space, kind)
-                bands = sphere_bands(m, space.einstein_constant, cutoff)
-                base = index_nullity(space, bands, kind, complete_up_to=cutoff)
-                scaled = index_nullity(
-                    EinsteinSpace(m, space.einstein_constant * c),
-                    [SpectralBand(b.eigenvalue * c, b.multiplicity, b.kind) for b in bands],
-                    kind, complete_up_to=cutoff * c)
-                ok &= (base.index, base.nullity) == (scaled.index, scaled.nullity)
-
-    # t <-> 1/t symmetry to 1e-9 (relative, floored at 1 for near-zero entries)
-    for m in (4, 5, 6):
-        for t in (0.2, 0.5, 2.0, 5.0):
-            a = evaluate_family(m, t)
-            b = evaluate_family(m, 1.0 / t)
-            for va, vb in ((a.energy, b.energy), (a.bienergy, b.bienergy),
-                           (a.c_bienergy, b.c_bienergy)):
-                ok &= abs(va - vb) <= 1e-9 * max(1.0, abs(va), abs(vb))
-
-    # positivity and decomposition
-    for m in (4, 5, 6, 7):
-        coef = 2.0 * (m - 1) * (m - 3) / 3.0
-        for t in (0.05, 0.5, 1.0, 3.0, 20.0):
-            ev = evaluate_family(m, t)
-            ok &= ev.c_bienergy > 0.0
-            combined = (ev.c_bienergy_error + ev.bienergy_error
-                        + coef * ev.energy_error + 1e-11)
-            ok &= abs(ev.c_bienergy - (ev.bienergy + coef * ev.energy)) <= combined
-
-    # strict upper bound for m >= 5
-    for m in (5, 6, 7):
-        for t in (0.01, 0.5, 1.0, 2.0):
-            ev = evaluate_family(m, t)
-            ok &= ev.c_bienergy + ev.c_bienergy_error < upper_bound(m, t)
-
-    _stamp(7, ok)
+@pytest.mark.parametrize("suite", [s for s in SUITES if s not in ("tables", "constancy")])
+def test_verify_suite(suite):
+    _assert_suite(suite)

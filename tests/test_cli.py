@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -369,3 +370,31 @@ def test_missing_band_field_is_hash_seed_independent(tmp_path):
         stderrs.add(proc.stderr)
     assert len(stderrs) == 1
     assert "missing required field 'eigenvalue'" in stderrs.pop()
+
+
+def test_builtin_output_is_byte_identical(capsys):
+    # sha256 of each command line's stdout: the documents are part of the CLI
+    # contract, so a digest may change only with an intended output change
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                        "builtin_cli_digests.json")
+    with open(path, encoding="utf-8") as handle:
+        digests = json.load(handle)
+    changed = []
+    for command, digest in digests.items():
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
+            changed.append(command)
+    assert changed == []
+
+
+def test_strict_builtin_and_file_list_the_same_warnings(tmp_path, capsys):
+    path = tmp_path / "s4.json"
+    _, dump, _ = run(capsys, "spectrum", "--dim", "4")
+    path.write_text(dump, encoding="utf-8")
+    _, builtin, _ = run(capsys, "index", "--dim", "4", "--strict")
+    _, from_file, _ = run(capsys, "index", "--spectrum-file", str(path), "--strict")
+    _, lenient, _ = run(capsys, "index", "--dim", "4")
+    warnings = json.loads(builtin)["warnings"]
+    assert any("Obata" in w for w in warnings)
+    assert warnings == json.loads(from_file)["warnings"] == json.loads(lenient)["warnings"]

@@ -4,7 +4,6 @@ import pytest
 
 from cbstab.errors import DomainError, QuadratureFailure
 from cbstab.family import (
-    FamilyPoint,
     alpha,
     c_bienergy_tangent_form_m4,
     c_constant,
@@ -65,14 +64,6 @@ def test_alpha_domain_errors():
         alpha(1e9, 1.0)  # t range guard
     with pytest.raises(DomainError):
         alpha(1e-9, 1.0)
-
-
-def test_family_point_validation():
-    FamilyPoint(5, 0.25)
-    with pytest.raises(DomainError):
-        FamilyPoint(1, 0.25)
-    with pytest.raises(DomainError):
-        FamilyPoint(5, 0.0)
 
 
 def test_densities_at_identity():
@@ -149,16 +140,6 @@ def test_decomposition_identity():
             assert abs(ev.c_bienergy - (ev.bienergy + coef * ev.energy)) <= combined
 
 
-def test_inversion_symmetry():
-    for m in (4, 5, 6):
-        for t in (0.2, 0.5, 2.0, 5.0):
-            a = evaluate_family(m, t)
-            b = evaluate_family(m, 1.0 / t)
-            for va, vb in ((a.energy, b.energy), (a.bienergy, b.bienergy),
-                           (a.c_bienergy, b.c_bienergy)):
-                assert abs(va - vb) <= 1e-9 * max(1.0, abs(va), abs(vb))
-
-
 def test_positivity():
     for m in (4, 5, 6, 7, 8):
         for t in (0.01, 0.37, 1.0, 2.0, 50.0):
@@ -202,13 +183,6 @@ def test_epsilon_schedule_certificate():
                                                  rel=1e-13)
         # defining inequality of delta'
         assert math.sin(2.0 * math.atan(t * cert.k)) ** 2 < cert.eta / (2.0 * cert.rho)
-
-
-def test_epsilon_schedule_guarantee():
-    for m, eps in ((5, 1.0), (5, 0.1)):
-        t, _ = epsilon_schedule(m, eps)
-        ev = evaluate_family(m, t)
-        assert ev.c_bienergy + ev.c_bienergy_error < eps
 
 
 def test_epsilon_schedule_huge_eps_clamps():

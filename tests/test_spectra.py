@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from cbstab.core import BandKind, Functional, contribution_cutoff, index_nullity, validate_spectrum
+from cbstab.core import BandKind, EinsteinSpace, Functional, index_nullity, validate_spectrum
 from cbstab.errors import DomainError, InvalidBand, MissingField, ParseError
 from cbstab.spectra import (
+    ClosedFormSphere,
+    SpectrumSource,
+    builtin_spectrum,
     circle_bands,
     divergence_free_bands,
     divergence_free_multiplicity,
@@ -172,24 +175,41 @@ def test_circle_bands():
     assert (report.index, report.nullity) == (0, 1)
 
 
-def test_generated_bands_reproduce_sphere_tables():
-    expectations = {
-        Functional.ENERGY: lambda m: (0, 1) if m == 1 else (0, 6) if m == 2
-            else (m + 1, m * (m + 1) // 2),
-        Functional.CONFORMAL_BIENERGY: lambda m: (0, m * (m + 1) // 2) if m in (1, 3)
-            else (0, (m + 1) * (m + 2) // 2) if m in (2, 4)
-            else (m + 1, m * (m + 1) // 2),
-    }
-    for m in range(1, 11):
-        space = unit_sphere(m)
-        for kind, want in expectations.items():
-            cutoff = contribution_cutoff(space, kind)
-            if m == 1:
-                _, bands = circle_bands(cutoff)
-            else:
-                bands = sphere_bands(m, space.einstein_constant, cutoff)
-            report = index_nullity(space, bands, kind, complete_up_to=cutoff)
-            assert (report.index, report.nullity) == want(m), (m, kind)
+def test_builtin_spectrum_unit_sphere():
+    s4 = builtin_spectrum(4)
+    assert s4.space == EinsteinSpace(4, 3, name="S^4")
+    assert s4.source == SpectrumSource(origin=ClosedFormSphere(4, Fraction(3)),
+                                       declared_complete_up_to=Fraction(6))
+    assert s4.bands == tuple(sphere_bands(4, 3, 6))
+    assert s4.validation == validate_spectrum(s4.space, s4.bands)
+    assert any("Obata" in w for w in s4.warnings)
+
+
+def test_builtin_spectrum_cutoff_follows_kinds():
+    # on S^2 the c-bienergy root (2/3)(6 - m)*lambda = 8/3 lies above 2*lambda = 2
+    assert builtin_spectrum(2, kinds=[Functional.ENERGY]).source.declared_complete_up_to == 2
+    assert builtin_spectrum(2).source.declared_complete_up_to == Fraction(8, 3)
+    assert builtin_spectrum(4, kinds=()).bands == ()
+    explicit = builtin_spectrum(4, 3, up_to=10)
+    assert explicit.source.declared_complete_up_to == 10
+    assert explicit.bands == tuple(sphere_bands(4, 3, 10))
+
+
+def test_builtin_spectrum_names_and_circle():
+    assert builtin_spectrum(6, Fraction(5, 2)).space.name == "S^6 (lambda=5/2)"
+    assert builtin_spectrum(6, "5").space.name == "S^6"
+    circle = builtin_spectrum(1, 0, up_to=4)
+    assert (circle.space.name, circle.space.einstein_constant) == ("S^1", 0)
+    assert circle.bands == tuple(circle_bands(4)[1])
+    assert circle.warnings == ()
+    assert builtin_spectrum(1).source.declared_complete_up_to == 0
+
+
+@pytest.mark.parametrize("args", [(0,), (2.0,), (1, 2), (4, 0), (4, -1),
+                                  (4, None, tuple(Functional), -1)])
+def test_builtin_spectrum_domain(args):
+    with pytest.raises(DomainError):
+        builtin_spectrum(*args)
 
 
 def write_spectrum(tmp_path, doc, name="spectrum.json"):
