@@ -37,7 +37,6 @@ from .family import (
     EpsilonCertificate,
     FamilyEvaluation,
     alpha,
-    c_bienergy_tangent_form_m4,
     c_constant,
     epsilon_schedule,
     evaluate_family,
@@ -46,9 +45,7 @@ from .family import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
-    IntegralResult,
     QuadratureConfig,
-    integrate,
     sin_power_integral,
     sphere_volume,
 )
@@ -90,7 +87,6 @@ __all__ = [
     "Functional",
     "IncompleteSpectrum",
     "IndexReport",
-    "IntegralResult",
     "InvalidBand",
     "LoadedSpectrum",
     "MissingField",
@@ -108,7 +104,6 @@ __all__ = [
     "ValidationIssue",
     "alpha",
     "builtin_spectrum",
-    "c_bienergy_tangent_form_m4",
     "c_constant",
     "circle_bands",
     "contribution_cutoff",
@@ -120,7 +115,6 @@ __all__ = [
     "hessian_consistency",
     "index_nullity",
     "index_reports",
-    "integrate",
     "jacobi_eigenvalue",
     "load_spectrum",
     "pointwise_densities",

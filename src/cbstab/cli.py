@@ -116,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--spectrum-file", help="JSON spectrum file instead of a built-in sphere")
     p_index.add_argument("--functional", choices=["e", "e2", "e2c", "all"], default="all")
     p_index.add_argument("--strict", action="store_true",
-                         help="treat validation warnings as errors (exit 2)")
+                         help="exit 2 on a bound violation or a spectrum file without "
+                              "complete_up_to, and 66 on unknown file fields; rigidity "
+                              "notes stay warnings")
     p_index.set_defaults(func=_cmd_index)
 
     p_energy = sub.add_parser("energy", help="evaluate E, E2, E2c along the family")

@@ -282,14 +282,15 @@ class SpectrumValidation:
                 raise BoundViolation(issue.message, band=issue.band)
 
 
-def validate_spectrum(space: EinsteinSpace, bands: Iterable[SpectralBand],
-                      strict: bool = False) -> SpectrumValidation:
+def validate_spectrum(space: EinsteinSpace,
+                      bands: Iterable[SpectralBand]) -> SpectrumValidation:
     """Check bands against the Lichnerowicz-Obata and divergence-free bounds.
 
     Gradient bands must satisfy mu >= m*lambda/(m-1) (equality only on the
     round sphere, reported as a rigidity note); divergence-free bands must
     satisfy mu >= 2*lambda.  Both checks are vacuous for lambda = 0 and are
-    skipped.  In strict mode a violation raises BoundViolation.
+    skipped.  Strict callers raise the first violation with
+    SpectrumValidation.raise_first_violation().
     """
     lam = space.einstein_constant
     if lam == 0:
@@ -320,7 +321,4 @@ def validate_spectrum(space: EinsteinSpace, bands: Iterable[SpectralBand],
                 issues.append(ValidationIssue(
                     band, "violation",
                     f"divergence-free band mu={band.eigenvalue} below 2*lambda={two_lam}"))
-    validation = SpectrumValidation(issues=tuple(issues))
-    if strict:
-        validation.raise_first_violation()
-    return validation
+    return SpectrumValidation(issues=tuple(issues))

@@ -42,7 +42,6 @@ from .errors import DomainError
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    integrate,
     sphere_volume,
     trapezoid_ladder,
 )
@@ -191,31 +190,6 @@ def evaluate_family(m: int, t: float,
         c_bienergy_error=c_bienergy_error,
         nodes=ladder.nodes,
     )
-
-
-def c_bienergy_tangent_form_m4(t: float,
-                               quad: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The m=4 c-bienergy via the tangent half-angle variable x = tan(r/2).
-
-    Independent cross-check of evaluate_family: the same functional as an
-    improper integral over x in (0, inf), mapped onto (0, 1) by
-    x = y/(1-y).  Constant in t, equal to 4 * omega_{S^4} = 32 pi^2 / 3.
-    """
-    t = _check_t(t)
-
-    def density(x: float) -> float:
-        txsq = (t * x) ** 2
-        num = 64.0 * x ** 3 * t * t * (x * x * (1.0 - t * t) ** 2
-                                       + 2.0 * (1.0 + txsq) ** 2)
-        den = (1.0 + txsq) ** 4 * (1.0 + x * x) ** 2
-        return num / den
-
-    def transformed(y: float) -> float:
-        x = y / (1.0 - y)
-        return density(x) / ((1.0 - y) * (1.0 - y))
-
-    result = integrate(transformed, 0.0, 1.0, quad)
-    return 0.5 * sphere_volume(3) * result.value
 
 
 def c_constant_exact(m: int) -> Fraction:

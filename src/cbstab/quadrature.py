@@ -1,8 +1,5 @@
-"""Quadrature rules and exact sphere-volume constants.
+"""The trapezoid ladder and exact sphere-volume constants.
 
-Two rules live here.  `integrate` is composite Gauss-Legendre on a finite
-interval; it is open (all nodes strictly interior), so integrands only
-defined on the open interval are handled without special casing.
 `trapezoid_ladder` is the trapezoidal rule on the real line for several
 integrands at once, meant for analytic integrands that decay exponentially,
 where it converges geometrically in the number of nodes (Trefethen and
@@ -19,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import DomainError, NonFiniteSample, QuadratureFailure
@@ -27,26 +23,21 @@ from .errors import DomainError, NonFiniteSample, QuadratureFailure
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Budget and tolerances of both rules.
+    """Budget and tolerances of the trapezoid ladder.
 
-    The first Gauss-Legendre level has initial_panels panels of base_nodes
-    nodes each; the trapezoid ladder's first level never has more than
-    that many nodes on either side of its centre, so a budget that starves
-    the one starves the other.  max_doublings bounds the panel doublings of
-    the one and the step halvings of the other.
+    first_level_nodes is the most nodes the ladder's first level puts on
+    either side of its centre; max_doublings bounds the step halvings.
     """
 
-    base_nodes: int = 16
-    initial_panels: int = 8
+    first_level_nodes: int = 128
     max_doublings: int = 12
     rel_tolerance: float = 1e-11
     abs_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.base_nodes < 4:
-            raise DomainError(f"base_nodes must be >= 4, got {self.base_nodes}")
-        if self.initial_panels < 1:
-            raise DomainError(f"initial_panels must be >= 1, got {self.initial_panels}")
+        if self.first_level_nodes < 4:
+            raise DomainError(
+                f"first_level_nodes must be >= 4, got {self.first_level_nodes}")
         if self.max_doublings < 1:
             raise DomainError(f"max_doublings must be >= 1, got {self.max_doublings}")
         if not (self.rel_tolerance > 0.0 and self.abs_tolerance > 0.0):
@@ -54,78 +45,6 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    error_estimate: float
-    panels_used: int
-
-
-@lru_cache(maxsize=None)
-def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1)."""
-    nodes = []
-    weights = []
-    for i in range(1, n + 1):
-        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-        dp = 0.0
-        for _ in range(100):
-            p0, p1 = 1.0, x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        nodes.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return tuple(nodes), tuple(weights)
-
-
-def _composite(f: Callable[[float], float], a: float, b: float, npanels: int,
-               nodes: tuple[float, ...], weights: tuple[float, ...]) -> float:
-    h = (b - a) / npanels
-    half = 0.5 * h
-    terms = []
-    for p in range(npanels):
-        center = a + (p + 0.5) * h
-        for x, w in zip(nodes, weights):
-            fx = f(center + half * x)
-            if not math.isfinite(fx):
-                raise NonFiniteSample(
-                    f"integrand returned {fx!r} at x={center + half * x!r}")
-            terms.append(w * fx)
-    # fsum keeps the result independent of any panel-level parallel split
-    return half * math.fsum(terms)
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Integrate f over (a, b), doubling panels until the levels agree.
-
-    The reported error_estimate is the difference between the final two
-    refinement levels; it is a standard heuristic, not a rigorous bound.
-    Raises QuadratureFailure if max_doublings is exhausted above tolerance
-    and NonFiniteSample if the integrand misbehaves at a node.
-    """
-    if not a < b:
-        raise DomainError(f"need a < b, got a={a}, b={b}")
-    nodes, weights = _legendre_rule(config.base_nodes)
-    panels = config.initial_panels
-    previous = _composite(f, a, b, panels, nodes, weights)
-    for _ in range(config.max_doublings):
-        panels *= 2
-        current = _composite(f, a, b, panels, nodes, weights)
-        err = abs(current - previous)
-        if err <= config.abs_tolerance or err <= config.rel_tolerance * abs(current):
-            return IntegralResult(value=current, error_estimate=err, panels_used=panels)
-        previous = current
-    raise QuadratureFailure(
-        f"no convergence after {config.max_doublings} doublings "
-        f"({panels} panels): last change {err:.3e}")
 
 
 # Relative rounding error allowed for in every trapezoid_ladder estimate,
@@ -163,7 +82,7 @@ def trapezoid_ladder(sums: Callable[[list[float]], Sequence[float]], half_width:
     sums(nodes) returns, for each integrand, the sum of its values over the
     given nodes; every node is passed exactly once.  The first level has the
     nodes j*h for |j| <= k = ceil(half_width/step) and h = step; when k is
-    more than base_nodes*initial_panels, k is cut to that and h widened to
+    more than first_level_nodes, k is cut to that and h widened to
     half_width/k.  Each halving of h adds only the midpoints, so the levels
     share their nodes and the node set is symmetric about 0.  The
     integrands must be negligible outside the window, which then stands
@@ -179,8 +98,8 @@ def trapezoid_ladder(sums: Callable[[list[float]], Sequence[float]], half_width:
         raise DomainError(f"need half_width > 0 and step > 0, got {half_width}, {step}")
     k = math.ceil(half_width / step)
     h = step
-    if k > config.base_nodes * config.initial_panels:
-        k = config.base_nodes * config.initial_panels
+    if k > config.first_level_nodes:
+        k = config.first_level_nodes
         h = half_width / k
     totals = _level_sums(sums, [j * h for j in range(-k, k + 1)], h)
     nodes = 2 * k + 1

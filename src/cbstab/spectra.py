@@ -124,18 +124,17 @@ def unit_sphere(m: int) -> EinsteinSpace:
     return EinsteinSpace(dimension=m, einstein_constant=Fraction(m - 1), name=f"S^{m}")
 
 
-def circle_bands(up_to: Rational) -> tuple[EinsteinSpace, list[SpectralBand]]:
-    """The flat circle and its bands: rotation field at 0 plus k^2 harmonics."""
+def circle_bands(up_to: Rational) -> list[SpectralBand]:
+    """Bands of the flat unit circle: rotation field at 0 plus k^2 harmonics."""
     bound = as_rational(up_to)
     if bound < 0:
         raise DomainError(f"up_to must be >= 0, got {bound}")
-    space = unit_sphere(1)
     bands = [SpectralBand(Fraction(0), 1, BandKind.DIVERGENCE_FREE)]
     k = 1
     while Fraction(k * k) <= bound:
         bands.append(SpectralBand(Fraction(k * k), 2, BandKind.GRADIENT))
         k += 1
-    return space, bands
+    return bands
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
                           name=f"S^{m}" if lam == m - 1 else f"S^{m} (lambda={lam})")
     if up_to is None:
         up_to = max((contribution_cutoff(space, kind) for kind in kinds), default=Fraction(0))
-    bands = tuple(circle_bands(up_to)[1] if m == 1 else sphere_bands(m, lam, up_to))
+    bands = tuple(circle_bands(up_to) if m == 1 else sphere_bands(m, lam, up_to))
     source = SpectrumSource(origin=ClosedFormSphere(m, lam),
                             declared_complete_up_to=as_rational(up_to))
     return LoadedSpectrum(space=space, bands=bands, source=source,

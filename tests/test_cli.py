@@ -392,9 +392,14 @@ def test_strict_builtin_and_file_list_the_same_warnings(tmp_path, capsys):
     path = tmp_path / "s4.json"
     _, dump, _ = run(capsys, "spectrum", "--dim", "4")
     path.write_text(dump, encoding="utf-8")
-    _, builtin, _ = run(capsys, "index", "--dim", "4", "--strict")
+    code, builtin, _ = run(capsys, "index", "--dim", "4", "--strict")
+    assert code == 0
     _, from_file, _ = run(capsys, "index", "--spectrum-file", str(path), "--strict")
     _, lenient, _ = run(capsys, "index", "--dim", "4")
     warnings = json.loads(builtin)["warnings"]
     assert any("Obata" in w for w in warnings)
     assert warnings == json.loads(from_file)["warnings"] == json.loads(lenient)["warnings"]
+    # and the help says so
+    _, usage, _ = run(capsys, "index", "--help")
+    assert ("--strict exit 2 on a bound violation or a spectrum file without complete_up_to, "
+            "and 66 on unknown file fields; rigidity notes stay warnings") in " ".join(usage.split())

@@ -5,7 +5,6 @@ import pytest
 from cbstab.errors import DomainError, QuadratureFailure
 from cbstab.family import (
     alpha,
-    c_bienergy_tangent_form_m4,
     c_constant,
     epsilon_schedule,
     evaluate_family,
@@ -109,17 +108,9 @@ def test_identity_map_closed_forms():
 
 def test_h4c_is_constant():
     target = 32.0 * PI ** 2 / 3.0
-    for t in (0.1, 0.37, 1.0, 4.2, 10.0):
+    for t in (0.1, 0.37, 1.0, 2.5, 4.2, 10.0):
         ev = evaluate_family(4, t)
         assert ev.c_bienergy == pytest.approx(target, rel=1e-10)
-
-
-def test_h4c_tangent_form_cross_check():
-    target = 32.0 * PI ** 2 / 3.0
-    for t in (0.37, 1.0, 2.5):
-        via_x = c_bienergy_tangent_form_m4(t)
-        assert via_x == pytest.approx(target, rel=1e-10)
-        assert via_x == pytest.approx(evaluate_family(4, t).c_bienergy, rel=1e-10)
 
 
 def test_s2_maps_are_harmonic():
@@ -156,7 +147,7 @@ def test_evaluate_family_domain():
 
 
 def test_evaluate_family_quadrature_failure():
-    starved = QuadratureConfig(base_nodes=4, initial_panels=1, max_doublings=1,
+    starved = QuadratureConfig(first_level_nodes=4, max_doublings=1,
                                rel_tolerance=1e-30, abs_tolerance=1e-300)
     with pytest.raises(QuadratureFailure):
         evaluate_family(5, 0.2, starved)

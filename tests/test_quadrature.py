@@ -5,9 +5,7 @@ import pytest
 
 from cbstab.errors import DomainError, NonFiniteSample, QuadratureFailure
 from cbstab.quadrature import (
-    DEFAULT_CONFIG,
     QuadratureConfig,
-    integrate,
     sin_power_integral,
     sin_power_integral_exact,
     sphere_volume,
@@ -25,30 +23,11 @@ def wallis_oracle(p):
     return (p - 1) / p * wallis_oracle(p - 2)
 
 
-def test_integrate_sin():
-    result = integrate(math.sin, 0.0, math.pi)
-    assert abs(result.value - 2.0) < 1e-12
-    assert result.error_estimate >= 0.0
-    assert result.panels_used >= 2 * DEFAULT_CONFIG.initial_panels
-
-
-def test_integrate_sin_powers():
-    for p, want in ((3, 4.0 / 3.0), (6, 5.0 * math.pi / 16.0)):
-        result = integrate(lambda r: math.sin(r) ** p, 0.0, math.pi)
-        assert abs(result.value - want) < 1e-12
-
-
 def test_sin_power_integral_against_recursion():
     assert sin_power_integral(0) == math.pi
     assert sin_power_integral_exact(6) == (Fraction(5, 16), 1)
     for p in range(0, 16):
         assert sin_power_integral(p) == pytest.approx(wallis_oracle(p), rel=1e-14)
-
-
-def test_sin_power_integral_against_quadrature():
-    for p in (2, 5, 9):
-        result = integrate(lambda r: math.sin(r) ** p, 0.0, math.pi)
-        assert abs(result.value - sin_power_integral(p)) < 1e-11
 
 
 def test_sphere_volumes():
@@ -76,69 +55,15 @@ def test_volume_recursion_identity():
             sphere_volume(m - 1) * sin_power_integral(m - 1), rel=1e-15)
 
 
-def test_integrate_linearity():
-    f = math.sin
-    g = math.cos
-    a, b = 0.2, 2.9
-    lhs = integrate(lambda x: 3.0 * f(x) - 0.5 * g(x), a, b)
-    rf = integrate(f, a, b)
-    rg = integrate(g, a, b)
-    combined_err = lhs.error_estimate + 3.0 * rf.error_estimate + 0.5 * rg.error_estimate
-    assert abs(lhs.value - (3.0 * rf.value - 0.5 * rg.value)) <= combined_err + 1e-13
-
-
-def test_more_initial_panels_never_worse():
-    config = lambda p: QuadratureConfig(base_nodes=4, initial_panels=p,
-                                        rel_tolerance=1e-9, abs_tolerance=1e-300)
-    errs = [integrate(lambda x: math.sin(3 * x) ** 2, 0.0, math.pi, config(p)).error_estimate
-            for p in (1, 2, 4)]
-    assert errs[1] <= errs[0] + 1e-15
-    assert errs[2] <= errs[1] + 1e-15
-
-
-def test_open_rule_never_samples_endpoints():
-    def f(x):
-        assert 0.0 < x < 1.0  # the rule must keep every node interior
-        return math.sin(x) / x
-
-    result = integrate(f, 0.0, 1.0)
-    # Si(1) by its alternating series
-    si1 = sum((-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(12))
-    assert result.value == pytest.approx(si1, rel=1e-13)
-
-
-def test_nonfinite_sample():
-    with pytest.raises(NonFiniteSample):
-        integrate(lambda x: float("nan"), 0.0, 1.0)
-    with pytest.raises(NonFiniteSample):
-        integrate(lambda x: math.inf, 0.0, 1.0)
-
-
-def test_quadrature_failure_when_budget_exhausted():
-    tight = QuadratureConfig(base_nodes=4, initial_panels=1, max_doublings=1,
-                             rel_tolerance=1e-14, abs_tolerance=1e-300)
-    with pytest.raises(QuadratureFailure):
-        integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, tight)
-
-
-def test_bad_interval_rejected():
-    with pytest.raises(DomainError):
-        integrate(math.sin, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        integrate(math.sin, 2.0, 1.0)
-
-
 def test_config_invariants():
     with pytest.raises(DomainError):
-        QuadratureConfig(base_nodes=3)
+        QuadratureConfig(first_level_nodes=3)
     with pytest.raises(DomainError):
         QuadratureConfig(max_doublings=0)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tolerance=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(abs_tolerance=-1e-3)
-    with pytest.raises(DomainError):
-        QuadratureConfig(initial_panels=0)
 
 
 def _sech_sums(calls):
@@ -175,9 +100,9 @@ def test_trapezoid_ladder_budget():
     tight = QuadratureConfig(max_doublings=1, rel_tolerance=1e-30, abs_tolerance=1e-300)
     with pytest.raises(QuadratureFailure, match="largest change per level"):
         trapezoid_ladder(_sech_sums([]), 20.0, 2.0, tight)
-    # the first level never has more than base_nodes * initial_panels nodes a side
+    # the first level never has more than first_level_nodes nodes a side
     calls = []
-    starved = QuadratureConfig(base_nodes=4, initial_panels=1, rel_tolerance=0.5)
+    starved = QuadratureConfig(first_level_nodes=4, rel_tolerance=0.5)
     trapezoid_ladder(_sech_sums(calls), 20.0, 0.5, starved)
     assert calls[0] == [5.0 * j for j in range(-4, 5)]
 

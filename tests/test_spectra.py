@@ -160,15 +160,15 @@ def test_generator_argument_validation():
 
 
 def test_circle_bands():
-    space, bands = circle_bands(0)
+    space, bands = unit_sphere(1), circle_bands(0)
     assert space.dimension == 1 and space.einstein_constant == 0
     assert [(b.eigenvalue, b.multiplicity, b.kind) for b in bands] \
         == [(Fraction(0), 1, BandKind.DIVERGENCE_FREE)]
-    _, bands = circle_bands(1)
+    bands = circle_bands(1)
     assert [(b.eigenvalue, b.multiplicity) for b in bands] \
         == [(Fraction(0), 1), (Fraction(1), 2)]
     # the rotation field is the whole energy kernel on the circle
-    space, bands = circle_bands(0)
+    bands = circle_bands(0)
     report = index_nullity(space, bands, Functional.ENERGY, complete_up_to=0)
     assert (report.index, report.nullity) == (0, 1)
     report = index_nullity(space, bands, Functional.CONFORMAL_BIENERGY, complete_up_to=0)
@@ -200,7 +200,7 @@ def test_builtin_spectrum_names_and_circle():
     assert builtin_spectrum(6, "5").space.name == "S^6"
     circle = builtin_spectrum(1, 0, up_to=4)
     assert (circle.space.name, circle.space.einstein_constant) == ("S^1", 0)
-    assert circle.bands == tuple(circle_bands(4)[1])
+    assert circle.bands == tuple(circle_bands(4))
     assert circle.warnings == ()
     assert builtin_spectrum(1).source.declared_complete_up_to == 0
 

@@ -76,7 +76,7 @@ def test_fd_step_validation():
 
 
 def test_step_too_small_detected():
-    coarse = QuadratureConfig(base_nodes=4, initial_panels=1, max_doublings=2,
+    coarse = QuadratureConfig(first_level_nodes=4, max_doublings=2,
                               rel_tolerance=0.5, abs_tolerance=1e-300)
     with pytest.raises(StepTooSmall):
         fd_second_derivative(5, coarse, steps=(0.01, 0.005))
