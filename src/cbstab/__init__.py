@@ -36,11 +36,9 @@ from .errors import (
 from .family import (
     EpsilonCertificate,
     FamilyEvaluation,
-    alpha,
     c_constant,
     epsilon_schedule,
     evaluate_family,
-    pointwise_densities,
     upper_bound,
 )
 from .quadrature import (
@@ -67,7 +65,6 @@ from .variation import (
     SecondVariationReport,
     SignVerdict,
     fd_second_derivative,
-    hessian_consistency,
     spectral_prediction,
 )
 
@@ -102,7 +99,6 @@ __all__ = [
     "SpectrumValidation",
     "StepTooSmall",
     "ValidationIssue",
-    "alpha",
     "builtin_spectrum",
     "c_constant",
     "circle_bands",
@@ -112,12 +108,10 @@ __all__ = [
     "evaluate_family",
     "fd_second_derivative",
     "gradient_bands",
-    "hessian_consistency",
     "index_nullity",
     "index_reports",
     "jacobi_eigenvalue",
     "load_spectrum",
-    "pointwise_densities",
     "sin_power_integral",
     "spectral_prediction",
     "spectrum_document",

@@ -77,40 +77,6 @@ class FamilyEvaluation:
     nodes: int  # ladder nodes shared by the three integrals
 
 
-def alpha(t: float, r: float) -> float:
-    """Profile angle alpha_t(r), exact 0 and pi at the endpoints."""
-    t = _check_t(t)
-    if not 0.0 <= r <= math.pi:
-        raise DomainError(f"r must lie in [0, pi], got {r!r}")
-    if r == 0.0:
-        return 0.0
-    if r == math.pi:
-        return math.pi
-    return 2.0 * math.atan(t * math.tan(0.5 * r))
-
-
-def _ratio_cos_diff(t: float, r: float) -> tuple[float, float]:
-    # sin(alpha)/sin(r) and cos(alpha) - cos(r) via the half-angle variable
-    u = math.tan(0.5 * r)
-    tu = t * u
-    d = 1.0 + tu * tu
-    e = 1.0 + u * u
-    return t * e / d, 2.0 * u * u * (1.0 - t * t) / (d * e)
-
-
-def pointwise_densities(m: int, t: float, r: float) -> tuple[float, float]:
-    """(|dphi_t|^2, |tau(phi_t)|^2) at polar distance r in (0, pi)."""
-    m = _check_m(m)
-    t = _check_t(t)
-    if not 0.0 < r < math.pi:
-        raise DomainError(f"densities are defined on the open interval (0, pi), got r={r!r}")
-    ratio, cos_diff = _ratio_cos_diff(t, r)
-    sin_r = math.sin(r)
-    dphi_sq = m * ratio * ratio
-    tau_sq = (m - 2) ** 2 * ratio * ratio * (cos_diff / sin_r) ** 2
-    return dphi_sq, tau_sq
-
-
 def _first_step(m: int) -> float:
     # Node spacing of the ladder's first level for the integrands of E and
     # E2 in dimension m, whose bumps narrow like 1/sqrt(m).  Measured for
@@ -150,9 +116,9 @@ def evaluate_family(m: int, t: float,
     not assembled from the other two.  All three share the ladder's nodes
     and its stopping level, so the decomposition identity
     E2c = E2 + (2/3)(m-1)(m-3) E holds up to rounding whatever the
-    quadrature error: it checks rounding only, and the committed
-    high-precision reference (tests/test_family_reference.py) checks
-    accuracy.  `nodes` counts the shared nodes.
+    quadrature error: it checks rounding only, and an exact closed form
+    (tests/test_family_reference.py) checks accuracy.  `nodes` counts the
+    shared nodes.
     """
     m = _check_m(m)
     t = _check_t(t)

@@ -50,9 +50,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 # Relative rounding error allowed for in every trapezoid_ladder estimate,
 # 256 units in the last place.  Once the rule has converged, the change
 # between two levels is the rounding noise of the node values and can miss
-# it; against the committed high-precision reference (m = 2..12, t in
-# [1e-8, 1e8]) the family's worst rounding error is about 5e-15, a tenth
-# of this floor.
+# it; against the exact closed form in tests/test_family_reference.py
+# (m = 2..12 and 16, 24, 50, t in [1e-8, 1e8]) the family's worst relative
+# error is about 7e-15, a tenth of this floor.
 LADDER_ROUNDOFF = 2.0 ** -44
 
 

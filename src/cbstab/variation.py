@@ -29,8 +29,6 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, sin_power_integral, sp
 
 # m = 4 is an exact rational zero; the threshold only guards float conversion
 ZERO_THRESHOLD = 1e-12
-REL_TOLERANCE = 1e-3
-ABS_TOLERANCE_AT_ZERO = 1e-4
 DEFAULT_STEPS = (0.08, 0.04, 0.02, 0.01)
 
 
@@ -130,11 +128,3 @@ def fd_second_derivative(m: int, quad: QuadratureConfig = DEFAULT_CONFIG,
         relative_gap=relative_gap,
         sign_verdict=_verdict(prediction),
     )
-
-
-def hessian_consistency(m: int, quad: QuadratureConfig = DEFAULT_CONFIG) -> bool:
-    """True when finite differences confirm the spectral Hessian value."""
-    report = fd_second_derivative(m, quad)
-    if report.sign_verdict is SignVerdict.ZERO:
-        return abs(report.fd_value) <= ABS_TOLERANCE_AT_ZERO
-    return report.relative_gap <= REL_TOLERANCE

@@ -4,95 +4,14 @@ import pytest
 
 from cbstab.errors import DomainError, QuadratureFailure
 from cbstab.family import (
-    alpha,
     c_constant,
     epsilon_schedule,
     evaluate_family,
-    pointwise_densities,
     upper_bound,
 )
 from cbstab.quadrature import QuadratureConfig, sphere_volume
 
 PI = math.pi
-
-
-def test_alpha_identity_at_t_one():
-    for r in (0.0, 0.3, 1.0, PI / 2, 2.8, PI):
-        assert alpha(1.0, r) == pytest.approx(r, abs=1e-15)
-
-
-def test_alpha_endpoints_exact():
-    for t in (1e-8, 0.37, 1.0, 42.0, 1e8):
-        assert alpha(t, 0.0) == 0.0
-        assert alpha(t, PI) == PI
-
-
-def test_alpha_example_value():
-    # tan(pi/4) = 1, so alpha_2(pi/2) = 2*arctan(2)
-    assert alpha(2.0, PI / 2) == pytest.approx(2.214297435588181, rel=1e-12)
-
-
-def test_alpha_monotone():
-    rs = [0.1 * k for k in range(1, 31)]
-    values = [alpha(2.5, r) for r in rs]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    ts = [0.1, 0.5, 1.0, 2.0, 10.0]
-    values = [alpha(t, 1.3) for t in ts]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_alpha_reflection_identity():
-    # alpha_{1/t}(r) = pi - alpha_t(pi - r), the source of the t <-> 1/t symmetry
-    for t in (0.2, 0.9, 3.0, 40.0):
-        for r in (0.1, 0.7, PI / 2, 2.0, 3.0):
-            lhs = alpha(1.0 / t, r)
-            rhs = PI - alpha(t, PI - r)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_alpha_domain_errors():
-    with pytest.raises(DomainError):
-        alpha(0.0, 1.0)
-    with pytest.raises(DomainError):
-        alpha(-2.0, 1.0)
-    with pytest.raises(DomainError):
-        alpha(1.0, -0.1)
-    with pytest.raises(DomainError):
-        alpha(1.0, PI + 0.1)
-    with pytest.raises(DomainError):
-        alpha(1e9, 1.0)  # t range guard
-    with pytest.raises(DomainError):
-        alpha(1e-9, 1.0)
-
-
-def test_densities_at_identity():
-    for m in (2, 4, 7):
-        for r in (0.2, PI / 2, 2.9):
-            dphi, tau = pointwise_densities(m, 1.0, r)
-            assert dphi == pytest.approx(m, rel=1e-13)
-            assert tau == pytest.approx(0.0, abs=1e-13)
-
-
-def test_densities_half_angle_oracle():
-    # t=2 at r=pi/2: sin(2 arctan 2) = 4/5 and cos(2 arctan 2) = -3/5
-    dphi, tau = pointwise_densities(5, 2.0, PI / 2)
-    assert dphi == pytest.approx(16.0 / 5.0, rel=1e-14)
-    assert tau == pytest.approx(1296.0 / 625.0, rel=1e-13)
-
-
-def test_densities_vanish_for_small_t():
-    dphi, tau = pointwise_densities(4, 1e-8, 1.0)
-    assert dphi < 1e-14
-    assert tau < 1e-14
-
-
-def test_densities_domain():
-    with pytest.raises(DomainError):
-        pointwise_densities(4, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        pointwise_densities(4, 1.0, PI)
-    with pytest.raises(DomainError):
-        pointwise_densities(1, 1.0, 1.0)
 
 
 def test_identity_map_closed_forms():

@@ -7,7 +7,6 @@ from cbstab.quadrature import QuadratureConfig, sin_power_integral, sphere_volum
 from cbstab.variation import (
     SignVerdict,
     fd_second_derivative,
-    hessian_consistency,
     spectral_prediction,
 )
 
@@ -80,8 +79,3 @@ def test_step_too_small_detected():
                               rel_tolerance=0.5, abs_tolerance=1e-300)
     with pytest.raises(StepTooSmall):
         fd_second_derivative(5, coarse, steps=(0.01, 0.005))
-
-
-def test_hessian_consistency():
-    for m in (4, 5, 7):
-        assert hessian_consistency(m)
