@@ -15,7 +15,6 @@ from .core import (
     SpectrumValidation,
     ValidationIssue,
     contribution_cutoff,
-    index_nullity,
     index_reports,
     jacobi_eigenvalue,
     validate_spectrum,
@@ -48,18 +47,10 @@ from .quadrature import (
     sphere_volume,
 )
 from .spectra import (
-    ClosedFormSphere,
-    FileOrigin,
     LoadedSpectrum,
-    SpectrumSource,
     builtin_spectrum,
-    circle_bands,
-    divergence_free_bands,
-    gradient_bands,
     load_spectrum,
     spectrum_document,
-    sphere_bands,
-    unit_sphere,
 )
 from .variation import (
     SecondVariationReport,
@@ -74,13 +65,11 @@ __all__ = [
     "BandKind",
     "BoundViolation",
     "CbstabError",
-    "ClosedFormSphere",
     "DEFAULT_CONFIG",
     "DomainError",
     "EinsteinSpace",
     "EpsilonCertificate",
     "FamilyEvaluation",
-    "FileOrigin",
     "Functional",
     "IncompleteSpectrum",
     "IndexReport",
@@ -95,29 +84,22 @@ __all__ = [
     "SignVerdict",
     "SpectralBand",
     "SpectrumCompletenessWarning",
-    "SpectrumSource",
     "SpectrumValidation",
     "StepTooSmall",
     "ValidationIssue",
     "builtin_spectrum",
     "c_constant",
-    "circle_bands",
     "contribution_cutoff",
-    "divergence_free_bands",
     "epsilon_schedule",
     "evaluate_family",
     "fd_second_derivative",
-    "gradient_bands",
-    "index_nullity",
     "index_reports",
     "jacobi_eigenvalue",
     "load_spectrum",
     "sin_power_integral",
     "spectral_prediction",
     "spectrum_document",
-    "sphere_bands",
     "sphere_volume",
-    "unit_sphere",
     "upper_bound",
     "validate_spectrum",
 ]

@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 from .core import Functional, index_reports
@@ -28,17 +26,8 @@ from .errors import (
     QuadratureFailure,
 )
 from .family import T_MAX, T_MIN, evaluate_family
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .spectra import (
-    ClosedFormSphere,
-    SpectrumSource,
-    builtin_spectrum,
-    load_spectrum,
-    spectrum_document,
-)
+from .spectra import LoadedSpectrum, builtin_spectrum, load_spectrum, spectrum_document
 from .verify import SUITES, run_suites
-
-QUAD_RTOL_ENV = "CBSTAB_QUAD_RTOL"
 
 _FUNCTIONALS = {
     "e": Functional.ENERGY,
@@ -84,19 +73,6 @@ def _suite_list(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown suite {name!r}; available: {', '.join(SUITES)}")
     return names
-
-
-def _quad_config() -> QuadratureConfig:
-    raw = os.environ.get(QUAD_RTOL_ENV)
-    if raw is None:
-        return DEFAULT_CONFIG
-    try:
-        rtol = float(raw)
-    except ValueError as exc:
-        raise _UsageError(f"{QUAD_RTOL_ENV}={raw!r} is not a float") from exc
-    if not rtol > 0.0:
-        raise _UsageError(f"{QUAD_RTOL_ENV} must be positive, got {raw!r}")
-    return replace(DEFAULT_CONFIG, rel_tolerance=rtol)
 
 
 def _f17(value: float) -> float:
@@ -174,14 +150,14 @@ def _report_doc(report) -> dict:
     }
 
 
-def _source_doc(source: SpectrumSource) -> dict:
-    if isinstance(source.origin, ClosedFormSphere):
+def _source_doc(loaded: LoadedSpectrum) -> dict:
+    if loaded.path is None:
         return {
             "origin": "closed_form_sphere",
-            "dimension": source.origin.dimension,
-            "einstein_constant": str(source.origin.einstein_constant),
+            "dimension": loaded.space.dimension,
+            "einstein_constant": str(loaded.space.einstein_constant),
         }
-    return {"origin": "file", "path": source.origin.path}
+    return {"origin": "file", "path": loaded.path}
 
 
 def _cmd_index(args) -> int:
@@ -194,8 +170,7 @@ def _cmd_index(args) -> int:
         raise _UsageError("need either --dim (built-in sphere) or --spectrum-file")
     else:
         loaded = builtin_spectrum(args.dim, args.einstein_constant, kinds)
-    space, bands, source = loaded.space, loaded.bands, loaded.source
-    declared = source.declared_complete_up_to
+    space, declared = loaded.space, loaded.complete_up_to
     if args.strict:
         if declared is None:
             raise IncompleteSpectrum(
@@ -205,7 +180,7 @@ def _cmd_index(args) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        reports = index_reports(space, bands, kinds, complete_up_to=declared)
+        reports = index_reports(space, loaded.bands, kinds, complete_up_to=declared)
     doc_warnings.extend(str(w.message) for w in caught)
 
     doc = {
@@ -215,7 +190,7 @@ def _cmd_index(args) -> int:
             "einstein_constant": str(space.einstein_constant),
             "scalar_curvature": str(space.scalar_curvature),
         },
-        "source": _source_doc(source),
+        "source": _source_doc(loaded),
         "strict": bool(args.strict),
         "complete_up_to": None if declared is None else str(declared),
         "warnings": doc_warnings,
@@ -228,11 +203,8 @@ def _cmd_index(args) -> int:
 def _cmd_energy(args) -> int:
     if args.dim < 2:
         raise _UsageError(f"--dim must be >= 2 for the family, got {args.dim}")
-    config = _quad_config()
-    rows = []
-    for t in args.t:  # compute everything first so failures suppress all output
-        ev = evaluate_family(args.dim, t, config)
-        rows.append((t, ev))
+    # compute everything first so failures suppress all output
+    rows = [(t, evaluate_family(args.dim, t)) for t in args.t]
     if args.format == "json":
         doc = {
             "dimension": args.dim,
@@ -262,13 +234,12 @@ def _cmd_energy(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     loaded = builtin_spectrum(args.dim, args.einstein_constant, up_to=args.up_to)
-    print(json.dumps(spectrum_document(loaded.space, loaded.bands,
-                                       loaded.source.declared_complete_up_to), indent=2))
+    print(json.dumps(spectrum_document(loaded), indent=2))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    results = run_suites(args.suites, quad=_quad_config())
+    results = run_suites(args.suites)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         doc = {

@@ -246,16 +246,6 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     return reports
 
 
-def index_nullity(space: EinsteinSpace, bands: Iterable[SpectralBand], kind: Functional,
-                  complete_up_to: Rational | None = None) -> IndexReport:
-    """Exact index and nullity of `kind` at the identity map of `space`.
-
-    The single-functional form of index_reports, with the same completeness
-    rules.
-    """
-    return index_reports(space, bands, [kind], complete_up_to)[0]
-
-
 @dataclass(frozen=True)
 class ValidationIssue:
     band: SpectralBand

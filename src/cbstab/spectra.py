@@ -26,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .core import (
     _KIND_ORDER,
@@ -66,99 +66,41 @@ def divergence_free_multiplicity(m: int, k: int) -> int:
     return num // den
 
 
-def _check_sphere_args(m: int, einstein_constant: Rational, up_to: Rational) -> tuple[Fraction, Fraction]:
-    if not isinstance(m, int) or m < 2:
-        raise DomainError(f"sphere generators need integer m >= 2, got {m!r}")
-    lam = as_rational(einstein_constant)
-    if lam <= 0:
-        raise DomainError(f"Einstein constant must be positive, got {lam}")
-    bound = as_rational(up_to)
-    if bound < 0:
-        raise DomainError(f"up_to must be >= 0, got {bound}")
-    return lam, bound
+def _bands(m: int, lam: Fraction, up_to: Fraction) -> list[SpectralBand]:
+    """Closed-form bands with eigenvalue <= up_to, sorted by eigenvalue then kind.
 
-
-def gradient_bands(m: int, einstein_constant: Rational, up_to: Rational) -> list[SpectralBand]:
-    """Gradient bands of the round m-sphere with eigenvalue <= up_to."""
-    lam, bound = _check_sphere_args(m, einstein_constant, up_to)
+    m = 1 is the flat circle: the rotation field at 0 plus k^2 harmonics.
+    """
+    if m == 1:
+        bands = [SpectralBand(Fraction(0), 1, BandKind.DIVERGENCE_FREE)]
+        k = 1
+        while k * k <= up_to:
+            bands.append(SpectralBand(Fraction(k * k), 2, BandKind.GRADIENT))
+            k += 1
+        return bands
     scale = lam / (m - 1)
     bands = []
     k = 1
-    while True:
-        mu = k * (k + m - 1) * scale
-        if mu > bound:
-            break
+    while (mu := k * (k + m - 1) * scale) <= up_to:
         bands.append(SpectralBand(mu, gradient_multiplicity(m, k), BandKind.GRADIENT))
         k += 1
-    return bands
-
-
-def divergence_free_bands(m: int, einstein_constant: Rational, up_to: Rational) -> list[SpectralBand]:
-    """Divergence-free bands of the round m-sphere with eigenvalue <= up_to."""
-    lam, bound = _check_sphere_args(m, einstein_constant, up_to)
-    scale = lam / (m - 1)
-    bands = []
     k = 1
-    while True:
-        mu = (k * (k + m - 1) + m - 2) * scale
-        if mu > bound:
-            break
+    while (mu := (k * (k + m - 1) + m - 2) * scale) <= up_to:
         bands.append(SpectralBand(mu, divergence_free_multiplicity(m, k),
                                   BandKind.DIVERGENCE_FREE))
         k += 1
-    return bands
-
-
-def sphere_bands(m: int, einstein_constant: Rational, up_to: Rational) -> list[SpectralBand]:
-    """All sphere bands up to the bound, sorted by eigenvalue then kind."""
-    bands = gradient_bands(m, einstein_constant, up_to)
-    bands += divergence_free_bands(m, einstein_constant, up_to)
     bands.sort(key=lambda b: (b.eigenvalue, _KIND_ORDER[b.kind]))
     return bands
 
 
-def unit_sphere(m: int) -> EinsteinSpace:
-    """The unit m-sphere (Einstein constant m - 1; flat for m = 1)."""
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"need integer m >= 1, got {m!r}")
-    return EinsteinSpace(dimension=m, einstein_constant=Fraction(m - 1), name=f"S^{m}")
-
-
-def circle_bands(up_to: Rational) -> list[SpectralBand]:
-    """Bands of the flat unit circle: rotation field at 0 plus k^2 harmonics."""
-    bound = as_rational(up_to)
-    if bound < 0:
-        raise DomainError(f"up_to must be >= 0, got {bound}")
-    bands = [SpectralBand(Fraction(0), 1, BandKind.DIVERGENCE_FREE)]
-    k = 1
-    while Fraction(k * k) <= bound:
-        bands.append(SpectralBand(Fraction(k * k), 2, BandKind.GRADIENT))
-        k += 1
-    return bands
-
-
-@dataclass(frozen=True)
-class ClosedFormSphere:
-    dimension: int
-    einstein_constant: Fraction
-
-
-@dataclass(frozen=True)
-class FileOrigin:
-    path: str
-
-
-@dataclass(frozen=True)
-class SpectrumSource:
-    origin: Union[ClosedFormSphere, FileOrigin]
-    declared_complete_up_to: Fraction | None
-
-
 @dataclass(frozen=True)
 class LoadedSpectrum:
+    """A validated spectrum: a closed-form sphere (path None) or a spectrum file."""
+
     space: EinsteinSpace
     bands: tuple[SpectralBand, ...]
-    source: SpectrumSource
+    complete_up_to: Fraction | None
+    path: str | None
     validation: SpectrumValidation
 
     @property
@@ -174,8 +116,8 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
     `lam` defaults to the unit sphere's m - 1; the circle must have lam = 0
     and every other sphere lam > 0.  The bands run up to `up_to`, by default
     the largest contribution cutoff over `kinds` (0 for no kinds), and that
-    bound is declared complete.  The result carries the same ClosedFormSphere
-    source and validate_spectrum report that load_spectrum gives a file.
+    bound is declared complete.  The result carries the same validate_spectrum
+    report that load_spectrum gives a file, and no path.
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"need integer m >= 1, got {m!r}")
@@ -188,10 +130,11 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
                           name=f"S^{m}" if lam == m - 1 else f"S^{m} (lambda={lam})")
     if up_to is None:
         up_to = max((contribution_cutoff(space, kind) for kind in kinds), default=Fraction(0))
-    bands = tuple(circle_bands(up_to) if m == 1 else sphere_bands(m, lam, up_to))
-    source = SpectrumSource(origin=ClosedFormSphere(m, lam),
-                            declared_complete_up_to=as_rational(up_to))
-    return LoadedSpectrum(space=space, bands=bands, source=source,
+    up_to = as_rational(up_to)
+    if up_to < 0:
+        raise DomainError(f"up_to must be >= 0, got {up_to}")
+    bands = tuple(_bands(m, lam, up_to))
+    return LoadedSpectrum(space=space, bands=bands, complete_up_to=up_to, path=None,
                           validation=validate_spectrum(space, bands))
 
 
@@ -284,28 +227,26 @@ def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectr
         raise ParseError(f"{path}: bands must be an array")
     bands = tuple(_parse_band(raw, i, strict) for i, raw in enumerate(doc["bands"]))
     space = EinsteinSpace(dimension=dimension, einstein_constant=lam, name=name)
-    source = SpectrumSource(origin=FileOrigin(path=str(path)),
-                            declared_complete_up_to=complete_up_to)
-    return LoadedSpectrum(space=space, bands=bands, source=source,
-                          validation=validate_spectrum(space, bands))
+    return LoadedSpectrum(space=space, bands=bands, complete_up_to=complete_up_to,
+                          path=str(path), validation=validate_spectrum(space, bands))
 
 
-def spectrum_document(space: EinsteinSpace, bands: list[SpectralBand] | tuple[SpectralBand, ...],
-                      complete_up_to: Rational | None = None) -> dict:
+def spectrum_document(spectrum: LoadedSpectrum) -> dict:
     """Serialize a spectrum into the file format (round-trips through load_spectrum)."""
+    space = spectrum.space
     doc = {
         "name": space.name if space.name is not None else f"dim-{space.dimension} space",
         "dimension": space.dimension,
         "einstein_constant": str(space.einstein_constant),
     }
-    if complete_up_to is not None:
-        doc["complete_up_to"] = str(as_rational(complete_up_to))
+    if spectrum.complete_up_to is not None:
+        doc["complete_up_to"] = str(spectrum.complete_up_to)
     doc["bands"] = [
         {
             "eigenvalue": str(band.eigenvalue),
             "multiplicity": band.multiplicity,
             "kind": band.kind.value,
         }
-        for band in bands
+        for band in spectrum.bands
     ]
     return doc

@@ -10,10 +10,11 @@ derivative equals the Hessian evaluated on W:
         = (mu - 2 lam)(mu - (2/3)(6 - m) lam) * ||W||_{L^2}^2,
 
 with mu = m, lam = m - 1 and ||W||^2 = omega_{S^{m-1}} * integral of
-sin^{m+1}.  The finite-difference side recomputes the same quantity from
-central second differences of evaluate_family, Richardson-extrapolated on
-the two smallest steps, so agreement checks the Hessian computation
-against direct numerics.
+sin^{m+1}.  The factor is the exact c-bienergy Jacobi eigenvalue of the first
+gradient band (core.jacobi_eigenvalue), and its sign is the verdict.  The
+finite-difference side recomputes the same quantity from central second
+differences of evaluate_family, Richardson-extrapolated on the two smallest
+steps, so agreement checks the Hessian computation against direct numerics.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
+from .core import EinsteinSpace, Functional, jacobi_eigenvalue
 from .errors import DomainError, StepTooSmall
 from .family import evaluate_family
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, sin_power_integral, sphere_volume
 
-# m = 4 is an exact rational zero; the threshold only guards float conversion
-ZERO_THRESHOLD = 1e-12
 DEFAULT_STEPS = (0.08, 0.04, 0.02, 0.01)
 
 
@@ -36,6 +36,9 @@ class SignVerdict(Enum):
     NEGATIVE = "negative"
     ZERO = "zero"
     POSITIVE = "positive"
+
+
+_VERDICTS = {-1: SignVerdict.NEGATIVE, 0: SignVerdict.ZERO, 1: SignVerdict.POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -48,27 +51,21 @@ class SecondVariationReport:
     sign_verdict: SignVerdict
 
 
-def _rational_factor(m: int) -> Fraction:
-    lam = Fraction(m - 1)
-    mu = Fraction(m)
-    return (mu - 2 * lam) * (mu - Fraction(2, 3) * (6 - m) * lam)
+def _factor(m: int) -> Fraction:
+    """The exact c-bienergy Jacobi eigenvalue on W, in the first gradient band (mu = m)."""
+    if not isinstance(m, int) or m < 2:
+        raise DomainError(f"need integer m >= 2, got {m!r}")
+    space = EinsteinSpace(dimension=m, einstein_constant=Fraction(m - 1))
+    return jacobi_eigenvalue(Functional.CONFORMAL_BIENERGY, space, m)
 
 
 def spectral_prediction(m: int) -> float:
-    """Closed-form Hessian value on W; exactly 0.0 when the rational factor vanishes."""
-    if not isinstance(m, int) or m < 2:
-        raise DomainError(f"need integer m >= 2, got {m!r}")
-    factor = _rational_factor(m)
+    """Closed-form Hessian value on W; exactly 0.0 when the exact factor vanishes."""
+    factor = _factor(m)
     if factor == 0:
         return 0.0
     w_norm_sq = sphere_volume(m - 1) * sin_power_integral(m + 1)
     return float(factor) * w_norm_sq
-
-
-def _verdict(prediction: float) -> SignVerdict:
-    if abs(prediction) < ZERO_THRESHOLD:
-        return SignVerdict.ZERO
-    return SignVerdict.NEGATIVE if prediction < 0 else SignVerdict.POSITIVE
 
 
 def fd_second_derivative(m: int, quad: QuadratureConfig = DEFAULT_CONFIG,
@@ -84,6 +81,7 @@ def fd_second_derivative(m: int, quad: QuadratureConfig = DEFAULT_CONFIG,
     steps = sorted(set(float(h) for h in steps), reverse=True)
     if steps[0] >= 0.5 or steps[-1] <= 0.0:
         raise DomainError(f"steps must lie in (0, 0.5), got {steps}")
+    factor = _factor(m)
     prediction = spectral_prediction(m)
     center = evaluate_family(m, 1.0, quad)
     table = []
@@ -126,5 +124,5 @@ def fd_second_derivative(m: int, quad: QuadratureConfig = DEFAULT_CONFIG,
         fd_step_table=tuple(table),
         prediction=prediction,
         relative_gap=relative_gap,
-        sign_verdict=_verdict(prediction),
+        sign_verdict=_VERDICTS[(factor > 0) - (factor < 0)],
     )

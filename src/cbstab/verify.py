@@ -2,9 +2,9 @@
 
 Each suite returns CheckResult records; a suite passes when every record
 does.  Tolerances and sample points are fixed here, not configurable, so the
-suites mean the same thing in every run; only the quadrature budget can be
-overridden.  The acceptance tests (tests/test_acceptance.py) call these
-suites through run_suites and define no check of their own.
+suites mean the same thing in every run.  The acceptance tests
+(tests/test_acceptance.py) call these suites through run_suites and define
+no check of their own.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .core import EinsteinSpace, Functional, SpectralBand, index_reports
 from .family import c_constant, epsilon_schedule, evaluate_family, upper_bound
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, sphere_volume
+from .quadrature import sphere_volume
 from .spectra import builtin_spectrum
 from .variation import SignVerdict, fd_second_derivative
 
@@ -51,7 +51,7 @@ def _check(suite: str, name: str, expected, got, tolerance: str, passed: bool) -
 def _sphere_reports(spectrum):
     """Energy, bienergy and c-bienergy reports of a built-in spectrum, from one merge."""
     return index_reports(spectrum.space, spectrum.bands, Functional,
-                         complete_up_to=spectrum.source.declared_complete_up_to)
+                         complete_up_to=spectrum.complete_up_to)
 
 
 def _expected_energy(m: int) -> tuple[int, int]:
@@ -70,7 +70,7 @@ def _expected_c_bienergy(m: int) -> tuple[int, int]:
     return m + 1, m * (m + 1) // 2
 
 
-def suite_tables(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_tables() -> list[CheckResult]:
     """Index/nullity tables for unit spheres m = 1..10, exact."""
     out = []
     reports = {m: _sphere_reports(builtin_spectrum(m)) for m in range(1, 11)}
@@ -110,7 +110,7 @@ def _scaling_invariance_check() -> CheckResult:
             scaled_bands = [SpectralBand(b.eigenvalue * c, b.multiplicity, b.kind)
                             for b in spectrum.bands]
             scaled = index_reports(scaled_space, scaled_bands, Functional,
-                                   complete_up_to=spectrum.source.declared_complete_up_to * c)
+                                   complete_up_to=spectrum.complete_up_to * c)
             for base, report in zip(base_reports[m], scaled):
                 if (base.index, base.nullity) != (report.index, report.nullity):
                     failures += 1
@@ -118,21 +118,21 @@ def _scaling_invariance_check() -> CheckResult:
                   "0 mismatches", f"{failures} mismatches", "exact", failures == 0)
 
 
-def suite_constancy(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_constancy() -> list[CheckResult]:
     """Constancy of the m=4 c-bienergy curve plus closed-form spot values."""
     out = []
     target = 32.0 * math.pi ** 2 / 3.0
     worst = 0.0
     for k in range(-10, 11):
         t = 10.0 ** (k / 10.0)
-        ev = evaluate_family(4, t, quad)
+        ev = evaluate_family(4, t)
         worst = max(worst, abs(ev.c_bienergy - target) / target)
     out.append(_check("constancy", "E2c(phi_t) on S^4 over 21 log-spaced t in [0.1, 10]",
                       f"32*pi^2/3 = {target:.12g}", f"worst rel dev {worst:.3e}",
                       f"rel {CONSTANCY_REL_TOL:g}", worst <= CONSTANCY_REL_TOL))
 
     for m in range(4, 9):
-        ev = evaluate_family(m, 1.0, quad)
+        ev = evaluate_family(m, 1.0)
         omega_m = sphere_volume(m)
         want_e2c = m * (m - 1) * (m - 3) / 3.0 * omega_m
         want_e = 0.5 * m * omega_m
@@ -150,16 +150,16 @@ def suite_constancy(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult
     return out
 
 
-def suite_hessian(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_hessian() -> list[CheckResult]:
     """Finite differences against the spectral Hessian value at t = 1."""
     out = []
-    report = fd_second_derivative(4, quad)
+    report = fd_second_derivative(4)
     out.append(_check("hessian", "m=4 second derivative vanishes", "0",
                       f"{report.fd_value:.3e}", f"abs {HESSIAN_ABS_TOL_AT_ZERO:g}",
                       abs(report.fd_value) <= HESSIAN_ABS_TOL_AT_ZERO
                       and report.sign_verdict is SignVerdict.ZERO))
     for m in (5, 6, 7):
-        report = fd_second_derivative(m, quad)
+        report = fd_second_derivative(m)
         ok = (report.relative_gap <= HESSIAN_REL_TOL
               and report.sign_verdict is SignVerdict.NEGATIVE)
         out.append(_check("hessian", f"m={m} fd matches prediction",
@@ -168,12 +168,12 @@ def suite_hessian(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_epsilon(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_epsilon() -> list[CheckResult]:
     """The epsilon construction really achieves E2c(phi_t) < eps."""
     out = []
     for m, eps in ((5, 1.0), (5, 0.1), (6, 0.5), (7, 0.25)):
         t, cert = epsilon_schedule(m, eps)
-        ev = evaluate_family(m, t, quad)
+        ev = evaluate_family(m, t)
         achieved = ev.c_bienergy + ev.c_bienergy_error
         out.append(_check("epsilon", f"m={m} eps={eps}: E2c + err < eps",
                           f"< {eps}", f"{achieved:.6e} (t={t:.6e})",
@@ -185,13 +185,13 @@ def suite_epsilon(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_bounds(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_bounds() -> list[CheckResult]:
     """Strict upper bound C * integral sin^2(alpha) for m >= 5."""
     out = []
     for m in (5, 6, 7):
         for t in (0.01, 0.5, 1.0, 2.0, 100.0):
-            ev = evaluate_family(m, t, quad)
-            bound = upper_bound(m, t, quad)
+            ev = evaluate_family(m, t)
+            bound = upper_bound(m, t)
             ok = ev.c_bienergy + ev.c_bienergy_error < bound
             out.append(_check("bounds", f"m={m} t={t}: E2c < C*int sin^2(alpha)",
                               f"< {bound:.10g}",
@@ -202,13 +202,13 @@ def suite_bounds(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_symmetry(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_symmetry() -> list[CheckResult]:
     """t <-> 1/t symmetry, positivity and the decomposition identity."""
     out = []
     for m in (4, 5, 6):
         for t in (0.2, 0.5, 2.0, 5.0):
-            a = evaluate_family(m, t, quad)
-            b = evaluate_family(m, 1.0 / t, quad)
+            a = evaluate_family(m, t)
+            b = evaluate_family(m, 1.0 / t)
             gaps = []
             for va, vb in ((a.energy, b.energy), (a.bienergy, b.bienergy),
                            (a.c_bienergy, b.c_bienergy)):
@@ -220,12 +220,12 @@ def suite_symmetry(quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]
 
     for m in (4, 5, 6, 7, 8):
         for t in (0.05, 0.37, 0.5, 1.0, 3.0, 20.0):
-            ev = evaluate_family(m, t, quad)
+            ev = evaluate_family(m, t)
             out.append(_check("symmetry", f"positivity m={m} t={t}", "> 0",
                               f"{ev.c_bienergy:.6e}", "strict", ev.c_bienergy > 0.0))
 
     for m, t in DECOMPOSITION_GRID:
-        ev = evaluate_family(m, t, quad)
+        ev = evaluate_family(m, t)
         coef = 2.0 * (m - 1) * (m - 3) / 3.0
         combined = (ev.c_bienergy_error + ev.bienergy_error
                     + abs(coef) * ev.energy_error + DECOMPOSITION_ABS_FLOOR)
@@ -246,7 +246,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, quad: QuadratureConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def run_suites(names=None) -> list[CheckResult]:
     """Run the named suites (all of them by default) in a fixed order."""
     if names is None:
         names = list(SUITES)
@@ -254,5 +254,5 @@ def run_suites(names=None, quad: QuadratureConfig = DEFAULT_CONFIG) -> list[Chec
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-        results.extend(SUITES[name](quad))
+        results.extend(SUITES[name]())
     return results

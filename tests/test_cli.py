@@ -259,17 +259,6 @@ def test_verify_json_format(capsys):
         assert set(check) == {"suite", "name", "expected", "got", "tolerance", "passed"}
 
 
-def test_quadrature_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CBSTAB_QUAD_RTOL", "1e-6")
-    code, out, _ = run(capsys, "energy", "--dim", "4", "--t", "1", "--format", "json")
-    assert code == 0
-    row = json.loads(out)["rows"][0]
-    assert row["c_bienergy"] == pytest.approx(32.0 * PI ** 2 / 3.0, rel=1e-5)
-    monkeypatch.setenv("CBSTAB_QUAD_RTOL", "bogus")
-    code, _, err = run(capsys, "energy", "--dim", "4", "--t", "1")
-    assert code == 64
-
-
 def test_numerical_failure_exits_3(capsys, monkeypatch):
     import cbstab.cli
     from cbstab.errors import QuadratureFailure

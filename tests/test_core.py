@@ -10,7 +10,6 @@ from cbstab.core import (
     SpectralBand,
     as_rational,
     contribution_cutoff,
-    index_nullity,
     index_reports,
     jacobi_eigenvalue,
     validate_spectrum,
@@ -107,18 +106,18 @@ S4_BANDS = [band(4, 5, GRAD), band(6, 10, DIVFREE)]
 
 
 def test_index_nullity_s4():
-    e = index_nullity(S4, S4_BANDS, Functional.ENERGY, complete_up_to=6)
+    e = index_reports(S4, S4_BANDS, [Functional.ENERGY], complete_up_to=6)[0]
     assert (e.index, e.nullity) == (5, 10)
-    e2 = index_nullity(S4, S4_BANDS, Functional.BIENERGY, complete_up_to=6)
+    e2 = index_reports(S4, S4_BANDS, [Functional.BIENERGY], complete_up_to=6)[0]
     assert (e2.index, e2.nullity) == (0, 10)
-    e2c = index_nullity(S4, S4_BANDS, Functional.CONFORMAL_BIENERGY, complete_up_to=6)
+    e2c = index_reports(S4, S4_BANDS, [Functional.CONFORMAL_BIENERGY], complete_up_to=6)[0]
     assert (e2c.index, e2c.nullity) == (0, 15)
 
 
 def test_index_nullity_ricci_flat():
     flat = EinsteinSpace(6, Fraction(0))
     bands = [band(0, 2, DIVFREE), band(1, 3, GRAD), band("5/2", 4, DIVFREE)]
-    report = index_nullity(flat, bands, Functional.CONFORMAL_BIENERGY, complete_up_to=0)
+    report = index_reports(flat, bands, [Functional.CONFORMAL_BIENERGY], complete_up_to=0)[0]
     assert report.index == 0
     assert report.nullity == 2  # only the mu = 0 band is in the kernel
 
@@ -130,8 +129,8 @@ def test_conformal_equals_bienergy_when_trivial():
         (EinsteinSpace(7, Fraction(0)), [band(0, 3, DIVFREE), band(2, 5, GRAD)]),
     ]
     for space, bands in cases:
-        a = index_nullity(space, bands, Functional.CONFORMAL_BIENERGY, complete_up_to=100)
-        b = index_nullity(space, bands, Functional.BIENERGY, complete_up_to=100)
+        a = index_reports(space, bands, [Functional.CONFORMAL_BIENERGY], complete_up_to=100)[0]
+        b = index_reports(space, bands, [Functional.BIENERGY], complete_up_to=100)[0]
         assert (a.index, a.nullity) == (b.index, b.nullity)
         assert [(bd.eigenvalue, bd.multiplicity, j) for bd, j in a.contributing_bands] \
             == [(bd.eigenvalue, bd.multiplicity, j) for bd, j in b.contributing_bands]
@@ -139,7 +138,7 @@ def test_conformal_equals_bienergy_when_trivial():
 
 def test_duplicate_bands_are_merged():
     doubled = [band(4, 2, GRAD), band(4, 3, GRAD), band(6, 10, DIVFREE)]
-    report = index_nullity(S4, doubled, Functional.ENERGY, complete_up_to=6)
+    report = index_reports(S4, doubled, [Functional.ENERGY], complete_up_to=6)[0]
     assert report.index == 5
     assert len(report.contributing_bands) == 2
     assert report.contributing_bands[0][0].multiplicity == 5
@@ -147,18 +146,18 @@ def test_duplicate_bands_are_merged():
 
 def test_contributing_bands_sorted_gradient_first_at_ties():
     bands = [band(6, 7, DIVFREE), band(4, 5, GRAD), band(6, 2, GRAD)]
-    report = index_nullity(S4, bands, Functional.ENERGY, complete_up_to=6)
+    report = index_reports(S4, bands, [Functional.ENERGY], complete_up_to=6)[0]
     ordered = [(b.eigenvalue, b.kind) for b, _ in report.contributing_bands]
     assert ordered == [(Fraction(4), GRAD), (Fraction(6), GRAD), (Fraction(6), DIVFREE)]
     # positive bands never appear
-    report2 = index_nullity(S4, bands + [band(9, 4, GRAD)], Functional.ENERGY,
-                            complete_up_to=9)
+    report2 = index_reports(S4, bands + [band(9, 4, GRAD)], [Functional.ENERGY],
+                            complete_up_to=9)[0]
     assert all(j <= 0 for _, j in report2.contributing_bands)
 
 
 def test_incomplete_spectrum_raises():
     with pytest.raises(IncompleteSpectrum):
-        index_nullity(S4, S4_BANDS, Functional.ENERGY, complete_up_to=4)
+        index_reports(S4, S4_BANDS, [Functional.ENERGY], complete_up_to=4)
     # S^4: 2*lambda = 6 covers the energy, but c = 4 is no further root; on
     # S^2 (lambda = 1) the conformal cutoff c = 8/3 lies past 2*lambda = 2
     s2 = EinsteinSpace(2, Fraction(1))
@@ -170,7 +169,7 @@ def test_incomplete_spectrum_raises():
 
 def test_undeclared_completeness_warns():
     with pytest.warns(SpectrumCompletenessWarning):
-        index_nullity(S4, S4_BANDS, Functional.ENERGY)
+        index_reports(S4, S4_BANDS, [Functional.ENERGY])
     with pytest.warns(SpectrumCompletenessWarning) as record:
         index_reports(S4, S4_BANDS, list(Functional))
     assert len(record) == 3
@@ -183,19 +182,19 @@ def test_index_nullity_rejects_invalid_band():
         kind = GRAD
 
     with pytest.raises(InvalidBand):
-        index_nullity(S4, [FakeBand()], Functional.ENERGY, complete_up_to=6)
+        index_reports(S4, [FakeBand()], [Functional.ENERGY], complete_up_to=6)
 
 
 def test_scaling_invariance():
     rng = random.Random(4242)
     bands = S4_BANDS + [band(9, 4, GRAD)]
-    base = {kind: index_nullity(S4, bands, kind, complete_up_to=9) for kind in Functional}
+    base = {kind: index_reports(S4, bands, [kind], complete_up_to=9)[0] for kind in Functional}
     for _ in range(50):
         c = Fraction(rng.randint(1, 50), rng.randint(1, 50))
         scaled_space = EinsteinSpace(4, Fraction(3) * c)
         scaled = [SpectralBand(b.eigenvalue * c, b.multiplicity, b.kind) for b in bands]
         for kind in Functional:
-            report = index_nullity(scaled_space, scaled, kind, complete_up_to=9 * c)
+            report = index_reports(scaled_space, scaled, [kind], complete_up_to=9 * c)[0]
             assert (report.index, report.nullity) == (base[kind].index, base[kind].nullity)
 
 
@@ -288,5 +287,5 @@ def test_root_counting_matches_brute_force():
             expected = brute_force_report(space, bands, report.functional)
             got = (report.index, report.nullity, list(report.contributing_bands))
             assert got == expected, (m, space.einstein_constant, report.functional)
-            single = index_nullity(space, bands, report.functional, complete_up_to=10 ** 6)
+            single = index_reports(space, bands, [report.functional], complete_up_to=10 ** 6)[0]
             assert single == report

@@ -5,23 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from cbstab.core import BandKind, EinsteinSpace, Functional, index_nullity, validate_spectrum
+from cbstab.core import BandKind, EinsteinSpace, Functional, index_reports, validate_spectrum
 from cbstab.errors import DomainError, InvalidBand, MissingField, ParseError
 from cbstab.spectra import (
-    ClosedFormSphere,
-    SpectrumSource,
     builtin_spectrum,
-    circle_bands,
-    divergence_free_bands,
     divergence_free_multiplicity,
-    gradient_bands,
     gradient_multiplicity,
     _rational_field,
     load_spectrum,
     spectrum_document,
-    sphere_bands,
-    unit_sphere,
 )
+
+
+GRAD = BandKind.GRADIENT
+DIV = BandKind.DIVERGENCE_FREE
 
 
 def harmonic_polynomial_dim(nvars, degree):
@@ -99,29 +96,35 @@ def test_divergence_free_anchor_values():
     assert divergence_free_multiplicity(5, 1) == 15
 
 
+def bands_of(m, lam, up_to, kind=None):
+    """The built-in bands up to `up_to`, optionally only those of one kind."""
+    bands = builtin_spectrum(m, lam, up_to=up_to).bands
+    return [b for b in bands if kind is None or b.kind is kind]
+
+
 def test_gradient_bands_examples():
-    bands = gradient_bands(4, 3, 6)
+    bands = bands_of(4, 3, 6, GRAD)
     assert [(b.eigenvalue, b.multiplicity, b.kind) for b in bands] \
         == [(Fraction(4), 5, BandKind.GRADIENT)]
-    bands = gradient_bands(2, 1, 2)
+    bands = bands_of(2, 1, 2, GRAD)
     assert [(b.eigenvalue, b.multiplicity) for b in bands] == [(Fraction(2), 3)]
-    assert gradient_bands(5, 4, 4) == []
+    assert bands_of(5, 4, 4, GRAD) == []
 
 
 def test_divergence_free_bands_examples():
-    bands = divergence_free_bands(4, 3, 6)
+    bands = bands_of(4, 3, 6, DIV)
     assert [(b.eigenvalue, b.multiplicity, b.kind) for b in bands] \
         == [(Fraction(6), 10, BandKind.DIVERGENCE_FREE)]
-    assert [(b.eigenvalue, b.multiplicity) for b in divergence_free_bands(5, 4, 8)] \
+    assert [(b.eigenvalue, b.multiplicity) for b in bands_of(5, 4, 8, DIV)] \
         == [(Fraction(8), 15)]
-    assert [(b.eigenvalue, b.multiplicity) for b in divergence_free_bands(2, 1, 2)] \
+    assert [(b.eigenvalue, b.multiplicity) for b in bands_of(2, 1, 2, DIV)] \
         == [(Fraction(2), 3)]
 
 
 def test_first_divergence_free_band_is_killing():
     for m in range(2, 11):
         lam = Fraction(m - 1)
-        first = divergence_free_bands(m, lam, 2 * lam)
+        first = bands_of(m, lam, 2 * lam, DIV)
         assert len(first) == 1
         assert first[0].eigenvalue == 2 * lam
         assert first[0].multiplicity == m * (m + 1) // 2
@@ -130,8 +133,8 @@ def test_first_divergence_free_band_is_killing():
 def test_first_gradient_band_saturates_obata():
     for m in range(3, 11):
         lam = Fraction(m - 1)
-        space = unit_sphere(m)
-        below_killing = gradient_bands(m, lam, 2 * lam)
+        space = builtin_spectrum(m).space
+        below_killing = bands_of(m, lam, 2 * lam, GRAD)
         assert len(below_killing) == 1  # nothing else in (0, 2 lambda)
         assert below_killing[0].eigenvalue == Fraction(m, m - 1) * lam
         report = validate_spectrum(space, below_killing)
@@ -141,8 +144,8 @@ def test_first_gradient_band_saturates_obata():
 
 def test_rescaling_lambda():
     for c in (Fraction(1, 3), Fraction(5, 2), Fraction(7)):
-        base = sphere_bands(6, 5, 12)
-        scaled = sphere_bands(6, 5 * c, 12 * c)
+        base = bands_of(6, 5, 12)
+        scaled = bands_of(6, 5 * c, 12 * c)
         assert len(base) == len(scaled)
         for b, s in zip(base, scaled):
             assert s.eigenvalue == b.eigenvalue * c
@@ -150,49 +153,42 @@ def test_rescaling_lambda():
             assert s.kind == b.kind
 
 
-def test_generator_argument_validation():
-    with pytest.raises(DomainError):
-        gradient_bands(1, 1, 5)
-    with pytest.raises(DomainError):
-        divergence_free_bands(4, 0, 5)
-    with pytest.raises(DomainError):
-        gradient_bands(4, 3, -1)
-
-
 def test_circle_bands():
-    space, bands = unit_sphere(1), circle_bands(0)
+    circle = builtin_spectrum(1, 0, up_to=0)
+    space, bands = circle.space, circle.bands
     assert space.dimension == 1 and space.einstein_constant == 0
     assert [(b.eigenvalue, b.multiplicity, b.kind) for b in bands] \
         == [(Fraction(0), 1, BandKind.DIVERGENCE_FREE)]
-    bands = circle_bands(1)
-    assert [(b.eigenvalue, b.multiplicity) for b in bands] \
+    assert [(b.eigenvalue, b.multiplicity) for b in bands_of(1, 0, 1)] \
         == [(Fraction(0), 1), (Fraction(1), 2)]
     # the rotation field is the whole energy kernel on the circle
-    bands = circle_bands(0)
-    report = index_nullity(space, bands, Functional.ENERGY, complete_up_to=0)
-    assert (report.index, report.nullity) == (0, 1)
-    report = index_nullity(space, bands, Functional.CONFORMAL_BIENERGY, complete_up_to=0)
-    assert (report.index, report.nullity) == (0, 1)
+    energy, c_bienergy = index_reports(space, bands,
+                                       [Functional.ENERGY, Functional.CONFORMAL_BIENERGY],
+                                       complete_up_to=0)
+    assert (energy.index, energy.nullity) == (0, 1)
+    assert (c_bienergy.index, c_bienergy.nullity) == (0, 1)
 
 
 def test_builtin_spectrum_unit_sphere():
     s4 = builtin_spectrum(4)
     assert s4.space == EinsteinSpace(4, 3, name="S^4")
-    assert s4.source == SpectrumSource(origin=ClosedFormSphere(4, Fraction(3)),
-                                       declared_complete_up_to=Fraction(6))
-    assert s4.bands == tuple(sphere_bands(4, 3, 6))
+    assert (s4.complete_up_to, s4.path) == (Fraction(6), None)
+    assert [(b.eigenvalue, b.multiplicity, b.kind) for b in s4.bands] \
+        == [(Fraction(4), 5, GRAD), (Fraction(6), 10, DIV)]
     assert s4.validation == validate_spectrum(s4.space, s4.bands)
     assert any("Obata" in w for w in s4.warnings)
 
 
 def test_builtin_spectrum_cutoff_follows_kinds():
     # on S^2 the c-bienergy root (2/3)(6 - m)*lambda = 8/3 lies above 2*lambda = 2
-    assert builtin_spectrum(2, kinds=[Functional.ENERGY]).source.declared_complete_up_to == 2
-    assert builtin_spectrum(2).source.declared_complete_up_to == Fraction(8, 3)
+    assert builtin_spectrum(2, kinds=[Functional.ENERGY]).complete_up_to == 2
+    assert builtin_spectrum(2).complete_up_to == Fraction(8, 3)
     assert builtin_spectrum(4, kinds=()).bands == ()
     explicit = builtin_spectrum(4, 3, up_to=10)
-    assert explicit.source.declared_complete_up_to == 10
-    assert explicit.bands == tuple(sphere_bands(4, 3, 10))
+    assert explicit.complete_up_to == 10
+    # mu = 10 is the second gradient band; the second divergence-free one is 12
+    assert [(b.eigenvalue, b.multiplicity, b.kind) for b in explicit.bands] \
+        == [(Fraction(4), 5, GRAD), (Fraction(6), 10, DIV), (Fraction(10), 14, GRAD)]
 
 
 def test_builtin_spectrum_names_and_circle():
@@ -200,13 +196,14 @@ def test_builtin_spectrum_names_and_circle():
     assert builtin_spectrum(6, "5").space.name == "S^6"
     circle = builtin_spectrum(1, 0, up_to=4)
     assert (circle.space.name, circle.space.einstein_constant) == ("S^1", 0)
-    assert circle.bands == tuple(circle_bands(4))
+    assert [(b.eigenvalue, b.multiplicity) for b in circle.bands] \
+        == [(Fraction(0), 1), (Fraction(1), 2), (Fraction(4), 2)]
     assert circle.warnings == ()
-    assert builtin_spectrum(1).source.declared_complete_up_to == 0
+    assert builtin_spectrum(1).complete_up_to == 0
 
 
 @pytest.mark.parametrize("args", [(0,), (2.0,), (1, 2), (4, 0), (4, -1),
-                                  (4, None, tuple(Functional), -1)])
+                                  (4, None, tuple(Functional), -1), (1, 0, (), -1)])
 def test_builtin_spectrum_domain(args):
     with pytest.raises(DomainError):
         builtin_spectrum(*args)
@@ -219,20 +216,24 @@ def write_spectrum(tmp_path, doc, name="spectrum.json"):
 
 
 def s4_document():
-    return spectrum_document(unit_sphere(4), sphere_bands(4, 3, 6), complete_up_to=6)
+    return spectrum_document(builtin_spectrum(4))
 
 
-def test_load_spectrum_round_trip(tmp_path):
-    path = write_spectrum(tmp_path, s4_document())
+@pytest.mark.parametrize("m", range(1, 11))
+def test_load_spectrum_round_trip(tmp_path, m):
+    builtin = builtin_spectrum(m)
+    path = write_spectrum(tmp_path, spectrum_document(builtin))
     loaded = load_spectrum(path)
-    assert loaded.space.dimension == 4
-    assert loaded.space.einstein_constant == 3
-    assert loaded.source.declared_complete_up_to == 6
-    for kind in Functional:
-        from_file = index_nullity(loaded.space, loaded.bands, kind, complete_up_to=6)
-        builtin = index_nullity(unit_sphere(4), sphere_bands(4, 3, 6), kind, complete_up_to=6)
-        assert (from_file.index, from_file.nullity) == (builtin.index, builtin.nullity)
-        assert from_file.contributing_bands == builtin.contributing_bands
+    assert loaded.space == builtin.space
+    assert loaded.bands == builtin.bands
+    assert loaded.complete_up_to == builtin.complete_up_to
+    assert loaded.path == str(path)
+    assert loaded.warnings == builtin.warnings
+    from_file = index_reports(loaded.space, loaded.bands, Functional,
+                              complete_up_to=loaded.complete_up_to)
+    from_builtin = index_reports(builtin.space, builtin.bands, Functional,
+                                 complete_up_to=builtin.complete_up_to)
+    assert from_file == from_builtin
 
 
 def test_load_spectrum_exact_rationals(tmp_path):
@@ -244,7 +245,7 @@ def test_load_spectrum_exact_rationals(tmp_path):
     assert isinstance(loaded.bands[0].eigenvalue, Fraction)
     assert loaded.bands[0].eigenvalue == Fraction(7, 2)
     assert loaded.space.einstein_constant == Fraction(7, 4)
-    assert loaded.source.declared_complete_up_to is None
+    assert loaded.complete_up_to is None
 
 
 def test_load_spectrum_attaches_validation_warnings(tmp_path):
