@@ -43,7 +43,6 @@ from .family import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    sin_power_integral,
     sphere_volume,
 )
 from .spectra import (
@@ -54,7 +53,6 @@ from .spectra import (
 )
 from .variation import (
     SecondVariationReport,
-    SignVerdict,
     fd_second_derivative,
     spectral_prediction,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureFailure",
     "SecondVariationReport",
-    "SignVerdict",
     "SpectralBand",
     "SpectrumCompletenessWarning",
     "SpectrumValidation",
@@ -96,7 +93,6 @@ __all__ = [
     "index_reports",
     "jacobi_eigenvalue",
     "load_spectrum",
-    "sin_power_integral",
     "spectral_prediction",
     "spectrum_document",
     "sphere_volume",

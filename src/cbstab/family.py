@@ -46,9 +46,11 @@ from .quadrature import (
     trapezoid_ladder,
 )
 
-# the supported parameter range
+# the supported parameter range; M_MAX is the largest dimension on which
+# _first_step was measured
 T_MIN = 1e-8
 T_MAX = 1e8
+M_MAX = 50
 
 
 def _check_t(t: float) -> float:
@@ -61,8 +63,8 @@ def _check_t(t: float) -> float:
 
 
 def _check_m(m: int) -> int:
-    if not isinstance(m, int) or m < 2:
-        raise DomainError(f"sphere dimension m must be an integer >= 2, got {m!r}")
+    if not isinstance(m, int) or not 2 <= m <= M_MAX:
+        raise DomainError(f"sphere dimension m must be an integer in [2, {M_MAX}], got {m!r}")
     return m
 
 
@@ -160,8 +162,8 @@ def evaluate_family(m: int, t: float,
 
 def c_constant_exact(m: int) -> Fraction:
     """Rational coefficient of omega_{S^{m-1}} in the c-bienergy upper bound."""
-    if not isinstance(m, int) or m < 5:
-        raise DomainError(f"the upper-bound constant needs integer m >= 5, got {m!r}")
+    if not isinstance(m, int) or not 5 <= m <= M_MAX:
+        raise DomainError(f"the upper-bound constant needs integer m in [5, {M_MAX}], got {m!r}")
     return 2 * (m - 2) ** 2 + Fraction(m * (m - 1) * (m - 3), 3)
 
 
@@ -180,7 +182,7 @@ class EpsilonCertificate:
 
 
 def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
-    """Parameter t with guaranteed E2c(phi_t) < eps, for m >= 5.
+    """Parameter t with guaranteed E2c(phi_t) < eps, for 5 <= m <= M_MAX.
 
     Follows the constructive chain eta = eps/C, rho = pi - eta/2,
     K = tan(rho/2), delta = arcsin(sqrt(eta/(2 rho))) and
@@ -189,12 +191,11 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
     shrinks t, so the guarantee survives); the arcsin argument is clamped
     to 1 and delta capped strictly below pi/2 for the same reason.
     """
-    if not isinstance(m, int) or m < 5:
-        raise DomainError(f"the construction needs integer m >= 5, got {m!r}")
+    constant = c_constant(m)
     eps = float(eps)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise DomainError(f"eps must be positive, got {eps!r}")
-    eta = eps / c_constant(m)
+    eta = eps / constant
     if eta > math.pi:
         eta = math.pi
     rho = math.pi - 0.5 * eta
@@ -209,26 +210,13 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
                                  delta_prime=delta_prime)
 
 
-def upper_bound(m: int, t: float,
-                quad: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The bound C * integral of sin^2(alpha_t) over (0, pi), m >= 5.
+def upper_bound(m: int, t: float) -> float:
+    """The bound C * integral of sin^2(alpha_t) over (0, pi), 5 <= m <= M_MAX.
 
-    Strictly exceeds the c-bienergy of phi_t (up to quadrature error on
-    both sides); the gap is what makes the epsilon construction work.  In
-    x the integrand is sin^2(alpha) * sech x, which decays like exp(-3|x|).
+    With u = tan(r/2), sin(alpha_t) = 2tu/(1 + t^2 u^2) and
+    dr = 2 du/(1 + u^2), so the integral is 2 pi t/(1 + t)^2.  The bound
+    strictly exceeds the c-bienergy of phi_t; the gap is what makes the
+    epsilon construction work.
     """
     t = _check_t(t)
-    constant = c_constant(m)
-    s = math.log(t)
-    half = 0.5 * s
-
-    def sums(nodes: list[float]) -> tuple[float]:
-        terms = []
-        for u in nodes:
-            sin_alpha = _sech(u + half)
-            terms.append(sin_alpha * sin_alpha * _sech(u - half))
-        return (constant * math.fsum(terms),)
-
-    # the integrand is that of E in dimension 3
-    ladder = trapezoid_ladder(sums, 0.5 * abs(s) + _tail_margin(3), _first_step(3), quad)
-    return ladder.values[0]
+    return c_constant(m) * (2.0 * math.pi * t / (1.0 + t) ** 2)

@@ -6,9 +6,9 @@ where it converges geometrically in the number of nodes (Trefethen and
 Weideman, SIAM Review 56(3), 2014); its levels are nested, so halving the
 step evaluates only the new midpoints.
 
-Sphere volumes and Wallis integrals are computed from exact integer
-recursions; the float versions are thin wrappers over exact rational
-coefficients times a power of pi.
+Sphere volumes are computed from the exact half-integer Gamma recursion;
+the float version is a thin wrapper over an exact rational coefficient
+times a power of pi.
 """
 
 from __future__ import annotations
@@ -125,30 +125,6 @@ def trapezoid_ladder(sums: Callable[[list[float]], Sequence[float]], half_width:
         f"no convergence after {config.max_doublings} halvings ({nodes} nodes, "
         f"step {h:.3g}): largest change per level "
         + ", ".join(f"{d:.3e}" for d in history))
-
-
-def _double_factorial(n: int) -> int:
-    # (-1)!! = 0!! = 1 by convention
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
-
-
-def sin_power_integral_exact(p: int) -> tuple[Fraction, int]:
-    """Integral of sin^p over (0, pi) as (rational coefficient, power of pi)."""
-    if p < 0:
-        raise DomainError(f"power must be >= 0, got {p}")
-    if p % 2 == 0:
-        return Fraction(_double_factorial(p - 1), _double_factorial(p)), 1
-    return Fraction(2 * _double_factorial(p - 1), _double_factorial(p)), 0
-
-
-def sin_power_integral(p: int) -> float:
-    """Wallis value of the integral of sin^p r over (0, pi)."""
-    coeff, k = sin_power_integral_exact(p)
-    return float(coeff) * math.pi ** k
 
 
 def sphere_volume_exact(n: int) -> tuple[Fraction, int]:

@@ -9,36 +9,27 @@ derivative equals the Hessian evaluated on W:
     d^2/dt^2|_{t=1} E2c(phi_t)
         = (mu - 2 lam)(mu - (2/3)(6 - m) lam) * ||W||_{L^2}^2,
 
-with mu = m, lam = m - 1 and ||W||^2 = omega_{S^{m-1}} * integral of
-sin^{m+1}.  The factor is the exact c-bienergy Jacobi eigenvalue of the first
-gradient band (core.jacobi_eigenvalue), and its sign is the verdict.  The
-finite-difference side recomputes the same quantity from central second
-differences of evaluate_family, Richardson-extrapolated on the two smallest
-steps, so agreement checks the Hessian computation against direct numerics.
+with mu = m, lam = m - 1 and, by Wallis, ||W||^2 = omega_{S^{m-1}} *
+integral of sin^{m+1} = omega_{S^m} * m/(m+1).  The factor is the exact
+c-bienergy Jacobi eigenvalue of the first gradient band
+(core.jacobi_eigenvalue), so the sign of the prediction is exact and is the
+verdict.  The finite-difference side recomputes the same quantity from
+central second differences of evaluate_family at the fixed STEPS,
+Richardson-extrapolated on the two smallest, so agreement checks the
+Hessian computation against direct numerics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .core import EinsteinSpace, Functional, jacobi_eigenvalue
 from .errors import DomainError, StepTooSmall
 from .family import evaluate_family
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, sin_power_integral, sphere_volume
+from .quadrature import sphere_volume
 
-DEFAULT_STEPS = (0.08, 0.04, 0.02, 0.01)
-
-
-class SignVerdict(Enum):
-    NEGATIVE = "negative"
-    ZERO = "zero"
-    POSITIVE = "positive"
-
-
-_VERDICTS = {-1: SignVerdict.NEGATIVE, 0: SignVerdict.ZERO, 1: SignVerdict.POSITIVE}
+STEPS = (0.08, 0.04, 0.02, 0.01)
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,6 @@ class SecondVariationReport:
     fd_step_table: tuple[tuple[float, float], ...]
     prediction: float
     relative_gap: float
-    sign_verdict: SignVerdict
 
 
 def _factor(m: int) -> Fraction:
@@ -61,34 +51,23 @@ def _factor(m: int) -> Fraction:
 
 def spectral_prediction(m: int) -> float:
     """Closed-form Hessian value on W; exactly 0.0 when the exact factor vanishes."""
-    factor = _factor(m)
-    if factor == 0:
-        return 0.0
-    w_norm_sq = sphere_volume(m - 1) * sin_power_integral(m + 1)
-    return float(factor) * w_norm_sq
+    return float(_factor(m) * Fraction(m, m + 1)) * sphere_volume(m)
 
 
-def fd_second_derivative(m: int, quad: QuadratureConfig = DEFAULT_CONFIG,
-                         steps: Sequence[float] = DEFAULT_STEPS) -> SecondVariationReport:
+def fd_second_derivative(m: int) -> SecondVariationReport:
     """Central-difference second derivative of E2c along the family at t = 1.
 
     Raises StepTooSmall when the propagated quadrature error swamps the
     second difference at the smallest step, or when shrinking the step
     drives the quotient away from the prediction instead of toward it.
     """
-    if not steps:
-        raise DomainError("steps must be nonempty")
-    steps = sorted(set(float(h) for h in steps), reverse=True)
-    if steps[0] >= 0.5 or steps[-1] <= 0.0:
-        raise DomainError(f"steps must lie in (0, 0.5), got {steps}")
-    factor = _factor(m)
     prediction = spectral_prediction(m)
-    center = evaluate_family(m, 1.0, quad)
+    center = evaluate_family(m, 1.0)
     table = []
     noise_floors = []
-    for h in steps:
-        plus = evaluate_family(m, 1.0 + h, quad)
-        minus = evaluate_family(m, 1.0 - h, quad)
+    for h in STEPS:
+        plus = evaluate_family(m, 1.0 + h)
+        minus = evaluate_family(m, 1.0 - h)
         diff = plus.c_bienergy - 2.0 * center.c_bienergy + minus.c_bienergy
         noise = (plus.c_bienergy_error + 2.0 * center.c_bienergy_error
                  + minus.c_bienergy_error)
@@ -111,12 +90,9 @@ def fd_second_derivative(m: int, quad: QuadratureConfig = DEFAULT_CONFIG,
                 f"deviation grew from {dev_prev:.3e} (h={h_prev}) to "
                 f"{dev_cur:.3e} (h={h_cur}); quadrature error dominates")
 
-    if len(table) >= 2:
-        (h_big, v_big), (h_small, v_small) = table[-2], table[-1]
-        ratio_sq = (h_big / h_small) ** 2
-        fd_value = (ratio_sq * v_small - v_big) / (ratio_sq - 1.0)
-    else:
-        fd_value = table[0][1]
+    (h_big, v_big), (h_small, v_small) = table[-2], table[-1]
+    ratio_sq = (h_big / h_small) ** 2
+    fd_value = (ratio_sq * v_small - v_big) / (ratio_sq - 1.0)
     relative_gap = abs(fd_value - prediction) / max(1.0, abs(prediction))
     return SecondVariationReport(
         dimension=m,
@@ -124,5 +100,4 @@ def fd_second_derivative(m: int, quad: QuadratureConfig = DEFAULT_CONFIG,
         fd_step_table=tuple(table),
         prediction=prediction,
         relative_gap=relative_gap,
-        sign_verdict=_VERDICTS[(factor > 0) - (factor < 0)],
     )

@@ -128,6 +128,7 @@ def test_usage_errors_exit_64(capsys):
         ("energy", "--dim", "5", "--t", "1e9"),           # t out of range
         ("energy", "--dim", "5", "--t", "abc"),
         ("energy", "--dim", "1", "--t", "1"),             # family needs m >= 2
+        ("energy", "--dim", "51", "--t", "1"),            # family needs m <= 50
         ("index",),                                        # no source
         ("index", "--dim", "4", "--lambda", "0"),          # lambda must be positive
         ("index", "--dim", "1", "--lambda", "2"),          # circle is flat

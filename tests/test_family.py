@@ -63,6 +63,8 @@ def test_evaluate_family_domain():
         evaluate_family(5, 0.0)
     with pytest.raises(DomainError):
         evaluate_family(5, 1e9)
+    with pytest.raises(DomainError):
+        evaluate_family(51, 1.0)  # past M_MAX
 
 
 def test_evaluate_family_quadrature_failure():
@@ -79,6 +81,8 @@ def test_c_constant_values():
         assert c_constant(m) > 0.0
     with pytest.raises(DomainError):
         c_constant(4)
+    with pytest.raises(DomainError):
+        c_constant(51)
 
 
 def test_epsilon_schedule_certificate():
@@ -106,6 +110,8 @@ def test_epsilon_schedule_huge_eps_clamps():
 def test_epsilon_schedule_domain():
     with pytest.raises(DomainError):
         epsilon_schedule(4, 1.0)
+    with pytest.raises(DomainError):
+        epsilon_schedule(51, 1.0)
     with pytest.raises(DomainError):
         epsilon_schedule(5, 0.0)
     with pytest.raises(DomainError):

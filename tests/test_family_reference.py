@@ -209,13 +209,22 @@ def test_error_estimate_bounds_true_error(m, t):
             assert gap <= Fraction(REL_BOUND) * abs(ref), (name, got, float(ref))
 
 
+S4_TS = ([Fraction(1, 10 ** 8), Fraction(37, 100), Fraction(1), Fraction(5, 2),
+          Fraction(10 ** 8)]
+         + [Fraction(10.0 ** (k / 10)) for k in range(-10, 11)])
+
+
 def test_s4_c_bienergy_is_exactly_32_pi_squared_over_3():
     # the S^4 exception with no float: the log t parts of E2 and E cancel
-    ts = [Fraction(1, 10 ** 8), Fraction(37, 100), Fraction(1), Fraction(5, 2),
-          Fraction(10 ** 8)]
-    ts += [Fraction(10.0 ** (k / 10)) for k in range(-10, 11)]
-    for t in ts:
+    for t in S4_TS:
         assert family_exact(4, t)[2] == {(2, 0): Fraction(32, 3)}, t
+
+
+def test_sin_squared_alpha_integral_is_2_pi_t_over_1_plus_t_squared():
+    # the closed form behind family.upper_bound: integral over (0, pi) of
+    # sin^2(alpha_t) dr is I(1, 2; t) in x = log tan(r/2)
+    for t in S4_TS:
+        assert _sech_integral(1, 2, t) == {(1, 0): 2 * t / (1 + t) ** 2}, t
 
 
 def test_shared_node_count_is_bounded():

@@ -6,8 +6,6 @@ import pytest
 from cbstab.errors import DomainError, NonFiniteSample, QuadratureFailure
 from cbstab.quadrature import (
     QuadratureConfig,
-    sin_power_integral,
-    sin_power_integral_exact,
     sphere_volume,
     sphere_volume_exact,
     trapezoid_ladder,
@@ -21,13 +19,6 @@ def wallis_oracle(p):
     if p == 1:
         return 2.0
     return (p - 1) / p * wallis_oracle(p - 2)
-
-
-def test_sin_power_integral_against_recursion():
-    assert sin_power_integral(0) == math.pi
-    assert sin_power_integral_exact(6) == (Fraction(5, 16), 1)
-    for p in range(0, 16):
-        assert sin_power_integral(p) == pytest.approx(wallis_oracle(p), rel=1e-14)
 
 
 def test_sphere_volumes():
@@ -44,15 +35,10 @@ def test_sphere_volumes():
 
 
 def test_volume_recursion_identity():
-    # omega_m = omega_{m-1} * int sin^{m-1}, exactly at the rational level
+    # omega_m = omega_{m-1} * int sin^{m-1}, against the independent recursion
     for m in range(2, 13):
-        cm, km = sphere_volume_exact(m)
-        cp, kp = sphere_volume_exact(m - 1)
-        ci, ki = sin_power_integral_exact(m - 1)
-        assert cm == cp * ci
-        assert km == kp + ki
-        assert sphere_volume(m) == pytest.approx(
-            sphere_volume(m - 1) * sin_power_integral(m - 1), rel=1e-15)
+        assert sphere_volume(m) / sphere_volume(m - 1) == pytest.approx(
+            wallis_oracle(m - 1), rel=1e-14)
 
 
 def test_config_invariants():

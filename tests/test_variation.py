@@ -1,14 +1,13 @@
+import dataclasses
 import math
 
 import pytest
 
+import cbstab.variation
 from cbstab.errors import DomainError, StepTooSmall
-from cbstab.quadrature import QuadratureConfig, sin_power_integral, sphere_volume
-from cbstab.variation import (
-    SignVerdict,
-    fd_second_derivative,
-    spectral_prediction,
-)
+from cbstab.family import evaluate_family
+from cbstab.quadrature import sphere_volume
+from cbstab.variation import fd_second_derivative, spectral_prediction
 
 PI = math.pi
 
@@ -26,7 +25,9 @@ def test_prediction_matches_factor_times_field_norm():
     for m in (3, 5, 6, 7, 8):
         lam = m - 1
         factor = (m - 2 * lam) * (m - 2.0 / 3.0 * (6 - m) * lam)
-        w_norm_sq = sphere_volume(m - 1) * sin_power_integral(m + 1)
+        p = m + 1  # Wallis: integral of sin^p over (0, pi), from Gamma
+        sin_power = math.sqrt(PI) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+        w_norm_sq = sphere_volume(m - 1) * sin_power
         assert spectral_prediction(m) == pytest.approx(factor * w_norm_sq, rel=1e-13)
 
 
@@ -42,14 +43,14 @@ def test_fd_matches_prediction():
     for m in (5, 6):
         report = fd_second_derivative(m)
         assert report.relative_gap <= 1e-3
-        assert report.sign_verdict is SignVerdict.NEGATIVE
+        assert report.prediction < 0.0
         assert report.prediction == spectral_prediction(m)
 
 
 def test_fd_zero_at_m4():
     report = fd_second_derivative(4)
     assert abs(report.fd_value) <= 1e-4
-    assert report.sign_verdict is SignVerdict.ZERO
+    assert report.prediction == 0.0
 
 
 def test_fd_step_table_converges_monotonically():
@@ -65,17 +66,23 @@ def test_fd_richardson_beats_raw_steps():
     assert abs(report.fd_value - report.prediction) < best_raw
 
 
-def test_fd_step_validation():
-    with pytest.raises(DomainError):
-        fd_second_derivative(5, steps=())
-    with pytest.raises(DomainError):
-        fd_second_derivative(5, steps=(0.6,))
-    with pytest.raises(DomainError):
-        fd_second_derivative(5, steps=(0.1, -0.01))
+def test_step_too_small_detected(monkeypatch):
+    def inflated(m, t):
+        return dataclasses.replace(evaluate_family(m, t), c_bienergy_error=1.0)
+
+    monkeypatch.setattr(cbstab.variation, "evaluate_family", inflated)
+    with pytest.raises(StepTooSmall, match="exceeds the second difference"):
+        fd_second_derivative(5)
 
 
-def test_step_too_small_detected():
-    coarse = QuadratureConfig(first_level_nodes=4, max_doublings=2,
-                              rel_tolerance=0.5, abs_tolerance=1e-300)
-    with pytest.raises(StepTooSmall):
-        fd_second_derivative(5, coarse, steps=(0.01, 0.005))
+def test_step_too_small_when_deviation_grows(monkeypatch):
+    # an unreported error at t = 1 + h enters the quotient as offset/h^2
+    def offset(m, t):
+        ev = evaluate_family(m, t)
+        if t > 1.0:
+            ev = dataclasses.replace(ev, c_bienergy=ev.c_bienergy + 1e-5)
+        return ev
+
+    monkeypatch.setattr(cbstab.variation, "evaluate_family", offset)
+    with pytest.raises(StepTooSmall, match="deviation grew"):
+        fd_second_derivative(5)
