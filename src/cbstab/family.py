@@ -47,7 +47,8 @@ from .quadrature import (
 )
 
 # the supported parameter range; M_MAX is the largest dimension on which
-# _first_step was measured
+# _first_step was measured.  _check_m and _check_t are the only checks of
+# it: the CLI and variation rely on them.
 T_MIN = 1e-8
 T_MAX = 1e8
 M_MAX = 50
@@ -55,9 +56,7 @@ M_MAX = 50
 
 def _check_t(t: float) -> float:
     t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise DomainError(f"family parameter t must be positive, got {t!r}")
-    if t < T_MIN or t > T_MAX:
+    if not T_MIN <= t <= T_MAX:  # also rejects nan
         raise DomainError(f"family parameter t must lie in [{T_MIN:g}, {T_MAX:g}], got {t!r}")
     return t
 
@@ -160,16 +159,11 @@ def evaluate_family(m: int, t: float,
     )
 
 
-def c_constant_exact(m: int) -> Fraction:
-    """Rational coefficient of omega_{S^{m-1}} in the c-bienergy upper bound."""
-    if not isinstance(m, int) or not 5 <= m <= M_MAX:
-        raise DomainError(f"the upper-bound constant needs integer m in [5, {M_MAX}], got {m!r}")
-    return 2 * (m - 2) ** 2 + Fraction(m * (m - 1) * (m - 3), 3)
-
-
 def c_constant(m: int) -> float:
     """The constant C = (2(m-2)^2 + m(m-1)(m-3)/3) * omega_{S^{m-1}}."""
-    return float(c_constant_exact(m)) * sphere_volume(m - 1)
+    if not isinstance(m, int) or not 5 <= m <= M_MAX:
+        raise DomainError(f"the upper-bound constant needs integer m in [5, {M_MAX}], got {m!r}")
+    return float(2 * (m - 2) ** 2 + Fraction(m * (m - 1) * (m - 3), 3)) * sphere_volume(m - 1)
 
 
 @dataclass(frozen=True)

@@ -23,29 +23,22 @@ from .errors import DomainError, NonFiniteSample, QuadratureFailure
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Budget and tolerances of the trapezoid ladder.
+    """Budget of the trapezoid ladder: max_doublings bounds the step halvings."""
 
-    first_level_nodes is the most nodes the ladder's first level puts on
-    either side of its centre; max_doublings bounds the step halvings.
-    """
-
-    first_level_nodes: int = 128
     max_doublings: int = 12
-    rel_tolerance: float = 1e-11
-    abs_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.first_level_nodes < 4:
-            raise DomainError(
-                f"first_level_nodes must be >= 4, got {self.first_level_nodes}")
         if self.max_doublings < 1:
             raise DomainError(f"max_doublings must be >= 1, got {self.max_doublings}")
-        if not (self.rel_tolerance > 0.0 and self.abs_tolerance > 0.0):
-            raise DomainError("tolerances must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
+
+# The ladder stops once every integrand's change between two levels is
+# within ABS_TOLERANCE or within REL_TOLERANCE of its value.
+REL_TOLERANCE = 1e-11
+ABS_TOLERANCE = 1e-12
 
 # Relative rounding error allowed for in every trapezoid_ladder estimate,
 # 256 units in the last place.  Once the rule has converged, the change
@@ -81,15 +74,14 @@ def trapezoid_ladder(sums: Callable[[list[float]], Sequence[float]], half_width:
 
     sums(nodes) returns, for each integrand, the sum of its values over the
     given nodes; every node is passed exactly once.  The first level has the
-    nodes j*h for |j| <= k = ceil(half_width/step) and h = step; when k is
-    more than first_level_nodes, k is cut to that and h widened to
-    half_width/k.  Each halving of h adds only the midpoints, so the levels
-    share their nodes and the node set is symmetric about 0.  The
-    integrands must be negligible outside the window, which then stands
-    for the whole real line.
+    nodes j*h for |j| <= k = ceil(half_width/step) and h = step.  Each
+    halving of h adds only the midpoints, so the levels share their nodes
+    and the node set is symmetric about 0.  The integrands must be
+    negligible outside the window, which then stands for the whole real
+    line.
 
     Halving stops once every integrand's change between the last two
-    levels is within abs_tolerance or within rel_tolerance of its value.
+    levels is within ABS_TOLERANCE or within REL_TOLERANCE of its value.
     Each reported error is that change plus LADDER_ROUNDOFF times the value.
     Raises QuadratureFailure when max_doublings halvings do not suffice and
     NonFiniteSample when a level's sum is not finite.
@@ -98,9 +90,6 @@ def trapezoid_ladder(sums: Callable[[list[float]], Sequence[float]], half_width:
         raise DomainError(f"need half_width > 0 and step > 0, got {half_width}, {step}")
     k = math.ceil(half_width / step)
     h = step
-    if k > config.first_level_nodes:
-        k = config.first_level_nodes
-        h = half_width / k
     totals = _level_sums(sums, [j * h for j in range(-k, k + 1)], h)
     nodes = 2 * k + 1
     values = [h * total for total in totals]
@@ -114,7 +103,7 @@ def trapezoid_ladder(sums: Callable[[list[float]], Sequence[float]], half_width:
         current = [h * total for total in totals]
         changes = [abs(c - p) for c, p in zip(current, values)]
         values = current
-        if all(d <= config.abs_tolerance or d <= config.rel_tolerance * abs(v)
+        if all(d <= ABS_TOLERANCE or d <= REL_TOLERANCE * abs(v)
                for d, v in zip(changes, values)):
             return LadderResult(
                 values=tuple(values),

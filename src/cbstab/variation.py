@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EinsteinSpace, Functional, jacobi_eigenvalue
-from .errors import DomainError, StepTooSmall
-from .family import evaluate_family
+from .errors import StepTooSmall
+from .family import _check_m, evaluate_family
 from .quadrature import sphere_volume
 
 STEPS = (0.08, 0.04, 0.02, 0.01)
@@ -43,14 +43,13 @@ class SecondVariationReport:
 
 def _factor(m: int) -> Fraction:
     """The exact c-bienergy Jacobi eigenvalue on W, in the first gradient band (mu = m)."""
-    if not isinstance(m, int) or m < 2:
-        raise DomainError(f"need integer m >= 2, got {m!r}")
+    m = _check_m(m)
     space = EinsteinSpace(dimension=m, einstein_constant=Fraction(m - 1))
     return jacobi_eigenvalue(Functional.CONFORMAL_BIENERGY, space, m)
 
 
 def spectral_prediction(m: int) -> float:
-    """Closed-form Hessian value on W; exactly 0.0 when the exact factor vanishes."""
+    """Closed-form Hessian value on W for 2 <= m <= M_MAX; 0.0 exactly when the factor is 0."""
     return float(_factor(m) * Fraction(m, m + 1)) * sphere_volume(m)
 
 

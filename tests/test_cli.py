@@ -9,6 +9,7 @@ import pytest
 
 import cbstab.core
 from cbstab.cli import build_parser, main
+from cbstab.family import evaluate_family
 
 PI = math.pi
 
@@ -117,6 +118,25 @@ def test_energy_json_identity_values(capsys):
     assert abs(row["bienergy"]) <= 1e-12
 
 
+def test_energy_documents_hold_the_evaluator_doubles(capsys):
+    # JSON writes each double's shortest round-trip form and CSV writes 17
+    # significant digits; both must read back to the evaluator's double
+    columns = ("energy", "energy_error", "bienergy", "bienergy_error",
+               "c_bienergy", "c_bienergy_error")
+    ts = (1e-8, 0.37, 1e8)
+    for m in (2, 5, 12):
+        want = [[t] + [getattr(evaluate_family(m, t), c) for c in columns] for t in ts]
+        argv = ("energy", "--dim", str(m), "--t", ",".join(map(repr, ts)))
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [[row[c] for c in ("t",) + columns] for row in rows] == want
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [[float(v) for v in line.split(",")]
+                for line in out.splitlines()[1:]] == want
+
+
 def test_energy_deterministic(capsys):
     _, first, _ = run(capsys, "energy", "--dim", "5", "--t", "0.7,1.3", "--format", "json")
     _, second, _ = run(capsys, "energy", "--dim", "5", "--t", "0.7,1.3", "--format", "json")
@@ -126,6 +146,7 @@ def test_energy_deterministic(capsys):
 def test_usage_errors_exit_64(capsys):
     cases = [
         ("energy", "--dim", "5", "--t", "1e9"),           # t out of range
+        ("energy", "--dim", "5", "--t", "1,1e-9"),        # rejected after t = 1 ran
         ("energy", "--dim", "5", "--t", "abc"),
         ("energy", "--dim", "1", "--t", "1"),             # family needs m >= 2
         ("energy", "--dim", "51", "--t", "1"),            # family needs m <= 50

@@ -35,8 +35,11 @@ def test_prediction_signs():
     for m in range(5, 11):
         assert spectral_prediction(m) < 0.0
     assert spectral_prediction(3) > 0.0  # J_2^c = J^2 at m = 3
-    with pytest.raises(DomainError):
-        spectral_prediction(1)
+    # past the family's M_MAX: underflow reads -0.0 near m = 380, and
+    # math.pi ** k overflows at m = 2000
+    for m in (1, 51, 380, 2000):
+        with pytest.raises(DomainError):
+            spectral_prediction(m)
 
 
 def test_fd_matches_prediction():
@@ -45,6 +48,11 @@ def test_fd_matches_prediction():
         assert report.relative_gap <= 1e-3
         assert report.prediction < 0.0
         assert report.prediction == spectral_prediction(m)
+
+
+def test_fd_domain_is_the_family_domain():
+    with pytest.raises(DomainError):
+        fd_second_derivative(2000)
 
 
 def test_fd_zero_at_m4():
