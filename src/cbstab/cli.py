@@ -68,6 +68,8 @@ def _suite_list(text: str) -> list[str]:
         if name not in SUITES:
             raise argparse.ArgumentTypeError(
                 f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    if not names:
+        raise argparse.ArgumentTypeError("need at least one suite")
     return names
 
 

@@ -62,7 +62,7 @@ class EinsteinSpace:
     name: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+        if type(self.dimension) is not int or self.dimension < 1:
             raise DomainError(f"dimension must be a positive integer, got {self.dimension!r}")
         object.__setattr__(self, "einstein_constant", as_rational(self.einstein_constant))
         if self.einstein_constant < 0:
@@ -82,25 +82,16 @@ class SpectralBand:
     kind: BandKind
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalue", as_rational(self.eigenvalue))
-        _check_band(self)
-
-
-def _prechecked_band(eigenvalue: Fraction, multiplicity: int, kind: BandKind) -> SpectralBand:
-    """A SpectralBand built without __post_init__, for callers that have already
-    checked its invariants: a Fraction eigenvalue >= 0 and an int multiplicity >= 1."""
-    band = object.__new__(SpectralBand)
-    object.__setattr__(band, "eigenvalue", eigenvalue)
-    object.__setattr__(band, "multiplicity", multiplicity)
-    object.__setattr__(band, "kind", kind)
-    return band
-
-
-def _check_band(band) -> None:
-    if not isinstance(band.multiplicity, int) or band.multiplicity < 1:
-        raise InvalidBand(f"multiplicity must be a positive integer, got {band.multiplicity!r}")
-    if band.eigenvalue < 0:
-        raise InvalidBand(f"eigenvalue must be >= 0, got {band.eigenvalue}")
+        # the only band check, so it must be cheap: every parsed band passes it
+        mu = self.eigenvalue
+        if type(mu) is not Fraction:
+            mu = as_rational(mu)
+            object.__setattr__(self, "eigenvalue", mu)
+        mult = self.multiplicity
+        if type(mult) is not int or mult < 1:
+            raise InvalidBand(f"multiplicity must be a positive integer, got {mult!r}")
+        if mu.numerator < 0:
+            raise InvalidBand(f"eigenvalue must be >= 0, got {mu}")
 
 
 @dataclass(frozen=True)
@@ -127,13 +118,19 @@ def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> F
     return j * (mu - Fraction(2, 3) * (6 - space.dimension) * lam)
 
 
+def _roots(kind: Functional, space: EinsteinSpace) -> tuple[Fraction, ...]:
+    """The roots of kind's Jacobi eigenvalue as a monic polynomial in mu."""
+    two_lam = 2 * space.einstein_constant
+    if kind is Functional.ENERGY:
+        return (two_lam,)
+    if kind is Functional.BIENERGY:
+        return (two_lam, two_lam)
+    return (two_lam, Fraction(2, 3) * (6 - space.dimension) * space.einstein_constant)
+
+
 def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
     """Least mu* with Jacobi eigenvalue > 0 for every mu > mu*."""
-    two_lam = 2 * space.einstein_constant
-    if kind is Functional.CONFORMAL_BIENERGY:
-        other_root = Fraction(2, 3) * (6 - space.dimension) * space.einstein_constant
-        return max(two_lam, other_root)
-    return two_lam
+    return max(_roots(kind, space))
 
 
 _KIND_ORDER = {BandKind.GRADIENT: 0, BandKind.DIVERGENCE_FREE: 1}
@@ -145,48 +142,18 @@ def _compare(mu: Fraction, root: Fraction) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def _merge_bands(bands: Iterable[SpectralBand]) -> dict[tuple[int, int, BandKind], list]:
-    """Sum the multiplicities of repeated (eigenvalue, kind) rows.
-
-    Maps (numerator, denominator, kind) to [eigenvalue, multiplicity]; the
-    reduced integer pair identifies the Fraction and hashes much faster.
-    A SpectralBand was checked when it was built; any other band-like
-    object is checked here.
-    """
-    merged: dict[tuple[int, int, BandKind], list] = {}
-    for band in bands:
-        mu = band.eigenvalue
-        if type(band) is not SpectralBand:
-            _check_band(band)
-            mu = as_rational(mu)
-        key = (mu.numerator, mu.denominator, band.kind)
-        row = merged.get(key)
-        if row is None:
-            merged[key] = [mu, band.multiplicity]
-        else:
-            row[1] += band.multiplicity
-    return merged
-
-
-def _jacobi_sign(kind: Functional, vs_two_lam: int, vs_c: int) -> int:
-    """Sign of jacobi_eigenvalue from sign(mu - 2*lambda) and sign(mu - c)."""
-    if kind is Functional.ENERGY:
-        return vs_two_lam
-    if kind is Functional.BIENERGY:
-        return vs_two_lam * vs_two_lam
-    return vs_two_lam * vs_c
-
-
 def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                   kinds: Iterable[Functional],
                   complete_up_to: Rational | None = None) -> list[IndexReport]:
     """Exact index and nullity of each functional in `kinds`, in that order.
 
-    Every Jacobi eigenvalue changes sign only at mu = 2*lambda and at
-    mu = c = (2/3)(6 - m)*lambda, so the bands are merged once, each merged
-    band up to the largest contribution cutoff gets those two signs, and
-    every functional's counts follow from them; jacobi_eigenvalue is
-    evaluated only for the bands a report lists.
+    Each Jacobi eigenvalue is a monic polynomial in mu with the roots that
+    _roots lists, so its sign on a band is the product of the signs of
+    mu - root.  Repeated (eigenvalue, kind) rows are merged once, bands past
+    the largest contribution cutoff are dropped before merging (every
+    selected Jacobi eigenvalue is positive there), and jacobi_eigenvalue is
+    evaluated and a SpectralBand built only for the bands a report lists.
+    A band that is not a SpectralBand is converted, and so checked, first.
 
     `complete_up_to` declares that `bands` lists every eigenvalue up to that
     bound.  If the declared bound does not reach a functional's contribution
@@ -196,8 +163,27 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     computation proceeds on the bands given.
     """
     kinds = list(kinds)
-    merged = _merge_bands(bands)
-    cutoffs = [contribution_cutoff(space, kind) for kind in kinds]
+    roots = [_roots(kind, space) for kind in kinds]
+    cutoffs = [max(kind_roots) for kind_roots in roots]
+    # with no kinds every band is past the top and only checked
+    top = max(cutoffs, default=Fraction(-1))
+    top_num, top_den = top.numerator, top.denominator
+    # (numerator, denominator, kind) -> [eigenvalue, multiplicity, kind]; the
+    # reduced integer pair identifies the Fraction and hashes much faster
+    merged: dict[tuple[int, int, BandKind], list] = {}
+    for band in bands:
+        if type(band) is not SpectralBand:
+            band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
+        mu = band.eigenvalue
+        num, den = mu.numerator, mu.denominator
+        if num * top_den > top_num * den:
+            continue
+        key = (num, den, band.kind)
+        row = merged.get(key)
+        if row is None:
+            merged[key] = [mu, band.multiplicity, band.kind]
+        else:
+            row[1] += band.multiplicity
     if complete_up_to is None:
         for _ in kinds:
             warnings.warn(
@@ -210,37 +196,29 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                 raise IncompleteSpectrum(
                     f"bands declared complete up to {complete_up_to} but contributions "
                     f"extend to {cutoff}")
-    if not kinds:
-        return []
 
-    # past the largest cutoff every selected Jacobi eigenvalue is positive
-    top = max(cutoffs)
-    top_num, top_den = top.numerator, top.denominator
-    rows = [(mu, mult, kind) for (num, den, kind), (mu, mult) in merged.items()
-            if num * top_den <= top_num * den]
     # by eigenvalue, gradient first at ties: two stable sorts compare each
     # Fraction once instead of an (eigenvalue, kind) tuple's == and <
+    rows = list(merged.values())
     rows.sort(key=lambda row: _KIND_ORDER[row[2]])
     rows.sort(key=lambda row: row[0])
-    two_lam = 2 * space.einstein_constant
-    c_root = Fraction(2, 3) * (6 - space.dimension) * space.einstein_constant
-    signed = [(_prechecked_band(mu, mult, kind), _compare(mu, two_lam), _compare(mu, c_root))
-              for mu, mult, kind in rows]
-
     reports = []
-    for kind in kinds:
+    for kind, kind_roots in zip(kinds, roots):
         index = 0
         nullity = 0
         contributing = []
-        for band, vs_two_lam, vs_c in signed:
-            sign = _jacobi_sign(kind, vs_two_lam, vs_c)
+        for mu, mult, band_kind in rows:
+            sign = 1
+            for root in kind_roots:
+                sign *= _compare(mu, root)
             if sign > 0:
                 continue
             if sign < 0:
-                index += band.multiplicity
+                index += mult
             else:
-                nullity += band.multiplicity
-            contributing.append((band, jacobi_eigenvalue(kind, space, band.eigenvalue)))
+                nullity += mult
+            contributing.append((SpectralBand(mu, mult, band_kind),
+                                 jacobi_eigenvalue(kind, space, mu)))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
                                    contributing_bands=tuple(contributing)))
     return reports
@@ -290,10 +268,9 @@ def validate_spectrum(space: EinsteinSpace,
     two_lam = 2 * lam
     issues = []
     for band in bands:
-        mu = band.eigenvalue
         if type(band) is not SpectralBand:
-            _check_band(band)
-            mu = as_rational(mu)
+            band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
+        mu = band.eigenvalue
         if band.kind is BandKind.GRADIENT and obata is not None:
             vs_obata = _compare(mu, obata)
             if vs_obata < 0:

@@ -30,7 +30,6 @@ from typing import Iterable
 
 from .core import (
     _KIND_ORDER,
-    _prechecked_band,
     BandKind,
     EinsteinSpace,
     Functional,
@@ -119,7 +118,7 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
     bound is declared complete.  The result carries the same validate_spectrum
     report that load_spectrum gives a file, and no path.
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise DomainError(f"need integer m >= 1, got {m!r}")
     lam = Fraction(m - 1) if lam is None else as_rational(lam)
     if m == 1 and lam != 0:
@@ -186,7 +185,7 @@ def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
             f"{where}.kind must be one of {sorted(_KIND_NAMES)}, got {kind_name!r}")
     if eigenvalue.numerator < 0:
         raise InvalidBand(f"{where}.eigenvalue must be >= 0, got {eigenvalue}")
-    return _prechecked_band(eigenvalue, mult, kind)
+    return SpectralBand(eigenvalue, mult, kind)
 
 
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:

@@ -156,6 +156,7 @@ def test_usage_errors_exit_64(capsys):
         ("index", "--dim", "4", "--spectrum-file", "x", "--lambda", "3"),
         ("index", "--dim", "4", "--lambda", "3/0"),
         ("verify", "--suites", "nonsense"),
+        ("verify", "--suites", ","),                        # no suite: nothing checked
         ("nonsense",),
     ]
     for argv in cases:

@@ -41,6 +41,8 @@ def test_space_invariants():
         EinsteinSpace(4, Fraction(-1))
     with pytest.raises(DomainError):
         EinsteinSpace(4, 1.5)  # floats are never accepted as exact data
+    with pytest.raises(DomainError):
+        EinsteinSpace(True, 0)  # a bool is not a dimension
 
 
 def test_band_invariants():
@@ -48,6 +50,8 @@ def test_band_invariants():
         SpectralBand(Fraction(2), 0, GRAD)
     with pytest.raises(InvalidBand):
         SpectralBand(Fraction(-1), 3, GRAD)
+    with pytest.raises(InvalidBand):
+        SpectralBand(Fraction(2), True, GRAD)  # a bool is not a multiplicity
     assert band("7/2", 4).eigenvalue == Fraction(7, 2)
 
 
@@ -183,6 +187,14 @@ def test_index_nullity_rejects_invalid_band():
 
     with pytest.raises(InvalidBand):
         index_reports(S4, [FakeBand()], [Functional.ENERGY], complete_up_to=6)
+
+    class FarFakeBand(FakeBand):
+        eigenvalue = Fraction(100)  # past every cutoff on S^4: skipped, still checked
+
+    with pytest.raises(InvalidBand):
+        index_reports(S4, [FarFakeBand()], list(Functional), complete_up_to=6)
+    with pytest.raises(InvalidBand):
+        validate_spectrum(S4, [FarFakeBand()])
 
 
 def test_scaling_invariance():

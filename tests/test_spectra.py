@@ -202,7 +202,7 @@ def test_builtin_spectrum_names_and_circle():
     assert builtin_spectrum(1).complete_up_to == 0
 
 
-@pytest.mark.parametrize("args", [(0,), (2.0,), (1, 2), (4, 0), (4, -1),
+@pytest.mark.parametrize("args", [(0,), (2.0,), (True,), (1, 2), (4, 0), (4, -1),
                                   (4, None, tuple(Functional), -1), (1, 0, (), -1)])
 def test_builtin_spectrum_domain(args):
     with pytest.raises(DomainError):
