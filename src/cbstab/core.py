@@ -36,9 +36,9 @@ def as_rational(value: Rational) -> Fraction:
     """Coerce int / "p/q" string / Fraction to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise DomainError(
-            f"refusing float {value!r}: eigenvalues and Einstein constants are exact rationals")
+    if isinstance(value, (float, bool)):
+        raise DomainError(f"refusing {type(value).__name__} {value!r}: "
+                          "eigenvalues and Einstein constants are exact rationals")
     return Fraction(value)
 
 
@@ -256,15 +256,14 @@ def validate_spectrum(space: EinsteinSpace,
 
     Gradient bands must satisfy mu >= m*lambda/(m-1) (equality only on the
     round sphere, reported as a rigidity note); divergence-free bands must
-    satisfy mu >= 2*lambda.  Both checks are vacuous for lambda = 0 and are
-    skipped.  Strict callers raise the first violation with
+    satisfy mu >= 2*lambda.  Both bounds are vacuous for lambda = 0, where
+    the Obata note is skipped too; band-likes are still checked.  Strict
+    callers raise the first violation with
     SpectrumValidation.raise_first_violation().
     """
     lam = space.einstein_constant
-    if lam == 0:
-        return SpectrumValidation(issues=())
     m = space.dimension
-    obata = Fraction(m, m - 1) * lam if m > 1 else None
+    obata = Fraction(m, m - 1) * lam if m > 1 and lam else None
     two_lam = 2 * lam
     issues = []
     for band in bands:

@@ -22,14 +22,15 @@ s = log t, in which alpha_t is the shift x -> x + s:
 so that
 
     E  = (m/2) omega_{m-1} * integral over R of sech^{m-2}(x) sech^2(x+s) dx,
-    E2 = ((m-2)^2/2) omega_{m-1} sinh^2(s) * integral of sech^{m-2}(x) sech^4(x+s) dx.
+    E2 = ((m-2)^2/2) omega_{m-1} sinh^2(s) * integral of sech^{m-2}(x) sech^4(x+s) dx,
+    E2c = E2 + (2/3)(m-1)(m-3) E      (pointwise in the densities).
 
-The integrands are analytic bumps at x = 0 and x = -s that decay at least
-like exp(-m|x|), and t <-> 1/t is the reflection x -> -x.  The trapezoidal
-rule converges geometrically for such integrands, so all of them are
+The two integrands are analytic bumps at x = 0 and x = -s that decay at
+least like exp(-m|x|), and t <-> 1/t is the reflection x -> -x.  The
+trapezoidal rule converges geometrically for such integrands, so both are
 summed on one shared, nested ladder of equally spaced nodes
 (quadrature.trapezoid_ladder), centred between the bumps; sech is taken
-from exp(-|x|), which cannot overflow, once per node for every integrand.
+from exp(-|x|), which cannot overflow, once per node for both integrands.
 """
 
 from __future__ import annotations
@@ -105,21 +106,14 @@ def evaluate_family(m: int, t: float,
                     quad: QuadratureConfig = DEFAULT_CONFIG) -> FamilyEvaluation:
     """Energy, bienergy and c-bienergy of phi_t on the unit m-sphere.
 
-    The c-bienergy is integrated from its own density,
-
-        (1/2) * omega_{S^{m-1}} * integral of
-            sin^2(alpha) * ((m-2)^2 sin^{m-5} r (cos alpha - cos r)^2
-                            + (2/3) m (m-1)(m-3) sin^{m-3} r) dr
-      = (1/2) * omega_{S^{m-1}} * integral of
-            sin^2(alpha) sech^{m-2}(x) ((m-2)^2 sinh^2(s) sin^2(alpha)
-                                        + (2/3) m (m-1)(m-3)) dx,
-
-    not assembled from the other two.  All three share the ladder's nodes
-    and its stopping level, so the decomposition identity
-    E2c = E2 + (2/3)(m-1)(m-3) E holds up to rounding whatever the
-    quadrature error: it checks rounding only, and an exact closed form
-    (tests/test_family_reference.py) checks accuracy.  `nodes` counts the
-    shared nodes.
+    Along this family the c-bienergy density is pointwise the bienergy
+    density plus (2/3)(m-1)(m-3) times the energy density, so the ladder
+    sums only the integrands of E and E2, and each level takes
+    E2c = E2 + (2/3)(m-1)(m-3) E from their two sums.  E2c stays the
+    ladder's third value: its change between levels is held to the same
+    tolerances and gives its error estimate.  An exact closed form
+    (tests/test_family_reference.py) checks the accuracy of all three.
+    `nodes` counts the shared nodes.
     """
     m = _check_m(m)
     t = _check_t(t)
@@ -127,23 +121,21 @@ def evaluate_family(m: int, t: float,
     half = 0.5 * s
     p = m - 2
     c1 = (m - 2) ** 2 * math.sinh(s) ** 2
-    c2 = 2.0 * m * (m - 1) * (m - 3) / 3.0
+    coef = 2.0 * (m - 1) * (m - 3) / 3.0
     half_omega = 0.5 * sphere_volume(m - 1)
 
     def sums(nodes: list[float]) -> tuple[float, float, float]:
         # u = x + s/2 puts the bumps at u = -s/2 and u = s/2
-        energy, bienergy, c_bienergy = [], [], []
+        energy, bienergy = [], []
         for u in nodes:
-            sin_r_p = _sech(u - half) ** p  # sin^{m-2} r
             sin_alpha = _sech(u + half)
             sin2 = sin_alpha * sin_alpha
-            e = sin_r_p * sin2
+            e = _sech(u - half) ** p * sin2  # sin^{m-2} r sin^2 alpha
             energy.append(e)
             bienergy.append(e * sin2)
-            c_bienergy.append(sin2 * sin_r_p * (c1 * sin2 + c2))
-        return (half_omega * m * math.fsum(energy),
-                half_omega * c1 * math.fsum(bienergy),
-                half_omega * math.fsum(c_bienergy))
+        e_sum = half_omega * m * math.fsum(energy)
+        b_sum = half_omega * c1 * math.fsum(bienergy)
+        return e_sum, b_sum, b_sum + coef * e_sum
 
     ladder = trapezoid_ladder(sums, 0.5 * abs(s) + _tail_margin(m), _first_step(m), quad)
     energy, bienergy, c_bienergy = ladder.values

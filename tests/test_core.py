@@ -43,6 +43,8 @@ def test_space_invariants():
         EinsteinSpace(4, 1.5)  # floats are never accepted as exact data
     with pytest.raises(DomainError):
         EinsteinSpace(True, 0)  # a bool is not a dimension
+    with pytest.raises(DomainError):
+        EinsteinSpace(4, True)  # nor an Einstein constant
 
 
 def test_band_invariants():
@@ -52,6 +54,8 @@ def test_band_invariants():
         SpectralBand(Fraction(-1), 3, GRAD)
     with pytest.raises(InvalidBand):
         SpectralBand(Fraction(2), True, GRAD)  # a bool is not a multiplicity
+    with pytest.raises(DomainError):
+        SpectralBand(True, 1, GRAD)  # nor an eigenvalue
     assert band("7/2", 4).eigenvalue == Fraction(7, 2)
 
 
@@ -69,6 +73,9 @@ def test_jacobi_rejects_bad_mu():
         jacobi_eigenvalue(Functional.ENERGY, S4, -1)
     with pytest.raises(DomainError):
         jacobi_eigenvalue(Functional.ENERGY, S4, 2.5)
+    for kind in Functional:
+        with pytest.raises(DomainError):
+            jacobi_eigenvalue(kind, S4, True)
 
 
 def test_jacobi_factor_identity():
@@ -195,6 +202,8 @@ def test_index_nullity_rejects_invalid_band():
         index_reports(S4, [FarFakeBand()], list(Functional), complete_up_to=6)
     with pytest.raises(InvalidBand):
         validate_spectrum(S4, [FarFakeBand()])
+    with pytest.raises(InvalidBand):  # both bounds are vacuous at lambda = 0, the band is not
+        validate_spectrum(EinsteinSpace(4, 0), [FakeBand()])
 
 
 def test_scaling_invariance():

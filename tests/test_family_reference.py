@@ -31,7 +31,6 @@ import pytest
 
 from cbstab.family import evaluate_family
 from cbstab.quadrature import DEFAULT_CONFIG
-from cbstab.verify import DECOMPOSITION_GRID
 
 DIGITS = 40  # significant digits on which two successive precisions must agree
 COMPONENTS = (("energy", "energy_error"), ("bienergy", "bienergy_error"),
@@ -43,9 +42,12 @@ NODE_BUDGET = 600
 GRID = [(m, 10.0 ** k) for m in range(2, 13) for k in range(-8, 9)]
 # the energy-sweep benchmark's defect probes, and a point past 1e7.5 for m = 6
 PROBES = [(2, 1e-6), (3, 1e-5), (4, 1e-6), (4, 67146.58302973828), (6, 6.948e7)]
+# moderate t in low dimensions
+MODERATE = sorted({(m, t) for m in (3, 4, 5, 6) for t in (0.3, 1.0, 2.5)}
+                  | {(m, t) for m in (4, 5, 6, 7) for t in (0.05, 0.5, 1.0, 3.0, 20.0)})
 NEAR_ONE = [(m, t) for m in (2, 4, 7, 12) for t in (1 - 2.0 ** -30, 1 + 2.0 ** -30, 1 + 2.0 ** -52)]
 HIGH_DIMENSIONS = [(m, 10.0 ** k) for m in (16, 24, 50) for k in (-8, -4, 0, 4, 8)]
-POINTS = list(dict.fromkeys(GRID + PROBES + DECOMPOSITION_GRID + NEAR_ONE + HIGH_DIMENSIONS))
+POINTS = list(dict.fromkeys(GRID + PROBES + MODERATE + NEAR_ONE + HIGH_DIMENSIONS))
 
 
 # ---- the oracle: exact terms {(power of pi, power of log t): rational} ----
@@ -183,7 +185,7 @@ def test_reference_covers_the_domain():
     ts = [t for _, t in POINTS]
     assert dims == set(range(2, 13)) | {16, 24, 50}
     assert min(ts) == 1e-8 and max(ts) == 1e8
-    assert set(PROBES) | set(DECOMPOSITION_GRID) | set(NEAR_ONE) <= set(POINTS)
+    assert set(PROBES) | set(MODERATE) | set(NEAR_ONE) <= set(POINTS)
 
 
 def _point_ids(points):

@@ -203,7 +203,8 @@ def test_builtin_spectrum_names_and_circle():
 
 
 @pytest.mark.parametrize("args", [(0,), (2.0,), (True,), (1, 2), (4, 0), (4, -1),
-                                  (4, None, tuple(Functional), -1), (1, 0, (), -1)])
+                                  (4, None, tuple(Functional), -1), (1, 0, (), -1),
+                                  (4, True)])
 def test_builtin_spectrum_domain(args):
     with pytest.raises(DomainError):
         builtin_spectrum(*args)
