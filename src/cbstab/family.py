@@ -30,7 +30,11 @@ least like exp(-m|x|), and t <-> 1/t is the reflection x -> -x.  The
 trapezoidal rule converges geometrically for such integrands, so both are
 summed on one shared, nested ladder of equally spaced nodes
 (quadrature.trapezoid_ladder), centred between the bumps; sech is taken
-from exp(-|x|), which cannot overflow, once per node for both integrands.
+from exp(-|x|), which cannot overflow.  In u = x + s/2, the reflection
+u -> -u about the midpoint of the bumps swaps sin r and sin alpha, and
+every ladder level is symmetric about u = 0, so the two exponentials of a
+node u serve both integrands at u and at -u: one pair of exponentials per
+mirror pair of nodes.
 """
 
 from __future__ import annotations
@@ -97,11 +101,6 @@ def _tail_margin(rate: float) -> float:
     return 0.7 + 40.0 / rate
 
 
-def _sech(y: float) -> float:
-    a = math.exp(-abs(y))
-    return 2.0 * a / (1.0 + a * a)
-
-
 def evaluate_family(m: int, t: float,
                     quad: QuadratureConfig = DEFAULT_CONFIG) -> FamilyEvaluation:
     """Energy, bienergy and c-bienergy of phi_t on the unit m-sphere.
@@ -113,7 +112,11 @@ def evaluate_family(m: int, t: float,
     ladder's third value: its change between levels is held to the same
     tolerances and gives its error estimate.  An exact closed form
     (tests/test_family_reference.py) checks the accuracy of all three.
-    `nodes` counts the shared nodes.
+    `nodes` counts the shared nodes; a mirror pair of nodes u, -u shares
+    one pair of exponentials, so an evaluation calls math.exp nodes + 1
+    times (the node 0 has no mirror).  The values are those of evaluating
+    every node on its own, bit for bit: the mirror's arguments are exact
+    negations, and math.fsum does not depend on the order of the terms.
     """
     m = _check_m(m)
     t = _check_t(t)
@@ -125,14 +128,25 @@ def evaluate_family(m: int, t: float,
     half_omega = 0.5 * sphere_volume(m - 1)
 
     def sums(nodes: list[float]) -> tuple[float, float, float]:
-        # u = x + s/2 puts the bumps at u = -s/2 and u = s/2
+        # u = x + s/2 puts the bumps at u = -s/2 and u = s/2.  (-u) -+ half
+        # is exactly -(u +- half), so the node -u has the sin r and sin alpha
+        # of u swapped: walk the level's u >= 0 and add the terms of -u too.
         energy, bienergy = [], []
-        for u in nodes:
-            sin_alpha = _sech(u + half)
+        for u in nodes[len(nodes) // 2:]:
+            # sech y = 2 e^-|y| / (1 + e^-2|y|), which cannot overflow
+            a = math.exp(-abs(u - half))
+            sin_r = 2.0 * a / (1.0 + a * a)
+            a = math.exp(-abs(u + half))
+            sin_alpha = 2.0 * a / (1.0 + a * a)
             sin2 = sin_alpha * sin_alpha
-            e = _sech(u - half) ** p * sin2  # sin^{m-2} r sin^2 alpha
+            e = sin_r ** p * sin2  # sin^{m-2} r sin^2 alpha
             energy.append(e)
             bienergy.append(e * sin2)
+            if u != 0.0:  # the mirror node -u
+                sin2 = sin_r * sin_r
+                e = sin_alpha ** p * sin2
+                energy.append(e)
+                bienergy.append(e * sin2)
         e_sum = half_omega * m * math.fsum(energy)
         b_sum = half_omega * c1 * math.fsum(bienergy)
         return e_sum, b_sum, b_sum + coef * e_sum

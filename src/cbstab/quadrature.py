@@ -75,8 +75,12 @@ def trapezoid_ladder(sums: Callable[[list[float]], Sequence[float]], half_width:
     sums(nodes) returns, for each integrand, the sum of its values over the
     given nodes; every node is passed exactly once.  The first level has the
     nodes j*h for |j| <= k = ceil(half_width/step) and h = step.  Each
-    halving of h adds only the midpoints, so the levels share their nodes
-    and the node set is symmetric about 0.  The integrands must be
+    halving of h adds only the midpoints, so the levels share their nodes.
+    Each call of sums gets one level's new nodes in increasing order, and
+    each level is symmetric about 0 exactly, nodes[i] == -nodes[-1 - i],
+    because the mirror of a node c*h is (-c)*h and rounding is symmetric
+    about 0.  0.0 is a node of the first level only, so the nonnegative
+    half of a level is nodes[len(nodes) // 2:].  The integrands must be
     negligible outside the window, which then stands for the whole real
     line.
 

@@ -56,6 +56,22 @@ def test_two_sums_per_node(monkeypatch):
     assert sum(summed) == 2 * ev.nodes
 
 
+@pytest.mark.parametrize("m, t", [(5, 0.7), (2, 1.0), (12, 1e-8), (50, 1e8)])
+def test_one_exp_pair_per_mirror_pair(monkeypatch, m, t):
+    # a machine-independent cost counter: the nodes u and -u share the two
+    # exponentials of sin r and sin alpha, and the node 0 has no mirror
+    calls = []
+    exp = math.exp
+
+    def counting_exp(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counting_exp)
+    ev = evaluate_family(m, t)
+    assert len(calls) == ev.nodes + 1
+
+
 def test_positivity():
     for m in (4, 5, 6, 7, 8):
         for t in (0.01, 0.37, 1.0, 2.0, 50.0):

@@ -74,6 +74,12 @@ def test_trapezoid_ladder_levels_share_nodes():
     for i in range(1, len(calls)):
         # a halving adds one midpoint per gap of the level before
         assert len(calls[i]) == sum(len(c) for c in calls[:i]) - 1
+    for level in calls:
+        # each level in increasing order and exactly symmetric about 0,
+        # which the family relies on to evaluate mirror pairs together
+        assert level == sorted(level)
+        assert level == [-x for x in reversed(level)]
+    assert [0.0 in level for level in calls] == [True] + [False] * (len(calls) - 1)
 
 
 def test_trapezoid_ladder_budget():
