@@ -33,13 +33,33 @@ Rational = Union[Fraction, int, str]
 
 
 def as_rational(value: Rational) -> Fraction:
-    """Coerce int / "p/q" string / Fraction to an exact Fraction."""
-    if isinstance(value, Fraction):
+    """Coerce int / "p/q" string / Fraction to an exact Fraction.
+
+    The one reader of exact rationals: spectrum files, the CLI and the
+    library all parse through it.  A string is accepted exactly when
+    Fraction(str) accepts it.  Anything else, a float or a bool included,
+    raises DomainError.
+    """
+    if type(value) is Fraction:
         return value
     if isinstance(value, (float, bool)):
-        raise DomainError(f"refusing {type(value).__name__} {value!r}: "
-                          "eigenvalues and Einstein constants are exact rationals")
-    return Fraction(value)
+        raise DomainError(f"not a rational: {value!r} "
+                          f"(a {type(value).__name__}; rationals are exact)")
+    try:
+        if isinstance(value, str):
+            # Plain ASCII "p" and "p/q" with q > 0 skip the regular expression
+            # in Fraction(str); every other string goes through it, so it
+            # alone defines the accepted syntax and the error text.  int()
+            # stays inside the try: its digit limit raises ValueError.
+            num, slash, den = value.partition("/")
+            if num.isascii() and num.isdigit() and (
+                    not slash or (den.isascii() and den.isdigit())):
+                q = int(den) if slash else 1
+                if q:
+                    return Fraction(int(num), q)
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(f"not a rational: {value!r} ({exc})") from exc
 
 
 class BandKind(Enum):

@@ -143,24 +143,19 @@ _BAND_FIELDS = ("eigenvalue", "multiplicity", "kind")
 _KIND_NAMES = {kind.value: kind for kind in BandKind}
 
 
+def band_document(band: SpectralBand) -> dict:
+    """One band in the file format, with the keys _BAND_FIELDS reads."""
+    return {"eigenvalue": str(band.eigenvalue), "multiplicity": band.multiplicity,
+            "kind": band.kind.value}
+
+
 def _rational_field(raw, where: str) -> Fraction:
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise ParseError(f"{where} must be an integer or a 'p/q' string, got {raw!r}")
     try:
-        if isinstance(raw, str):
-            # Plain ASCII "p" and "p/q" with q > 0 skip the regular expression
-            # in Fraction(str); every other string goes through it, so it
-            # alone defines the accepted syntax and the error text.
-            num, slash, den = raw.partition("/")
-            if num.isascii() and num.isdigit() and (
-                    not slash or (den.isascii() and den.isdigit())):
-                p = int(num)
-                q = int(den) if slash else 1
-                if q:
-                    return Fraction(p, q)
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where} is not a rational: {raw!r} ({exc})") from exc
+        return as_rational(raw)
+    except DomainError as exc:
+        raise ParseError(f"{where} is {exc}") from exc
 
 
 def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
@@ -175,17 +170,15 @@ def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
         if unknown:
             raise ParseError(f"{where} has unknown fields {sorted(unknown)}")
     eigenvalue = _rational_field(raw["eigenvalue"], f"{where}.eigenvalue")
-    mult = raw["multiplicity"]
-    if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-        raise InvalidBand(f"{where}.multiplicity must be a positive integer, got {mult!r}")
     kind_name = raw["kind"]
     kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
         raise ParseError(
             f"{where}.kind must be one of {sorted(_KIND_NAMES)}, got {kind_name!r}")
-    if eigenvalue.numerator < 0:
-        raise InvalidBand(f"{where}.eigenvalue must be >= 0, got {eigenvalue}")
-    return SpectralBand(eigenvalue, mult, kind)
+    try:
+        return SpectralBand(eigenvalue, raw["multiplicity"], kind)
+    except InvalidBand as exc:
+        raise InvalidBand(f"{where}.{exc}") from exc
 
 
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:
@@ -210,22 +203,21 @@ def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectr
         unknown = set(doc) - _TOP_FIELDS
         if unknown:
             raise ParseError(f"{path}: unknown fields {sorted(unknown)}")
-    dimension = doc["dimension"]
-    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
-        raise ParseError(f"{path}: dimension must be a positive integer, got {dimension!r}")
-    lam = _rational_field(doc["einstein_constant"], "einstein_constant")
-    if lam < 0:
-        raise ParseError(f"{path}: einstein_constant must be >= 0, got {lam}")
     name = doc["name"]
     if not isinstance(name, str):
         raise ParseError(f"{path}: name must be a string, got {name!r}")
+    try:
+        space = EinsteinSpace(
+            dimension=doc["dimension"], name=name,
+            einstein_constant=_rational_field(doc["einstein_constant"], "einstein_constant"))
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     complete_up_to = None
     if doc.get("complete_up_to") is not None:
         complete_up_to = _rational_field(doc["complete_up_to"], "complete_up_to")
     if not isinstance(doc["bands"], list):
         raise ParseError(f"{path}: bands must be an array")
     bands = tuple(_parse_band(raw, i, strict) for i, raw in enumerate(doc["bands"]))
-    space = EinsteinSpace(dimension=dimension, einstein_constant=lam, name=name)
     return LoadedSpectrum(space=space, bands=bands, complete_up_to=complete_up_to,
                           path=str(path), validation=validate_spectrum(space, bands))
 
@@ -240,12 +232,5 @@ def spectrum_document(spectrum: LoadedSpectrum) -> dict:
     }
     if spectrum.complete_up_to is not None:
         doc["complete_up_to"] = str(spectrum.complete_up_to)
-    doc["bands"] = [
-        {
-            "eigenvalue": str(band.eigenvalue),
-            "multiplicity": band.multiplicity,
-            "kind": band.kind.value,
-        }
-        for band in spectrum.bands
-    ]
+    doc["bands"] = [band_document(band) for band in spectrum.bands]
     return doc

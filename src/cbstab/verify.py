@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EinsteinSpace, Functional, SpectralBand, index_reports
+from .errors import DomainError
 from .family import c_constant, epsilon_schedule, evaluate_family, upper_bound
 from .quadrature import sphere_volume
 from .spectra import builtin_spectrum
@@ -238,12 +239,13 @@ SUITES = {
 
 
 def run_suites(names=None) -> list[CheckResult]:
-    """Run the named suites (all of them by default) in a fixed order."""
-    if names is None:
-        names = list(SUITES)
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-        results.extend(SUITES[name]())
-    return results
+    """Run the named suites (all of them by default) in the order given.
+
+    Every name is checked before any suite runs; an unknown one raises
+    DomainError.
+    """
+    names = list(SUITES) if names is None else list(names)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise DomainError(f"unknown suite {unknown[0]!r}; available: {', '.join(SUITES)}")
+    return [result for name in names for result in SUITES[name]()]

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from cbstab.errors import DomainError
 from cbstab.verify import SUITES, run_suites
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
@@ -62,3 +63,10 @@ def test_criterion_4_closed_form_spot_values():
 @pytest.mark.parametrize("suite", [s for s in SUITES if s not in ("tables", "constancy")])
 def test_verify_suite(suite):
     _assert_suite(suite)
+
+
+@pytest.mark.parametrize("names", [["nonsense"], ["tables", "nonsense"]])
+def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
+    monkeypatch.setitem(SUITES, "tables", lambda: pytest.fail("a suite ran"))
+    with pytest.raises(DomainError, match="unknown suite 'nonsense'"):
+        run_suites(names)

@@ -9,7 +9,9 @@ import pytest
 
 import cbstab.core
 from cbstab.cli import build_parser, main
+from cbstab.errors import ParseError
 from cbstab.family import evaluate_family
+from cbstab.spectra import load_spectrum
 
 PI = math.pi
 
@@ -210,6 +212,22 @@ def test_malformed_band_exits_66_with_position(tmp_path, capsys):
         assert code == 66, bad_band
         assert out == ""
         assert where in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dimension", True), ("dimension", 0), ("dimension", "4"),
+    ("einstein_constant", "-1"), ("einstein_constant", "1/0"),
+])
+def test_malformed_space_in_file_exits_66(tmp_path, capsys, field, value):
+    path = tmp_path / "bad-space.json"
+    doc = {"name": "x", "dimension": 4, "einstein_constant": "3", "bands": []}
+    path.write_text(json.dumps(dict(doc, **{field: value})), encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_spectrum(path)
+    code, out, err = run(capsys, "index", "--spectrum-file", str(path))
+    assert code == 66
+    assert out == ""
+    assert "spectrum file error" in err
 
 
 def test_strict_validation_exits_2(tmp_path, capsys):

@@ -21,6 +21,7 @@ from cbstab.errors import (
     InvalidBand,
     SpectrumCompletenessWarning,
 )
+from cbstab.spectra import builtin_spectrum
 
 S4 = EinsteinSpace(4, Fraction(3))
 GRAD = BandKind.GRADIENT
@@ -249,6 +250,23 @@ def test_as_rational_returns_fraction_unchanged():
     assert as_rational("6/8") == value
     with pytest.raises(DomainError):
         as_rational(0.75)
+
+
+# None is the default of up_to, lam and complete_up_to, so only the first
+# two entry points see it
+MALFORMED_RATIONALS = ["1/0", "0/0", "x", "", "9" * 5000, None, [1], 1.5, True]
+
+
+@pytest.mark.parametrize("value", MALFORMED_RATIONALS, ids=lambda value: repr(value)[:16])
+def test_every_malformed_rational_is_a_domain_error(value):
+    calls = [as_rational, lambda v: EinsteinSpace(4, v)]
+    if value is not None:
+        calls += [lambda v: builtin_spectrum(4, v),
+                  lambda v: builtin_spectrum(4, up_to=v),
+                  lambda v: index_reports(S4, [], [Functional.ENERGY], complete_up_to=v)]
+    for call in calls:
+        with pytest.raises(DomainError, match="not a rational"):
+            call(value)
 
 
 def brute_force_report(space, bands, kind):
