@@ -15,6 +15,7 @@ is exact rational arithmetic; zero detection never involves floats.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,13 +41,14 @@ def as_rational(value: Rational) -> Fraction:
     Fraction(str) accepts it.  Anything else, a float or a bool included,
     raises DomainError.
     """
-    if type(value) is Fraction:
+    cls = type(value)
+    if cls is Fraction:
         return value
-    if isinstance(value, (float, bool)):
+    if cls is not str and isinstance(value, (float, bool)):
         raise DomainError(f"not a rational: {value!r} "
-                          f"(a {type(value).__name__}; rationals are exact)")
+                          f"(a {cls.__name__}; rationals are exact)")
     try:
-        if isinstance(value, str):
+        if cls is str:
             # Plain ASCII "p" and "p/q" with q > 0 skip the regular expression
             # in Fraction(str); every other string goes through it, so it
             # alone defines the accepted syntax and the error text.  int()
@@ -93,7 +95,7 @@ class EinsteinSpace:
         return self.dimension * self.einstein_constant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralBand:
     """One Hodge-Laplacian eigenvalue on vector fields, with multiplicity and kind."""
 
@@ -112,6 +114,8 @@ class SpectralBand:
             raise InvalidBand(f"multiplicity must be a positive integer, got {mult!r}")
         if mu.numerator < 0:
             raise InvalidBand(f"eigenvalue must be >= 0, got {mu}")
+        if type(self.kind) is not BandKind:
+            raise InvalidBand(f"kind must be a BandKind, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -156,24 +160,20 @@ def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
 _KIND_ORDER = {BandKind.GRADIENT: 0, BandKind.DIVERGENCE_FREE: 1}
 
 
-def _compare(mu: Fraction, root: Fraction) -> int:
-    """sign(mu - root), by integer cross-multiplication (denominators are positive)."""
-    diff = mu.numerator * root.denominator - root.numerator * mu.denominator
-    return (diff > 0) - (diff < 0)
-
-
 def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                   kinds: Iterable[Functional],
                   complete_up_to: Rational | None = None) -> list[IndexReport]:
     """Exact index and nullity of each functional in `kinds`, in that order.
 
     Each Jacobi eigenvalue is a monic polynomial in mu with the roots that
-    _roots lists, so its sign on a band is the product of the signs of
-    mu - root.  Repeated (eigenvalue, kind) rows are merged once, bands past
-    the largest contribution cutoff are dropped before merging (every
-    selected Jacobi eigenvalue is positive there), and jacobi_eigenvalue is
-    evaluated and a SpectralBand built only for the bands a report lists.
-    A band that is not a SpectralBand is converted, and so checked, first.
+    _roots lists.  On a band mu = num/den it is value / (den**k * prod(rd)),
+    with value = prod(num*rd - rn*den) over the k roots rn/rd, so the sign
+    of the integer value is the band's sign.  Repeated (eigenvalue, kind)
+    rows are merged once, bands past the largest contribution cutoff are
+    dropped before merging (every selected Jacobi eigenvalue is positive
+    there), and a Fraction and a SpectralBand are built only for the bands a
+    report lists.  A band that is not a SpectralBand is converted, and so
+    checked, first.
 
     `complete_up_to` declares that `bands` lists every eigenvalue up to that
     bound.  If the declared bound does not reach a functional's contribution
@@ -188,8 +188,9 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     # with no kinds every band is past the top and only checked
     top = max(cutoffs, default=Fraction(-1))
     top_num, top_den = top.numerator, top.denominator
-    # (numerator, denominator, kind) -> [eigenvalue, multiplicity, kind]; the
-    # reduced integer pair identifies the Fraction and hashes much faster
+    # (numerator, denominator, kind) -> [eigenvalue, multiplicity, kind,
+    # numerator, denominator]; the reduced integer pair identifies the
+    # Fraction and hashes much faster
     merged: dict[tuple[int, int, BandKind], list] = {}
     for band in bands:
         if type(band) is not SpectralBand:
@@ -201,7 +202,7 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
         key = (num, den, band.kind)
         row = merged.get(key)
         if row is None:
-            merged[key] = [mu, band.multiplicity, band.kind]
+            merged[key] = [mu, band.multiplicity, band.kind, num, den]
         else:
             row[1] += band.multiplicity
     if complete_up_to is None:
@@ -224,21 +225,24 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     rows.sort(key=lambda row: row[0])
     reports = []
     for kind, kind_roots in zip(kinds, roots):
+        pairs = [(root.numerator, root.denominator) for root in kind_roots]
+        degree = len(pairs)
+        root_scale = math.prod(rd for _, rd in pairs)
         index = 0
         nullity = 0
         contributing = []
-        for mu, mult, band_kind in rows:
-            sign = 1
-            for root in kind_roots:
-                sign *= _compare(mu, root)
-            if sign > 0:
+        for mu, mult, band_kind, num, den in rows:
+            value = 1
+            for rn, rd in pairs:
+                value *= num * rd - rn * den
+            if value > 0:
                 continue
-            if sign < 0:
+            if value < 0:
                 index += mult
             else:
                 nullity += mult
             contributing.append((SpectralBand(mu, mult, band_kind),
-                                 jacobi_eigenvalue(kind, space, mu)))
+                                 Fraction(value, den ** degree * root_scale)))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
                                    contributing_bands=tuple(contributing)))
     return reports
@@ -285,26 +289,30 @@ def validate_spectrum(space: EinsteinSpace,
     m = space.dimension
     obata = Fraction(m, m - 1) * lam if m > 1 and lam else None
     two_lam = 2 * lam
+    # each bound as an integer pair, so a band is compared by cross-multiplication
+    if obata is not None:
+        obata_num, obata_den = obata.numerator, obata.denominator
+    two_lam_num, two_lam_den = two_lam.numerator, two_lam.denominator
     issues = []
     for band in bands:
         if type(band) is not SpectralBand:
             band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
         mu = band.eigenvalue
-        if band.kind is BandKind.GRADIENT and obata is not None:
-            vs_obata = _compare(mu, obata)
+        num, den = mu.numerator, mu.denominator
+        if band.kind is BandKind.GRADIENT:
+            if obata is None:
+                continue
+            vs_obata = num * obata_den - obata_num * den
             if vs_obata < 0:
                 issues.append(ValidationIssue(
                     band, "violation",
-                    f"gradient band mu={band.eigenvalue} below Lichnerowicz-Obata "
-                    f"bound {obata}"))
+                    f"gradient band mu={mu} below Lichnerowicz-Obata bound {obata}"))
             elif vs_obata == 0:
                 issues.append(ValidationIssue(
                     band, "rigidity",
-                    f"gradient band mu={band.eigenvalue} saturates the Obata bound: "
-                    f"round sphere only"))
-        elif band.kind is BandKind.DIVERGENCE_FREE:
-            if _compare(mu, two_lam) < 0:
-                issues.append(ValidationIssue(
-                    band, "violation",
-                    f"divergence-free band mu={band.eigenvalue} below 2*lambda={two_lam}"))
+                    f"gradient band mu={mu} saturates the Obata bound: round sphere only"))
+        elif num * two_lam_den < two_lam_num * den:
+            issues.append(ValidationIssue(
+                band, "violation",
+                f"divergence-free band mu={mu} below 2*lambda={two_lam}"))
     return SpectrumValidation(issues=tuple(issues))

@@ -159,26 +159,33 @@ def _rational_field(raw, where: str) -> Fraction:
 
 
 def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
-    where = f"bands[{position}]"
+    # one pass per band: the position text is built only on a failure path
     if not isinstance(raw, dict):
-        raise ParseError(f"{where} must be an object, got {type(raw).__name__}")
-    for name in _BAND_FIELDS:
-        if name not in raw:
-            raise MissingField(f"{where} is missing required field {name!r}")
-    if strict:
-        unknown = set(raw).difference(_BAND_FIELDS)
-        if unknown:
-            raise ParseError(f"{where} has unknown fields {sorted(unknown)}")
-    eigenvalue = _rational_field(raw["eigenvalue"], f"{where}.eigenvalue")
-    kind_name = raw["kind"]
-    kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
-    if kind is None:
-        raise ParseError(
-            f"{where}.kind must be one of {sorted(_KIND_NAMES)}, got {kind_name!r}")
+        raise ParseError(f"bands[{position}] must be an object, got {type(raw).__name__}")
     try:
-        return SpectralBand(eigenvalue, raw["multiplicity"], kind)
+        raw_mu, multiplicity, kind_name = raw["eigenvalue"], raw["multiplicity"], raw["kind"]
+    except KeyError:
+        missing = next(name for name in _BAND_FIELDS if name not in raw)
+        raise MissingField(
+            f"bands[{position}] is missing required field {missing!r}") from None
+    if strict and len(raw) > len(_BAND_FIELDS):
+        unknown = set(raw).difference(_BAND_FIELDS)
+        raise ParseError(f"bands[{position}] has unknown fields {sorted(unknown)}")
+    if type(raw_mu) is str:
+        try:
+            eigenvalue = as_rational(raw_mu)
+        except DomainError as exc:
+            raise ParseError(f"bands[{position}].eigenvalue is {exc}") from exc
+    else:
+        eigenvalue = _rational_field(raw_mu, f"bands[{position}].eigenvalue")
+    kind = _KIND_NAMES.get(kind_name) if type(kind_name) is str else None
+    if kind is None:
+        raise ParseError(f"bands[{position}].kind must be one of {sorted(_KIND_NAMES)}, "
+                         f"got {kind_name!r}")
+    try:
+        return SpectralBand(eigenvalue, multiplicity, kind)
     except InvalidBand as exc:
-        raise InvalidBand(f"{where}.{exc}") from exc
+        raise InvalidBand(f"bands[{position}].{exc}") from exc
 
 
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:

@@ -370,9 +370,10 @@ def test_index_cost_counters(tmp_path, capsys, monkeypatch):
         assert code == 0, argv
         reports = json.loads(out)["reports"]
         assert len(validations) == 1, argv
-        contributing = sum(len(r["contributing_bands"]) for r in reports)
-        assert contributing > 0
-        assert len(jacobi) == contributing, argv
+        assert sum(len(r["contributing_bands"]) for r in reports) > 0
+        # index_reports takes each reported Jacobi eigenvalue from its integer
+        # sign product; test_root_counting_matches_brute_force checks the values
+        assert len(jacobi) == 0, argv
 
 
 def test_parser_built_once_and_reused(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,6 +58,13 @@ def test_band_invariants():
         SpectralBand(Fraction(2), True, GRAD)  # a bool is not a multiplicity
     with pytest.raises(DomainError):
         SpectralBand(True, 1, GRAD)  # nor an eigenvalue
+    with pytest.raises(InvalidBand, match="kind must be a BandKind, got 'gradient'"):
+        SpectralBand(Fraction(1), 1, "gradient")  # a kind name is not a kind
+    # band-likes are converted, so index_reports refuses the same kind
+    with pytest.raises(InvalidBand):
+        index_reports(S4, [SimpleNamespace(eigenvalue=Fraction(1), multiplicity=1,
+                                           kind="gradient")],
+                      [Functional.ENERGY], complete_up_to=10)
     assert band("7/2", 4).eigenvalue == Fraction(7, 2)
 
 

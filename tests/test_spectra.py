@@ -319,3 +319,49 @@ def test_rational_field_matches_fraction(text):
         got = _rational_field(text, "bands[0].eigenvalue")
         assert type(got) is Fraction
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+GOOD_BAND = {"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}
+# (bad band, strict, exception class, full message), the band at position 1500
+BAND_REFUSALS = {
+    "not-object": (["4", 5, "gradient"], False, ParseError,
+                   "bands[1500] must be an object, got list"),
+    "missing-eigenvalue": ({"multiplicity": 5, "kind": "gradient"}, False, MissingField,
+                           "bands[1500] is missing required field 'eigenvalue'"),
+    "missing-multiplicity": ({"eigenvalue": "4", "kind": "gradient"}, False, MissingField,
+                             "bands[1500] is missing required field 'multiplicity'"),
+    "missing-kind": ({"eigenvalue": "4", "multiplicity": 5}, False, MissingField,
+                     "bands[1500] is missing required field 'kind'"),
+    "unknown-strict": (dict(GOOD_BAND, note="extra", comment=1), True, ParseError,
+                       "bands[1500] has unknown fields ['comment', 'note']"),
+    "float-eigenvalue": (dict(GOOD_BAND, eigenvalue=4.0), False, ParseError,
+                         "bands[1500].eigenvalue must be an integer or a 'p/q' string, "
+                         "got 4.0"),
+    "zero-denominator": (dict(GOOD_BAND, eigenvalue="1/0"), False, ParseError,
+                         "bands[1500].eigenvalue is not a rational: '1/0' (Fraction(1, 0))"),
+    "not-a-number": (dict(GOOD_BAND, eigenvalue="x"), False, ParseError,
+                     "bands[1500].eigenvalue is not a rational: 'x' "
+                     "(Invalid literal for Fraction: 'x')"),
+    "negative": (dict(GOOD_BAND, eigenvalue="-1/2"), False, InvalidBand,
+                 "bands[1500].eigenvalue must be >= 0, got -1/2"),
+    "bad-kind": (dict(GOOD_BAND, kind="harmonic"), False, ParseError,
+                 "bands[1500].kind must be one of ['divergence_free', 'gradient'], "
+                 "got 'harmonic'"),
+    "multiplicity-0": (dict(GOOD_BAND, multiplicity=0), False, InvalidBand,
+                       "bands[1500].multiplicity must be a positive integer, got 0"),
+    "multiplicity-true": (dict(GOOD_BAND, multiplicity=True), False, InvalidBand,
+                          "bands[1500].multiplicity must be a positive integer, got True"),
+    "multiplicity-str": (dict(GOOD_BAND, multiplicity="3"), False, InvalidBand,
+                         "bands[1500].multiplicity must be a positive integer, got '3'"),
+}
+
+
+@pytest.mark.parametrize("case", BAND_REFUSALS)
+def test_band_refusal_messages(tmp_path, case):
+    bad, strict, error, message = BAND_REFUSALS[case]
+    path = write_spectrum(tmp_path, {"name": "x", "dimension": 4, "einstein_constant": "3",
+                                     "bands": [GOOD_BAND] * 1500 + [bad]})
+    with pytest.raises(error) as info:
+        load_spectrum(path, strict=strict)
+    assert type(info.value) is error
+    assert str(info.value) == message
