@@ -77,7 +77,10 @@ class Functional(Enum):
 
 @dataclass(frozen=True)
 class EinsteinSpace:
-    """Compact Einstein manifold: dimension m and Einstein constant lambda >= 0."""
+    """Compact Einstein manifold: dimension m and Einstein constant lambda >= 0.
+
+    In dimension 1 (the circle) lambda must be 0.
+    """
 
     dimension: int
     einstein_constant: Fraction
@@ -86,9 +89,13 @@ class EinsteinSpace:
     def __post_init__(self):
         if type(self.dimension) is not int or self.dimension < 1:
             raise DomainError(f"dimension must be a positive integer, got {self.dimension!r}")
-        object.__setattr__(self, "einstein_constant", as_rational(self.einstein_constant))
-        if self.einstein_constant < 0:
-            raise DomainError(f"Einstein constant must be >= 0, got {self.einstein_constant}")
+        lam = as_rational(self.einstein_constant)
+        object.__setattr__(self, "einstein_constant", lam)
+        # Ric vanishes identically in dimension 1
+        if self.dimension == 1 and lam != 0:
+            raise DomainError(f"the circle is flat; its Einstein constant must be 0, got {lam}")
+        if lam < 0:
+            raise DomainError(f"Einstein constant must be >= 0, got {lam}")
 
     @property
     def scalar_curvature(self) -> Fraction:
@@ -133,28 +140,42 @@ def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> F
     mu = as_rational(mu)
     if mu < 0:
         raise DomainError(f"Hodge eigenvalue must be >= 0, got {mu}")
+    return math.prod(mu - Fraction(num, den) for num, den in _roots(kind, space))
+
+
+def _roots(kind: Functional, space: EinsteinSpace) -> tuple[tuple[int, int], ...]:
+    """The roots of kind's Jacobi eigenvalue as a monic polynomial in mu.
+
+    Each root is a reduced (numerator, denominator) pair with denominator > 0.
+    """
     lam = space.einstein_constant
-    j = mu - 2 * lam
-    if kind is Functional.ENERGY:
-        return j
-    if kind is Functional.BIENERGY:
-        return j * j
-    return j * (mu - Fraction(2, 3) * (6 - space.dimension) * lam)
-
-
-def _roots(kind: Functional, space: EinsteinSpace) -> tuple[Fraction, ...]:
-    """The roots of kind's Jacobi eigenvalue as a monic polynomial in mu."""
-    two_lam = 2 * space.einstein_constant
+    two_lam = _reduced(2 * lam.numerator, lam.denominator)
     if kind is Functional.ENERGY:
         return (two_lam,)
     if kind is Functional.BIENERGY:
         return (two_lam, two_lam)
-    return (two_lam, Fraction(2, 3) * (6 - space.dimension) * space.einstein_constant)
+    # c = (2/3)(6 - m)*lambda
+    return (two_lam, _reduced(2 * (6 - space.dimension) * lam.numerator, 3 * lam.denominator))
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
+def _largest(pairs) -> tuple[int, int]:
+    """The largest of reduced (numerator, denominator) pairs, by cross-multiplication."""
+    best_num, best_den = pairs[0]
+    for num, den in pairs[1:]:
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
 
 
 def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
     """Least mu* with Jacobi eigenvalue > 0 for every mu > mu*."""
-    return max(_roots(kind, space))
+    return Fraction(*_largest(_roots(kind, space)))
 
 
 _KIND_ORDER = {BandKind.GRADIENT: 0, BandKind.DIVERGENCE_FREE: 1}
@@ -166,14 +187,17 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     """Exact index and nullity of each functional in `kinds`, in that order.
 
     Each Jacobi eigenvalue is a monic polynomial in mu with the roots that
-    _roots lists.  On a band mu = num/den it is value / (den**k * prod(rd)),
-    with value = prod(num*rd - rn*den) over the k roots rn/rd, so the sign
-    of the integer value is the band's sign.  Repeated (eigenvalue, kind)
-    rows are merged once, bands past the largest contribution cutoff are
-    dropped before merging (every selected Jacobi eigenvalue is positive
-    there), and a Fraction and a SpectralBand are built only for the bands a
-    report lists.  A band that is not a SpectralBand is converted, and so
-    checked, first.
+    _roots lists as reduced integer pairs.  On a band mu = num/den it is
+    value / (den**k * prod(rd)), with value = prod(num*rd - rn*den) over the
+    k roots rn/rd, so the sign of the integer value is the band's sign.  The
+    cutoffs, the cut of bands past the largest one (every selected Jacobi
+    eigenvalue is positive there) and the completeness check are integer
+    cross-multiplications too.  Repeated (eigenvalue, kind) rows are merged
+    once; each merged row carries one SpectralBand, shared by every report
+    that lists it: the input band if the row merged nothing, else one band
+    with the summed multiplicity, built only if a report lists the row.  A
+    Fraction is built only for each reported Jacobi eigenvalue.  A band that
+    is not a SpectralBand is converted, and so checked, first.
 
     `complete_up_to` declares that `bands` lists every eigenvalue up to that
     bound.  If the declared bound does not reach a functional's contribution
@@ -184,13 +208,12 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     """
     kinds = list(kinds)
     roots = [_roots(kind, space) for kind in kinds]
-    cutoffs = [max(kind_roots) for kind_roots in roots]
+    cutoffs = [_largest(kind_roots) for kind_roots in roots]
     # with no kinds every band is past the top and only checked
-    top = max(cutoffs, default=Fraction(-1))
-    top_num, top_den = top.numerator, top.denominator
-    # (numerator, denominator, kind) -> [eigenvalue, multiplicity, kind,
-    # numerator, denominator]; the reduced integer pair identifies the
-    # Fraction and hashes much faster
+    top_num, top_den = _largest(cutoffs) if cutoffs else (-1, 1)
+    # (numerator, denominator, kind) -> [band, summed multiplicity, numerator,
+    # denominator]; the reduced integer pair identifies the eigenvalue and
+    # hashes much faster than the Fraction
     merged: dict[tuple[int, int, BandKind], list] = {}
     for band in bands:
         if type(band) is not SpectralBand:
@@ -202,7 +225,7 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
         key = (num, den, band.kind)
         row = merged.get(key)
         if row is None:
-            merged[key] = [mu, band.multiplicity, band.kind, num, den]
+            merged[key] = [band, band.multiplicity, num, den]
         else:
             row[1] += band.multiplicity
     if complete_up_to is None:
@@ -212,28 +235,29 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                 SpectrumCompletenessWarning, stacklevel=2)
     else:
         declared = as_rational(complete_up_to)
-        for cutoff in cutoffs:
-            if declared < cutoff:
+        declared_num, declared_den = declared.numerator, declared.denominator
+        for cut_num, cut_den in cutoffs:
+            if declared_num * cut_den < cut_num * declared_den:
                 raise IncompleteSpectrum(
                     f"bands declared complete up to {complete_up_to} but contributions "
-                    f"extend to {cutoff}")
+                    f"extend to {Fraction(cut_num, cut_den)}")
 
     # by eigenvalue, gradient first at ties: two stable sorts compare each
     # Fraction once instead of an (eigenvalue, kind) tuple's == and <
     rows = list(merged.values())
-    rows.sort(key=lambda row: _KIND_ORDER[row[2]])
-    rows.sort(key=lambda row: row[0])
+    rows.sort(key=lambda row: _KIND_ORDER[row[0].kind])
+    rows.sort(key=lambda row: row[0].eigenvalue)
     reports = []
     for kind, kind_roots in zip(kinds, roots):
-        pairs = [(root.numerator, root.denominator) for root in kind_roots]
-        degree = len(pairs)
-        root_scale = math.prod(rd for _, rd in pairs)
+        degree = len(kind_roots)
+        root_scale = math.prod(rd for _, rd in kind_roots)
         index = 0
         nullity = 0
         contributing = []
-        for mu, mult, band_kind, num, den in rows:
+        for row in rows:
+            band, mult, num, den = row
             value = 1
-            for rn, rd in pairs:
+            for rn, rd in kind_roots:
                 value *= num * rd - rn * den
             if value > 0:
                 continue
@@ -241,8 +265,10 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                 index += mult
             else:
                 nullity += mult
-            contributing.append((SpectralBand(mu, mult, band_kind),
-                                 Fraction(value, den ** degree * root_scale)))
+            if mult != band.multiplicity:
+                # a merged row's one band, which later reports share
+                band = row[0] = SpectralBand(band.eigenvalue, mult, band.kind)
+            contributing.append((band, Fraction(value, den ** degree * root_scale)))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
                                    contributing_bands=tuple(contributing)))
     return reports
@@ -287,7 +313,7 @@ def validate_spectrum(space: EinsteinSpace,
     """
     lam = space.einstein_constant
     m = space.dimension
-    obata = Fraction(m, m - 1) * lam if m > 1 and lam else None
+    obata = Fraction(m, m - 1) * lam if lam else None  # lam = 0 when m = 1
     two_lam = 2 * lam
     # each bound as an integer pair, so a band is compared by cross-multiplication
     if obata is not None:

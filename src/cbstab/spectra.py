@@ -121,8 +121,6 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
     if type(m) is not int or m < 1:
         raise DomainError(f"need integer m >= 1, got {m!r}")
     lam = Fraction(m - 1) if lam is None else as_rational(lam)
-    if m == 1 and lam != 0:
-        raise DomainError(f"the circle is flat; its Einstein constant must be 0, got {lam}")
     if m > 1 and lam <= 0:
         raise DomainError(f"Einstein constant must be positive for m >= 2, got {lam}")
     space = EinsteinSpace(dimension=m, einstein_constant=lam,

@@ -121,21 +121,38 @@ def _scaling_invariance_check() -> CheckResult:
                   "0 mismatches", f"{failures} mismatches", "exact", failures == 0)
 
 
+def _family_once():
+    """evaluate_family for one suite run, evaluating each distinct (m, t) once.
+
+    The values live only as long as the returned function, so no suite run
+    reuses another's.
+    """
+    values = {}
+
+    def evaluate(m: int, t: float):
+        if (m, t) not in values:
+            values[m, t] = evaluate_family(m, t)
+        return values[m, t]
+
+    return evaluate
+
+
 def suite_constancy() -> list[CheckResult]:
     """Constancy of the m=4 c-bienergy curve plus closed-form spot values."""
     out = []
+    evaluate = _family_once()
     target = 32.0 * math.pi ** 2 / 3.0
     worst = 0.0
     for k in range(-10, 11):
         t = 10.0 ** (k / 10.0)
-        ev = evaluate_family(4, t)
+        ev = evaluate(4, t)
         worst = max(worst, abs(ev.c_bienergy - target) / target)
     out.append(_check("constancy", "E2c(phi_t) on S^4 over 21 log-spaced t in [0.1, 10]",
                       f"32*pi^2/3 = {target:.12g}", f"worst rel dev {worst:.3e}",
                       f"rel {CONSTANCY_REL_TOL:g}", worst <= CONSTANCY_REL_TOL))
 
     for m in range(4, 9):
-        ev = evaluate_family(m, 1.0)
+        ev = evaluate(m, 1.0)
         omega_m = sphere_volume(m)
         want_e2c = m * (m - 1) * (m - 3) / 3.0 * omega_m
         want_e = 0.5 * m * omega_m
@@ -207,10 +224,11 @@ def suite_bounds() -> list[CheckResult]:
 def suite_symmetry() -> list[CheckResult]:
     """t <-> 1/t symmetry and positivity."""
     out = []
+    evaluate = _family_once()
     for m in (4, 5, 6):
         for t in (0.2, 0.5, 2.0, 5.0):
-            a = evaluate_family(m, t)
-            b = evaluate_family(m, 1.0 / t)
+            a = evaluate(m, t)
+            b = evaluate(m, 1.0 / t)
             gaps = []
             for va, vb in ((a.energy, b.energy), (a.bienergy, b.bienergy),
                            (a.c_bienergy, b.c_bienergy)):
@@ -222,7 +240,7 @@ def suite_symmetry() -> list[CheckResult]:
 
     for m in (4, 5, 6, 7, 8):
         for t in (0.05, 0.37, 0.5, 1.0, 3.0, 20.0):
-            ev = evaluate_family(m, t)
+            ev = evaluate(m, t)
             out.append(_check("symmetry", f"positivity m={m} t={t}", "> 0",
                               f"{ev.c_bienergy:.6e}", "strict", ev.c_bienergy > 0.0))
     return out

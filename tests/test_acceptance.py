@@ -70,3 +70,24 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
     monkeypatch.setitem(SUITES, "tables", lambda: pytest.fail("a suite ran"))
     with pytest.raises(DomainError, match="unknown suite 'nonsense'"):
         run_suites(names)
+
+
+# symmetry pairs each t with 1/t and revisits t = 0.5 for positivity;
+# constancy's log-spaced curve passes t = 1 on S^4, a spot value too
+@pytest.mark.parametrize("suite, calls", [("symmetry", 39), ("constancy", 25)])
+def test_suite_evaluates_each_point_once(monkeypatch, suite, calls):
+    import cbstab.verify
+
+    points = []
+    original = cbstab.verify.evaluate_family
+
+    def counted(m, t):
+        points.append((m, t))
+        return original(m, t)
+
+    monkeypatch.setattr(cbstab.verify, "evaluate_family", counted)
+    run_suites([suite])
+    assert len(points) == len(set(points)) == calls
+    # no value outlives the run: a second run evaluates every point again
+    run_suites([suite])
+    assert len(points) == 2 * calls

@@ -214,6 +214,19 @@ def test_malformed_band_exits_66_with_position(tmp_path, capsys):
         assert where in err
 
 
+def test_curved_circle_file_exits_66(tmp_path, capsys):
+    # Ric vanishes in dimension 1, so lambda = 3 is no Einstein space there
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({
+        "name": "x", "dimension": 1, "einstein_constant": "3", "complete_up_to": "6",
+        "bands": [{"eigenvalue": "1", "multiplicity": 2, "kind": "gradient"}],
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "index", "--spectrum-file", str(path), "--strict")
+    assert code == 66
+    assert out == ""
+    assert "the circle is flat; its Einstein constant must be 0, got 3" in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("dimension", True), ("dimension", 0), ("dimension", "4"),
     ("einstein_constant", "-1"), ("einstein_constant", "1/0"),

@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from cbstab.core import (
+    _roots,
     BandKind,
     EinsteinSpace,
     Functional,
@@ -47,6 +49,9 @@ def test_space_invariants():
         EinsteinSpace(True, 0)  # a bool is not a dimension
     with pytest.raises(DomainError):
         EinsteinSpace(4, True)  # nor an Einstein constant
+    assert EinsteinSpace(1, 0).einstein_constant == 0
+    with pytest.raises(DomainError, match="the circle is flat"):
+        EinsteinSpace(1, Fraction(3))  # Ric vanishes in dimension 1
 
 
 def test_band_invariants():
@@ -94,6 +99,8 @@ def test_jacobi_factor_identity():
         m = rng.randint(1, 12)
         lam = Fraction(rng.randint(0, 30), rng.randint(1, 9))
         mu = Fraction(rng.randint(0, 40), rng.randint(1, 9))
+        if m == 1:
+            lam = Fraction(0)  # the circle is flat
         space = EinsteinSpace(m, lam)
         expected = (jacobi_eigenvalue(Functional.ENERGY, space, mu)
                     * (mu - Fraction(2, 3) * (6 - m) * lam))
@@ -106,6 +113,8 @@ def test_bienergy_is_square_of_energy():
         m = rng.randint(1, 10)
         lam = Fraction(rng.randint(0, 20), rng.randint(1, 7))
         mu = Fraction(rng.randint(0, 30), rng.randint(1, 7))
+        if m == 1:
+            lam = Fraction(0)  # the circle is flat
         space = EinsteinSpace(m, lam)
         j = jacobi_eigenvalue(Functional.ENERGY, space, mu)
         assert jacobi_eigenvalue(Functional.BIENERGY, space, mu) == j * j
@@ -175,6 +184,26 @@ def test_contributing_bands_sorted_gradient_first_at_ties():
     assert all(j <= 0 for _, j in report2.contributing_bands)
 
 
+def test_roots_are_reduced_pairs_of_the_formula():
+    for m in range(1, 13):
+        for lam in ([Fraction(0)] if m == 1 else  # the circle is flat
+                    [Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(7)]):
+            space = EinsteinSpace(m, lam)
+            formula = {Functional.ENERGY: [2 * lam],
+                       Functional.BIENERGY: [2 * lam, 2 * lam],
+                       Functional.CONFORMAL_BIENERGY: [2 * lam, Fraction(2, 3) * (6 - m) * lam]}
+            for kind, want in formula.items():
+                pairs = _roots(kind, space)
+                assert all(type(num) is int and type(den) is int for num, den in pairs)
+                assert [(root.numerator, root.denominator) for root in want] == list(pairs)
+                assert contribution_cutoff(space, kind) == max(want)
+    # the second root c = (2/3)(6 - m)*lambda is zero at m = 6 and negative past it
+    c_bienergy = Functional.CONFORMAL_BIENERGY
+    assert _roots(c_bienergy, EinsteinSpace(6, 7)) == ((14, 1), (0, 1))
+    assert _roots(c_bienergy, EinsteinSpace(7, Fraction(1, 3))) == ((2, 3), (-2, 9))
+    assert _roots(c_bienergy, EinsteinSpace(12, Fraction(5, 2))) == ((5, 1), (-10, 1))
+
+
 def test_incomplete_spectrum_raises():
     with pytest.raises(IncompleteSpectrum):
         index_reports(S4, S4_BANDS, [Functional.ENERGY], complete_up_to=4)
@@ -185,6 +214,59 @@ def test_incomplete_spectrum_raises():
     assert (reports[0].index, reports[0].nullity) == (0, 3)
     with pytest.raises(IncompleteSpectrum, match="extend to 8/3"):
         index_reports(s2, [band(2, 3, GRAD)], list(Functional), complete_up_to=2)
+    with pytest.raises(IncompleteSpectrum) as info:
+        index_reports(S4, S4_BANDS, list(Functional), complete_up_to="11/2")
+    assert str(info.value) == "bands declared complete up to 11/2 but contributions extend to 6"
+
+
+def count_constructions(call):
+    """Fractions and SpectralBands built while call() runs, counted by the
+    profiler hook (not by timing), and call()'s result."""
+    fraction_code = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic since 3.12
+        fraction_code.add(Fraction._from_coprime_ints.__func__.__code__)
+    band_code = SpectralBand.__post_init__.__code__  # runs once per band built
+    counts = {"Fraction": 0, "SpectralBand": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code in fraction_code:
+                counts["Fraction"] += 1
+            elif frame.f_code is band_code:
+                counts["SpectralBand"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return counts, result
+
+
+@pytest.mark.parametrize("m", [4, 5, 7, 10])
+def test_index_reports_builds_a_fraction_per_reported_row_only(m):
+    sphere = builtin_spectrum(m)
+    counts, reports = count_constructions(lambda: index_reports(
+        sphere.space, sphere.bands, Functional, complete_up_to=sphere.complete_up_to))
+    listed = [b for report in reports for b, _ in report.contributing_bands]
+    assert len(listed) == 5  # one Fraction per reported row, and no other
+    assert counts == {"Fraction": 5, "SpectralBand": 0}
+    # no band merged: each report lists the input band itself
+    assert all(any(b is given for given in sphere.bands) for b in listed)
+
+
+def test_merged_row_has_one_shared_band():
+    s4_bands = [band(4, 5, GRAD), band(6, 4, DIVFREE), band(6, 6, DIVFREE), band(9, 1, GRAD)]
+    bound = Fraction(9)  # an int would be converted to a Fraction inside
+    counts, reports = count_constructions(
+        lambda: index_reports(S4, s4_bands, Functional, complete_up_to=bound))
+    assert counts == {"Fraction": 5, "SpectralBand": 1}
+    energy, bienergy, c_bienergy = ([b for b, _ in r.contributing_bands] for r in reports)
+    assert energy[0] is c_bienergy[0] is s4_bands[0]  # not merged: the input band
+    merged = energy[1]
+    assert (merged.eigenvalue, merged.multiplicity, merged.kind) == (6, 10, DIVFREE)
+    assert merged is bienergy[0] is c_bienergy[1]  # one band, in every report
 
 
 def test_undeclared_completeness_warns():
@@ -300,6 +382,8 @@ def random_spectrum(rng, m):
     """Bands around the Jacobi roots 2*lambda and c, the Obata bound and 0,
     with exact hits on each and repeated (eigenvalue, kind) rows."""
     lam = Fraction(0) if rng.random() < 0.15 else Fraction(rng.randint(1, 40), rng.randint(1, 6))
+    if m == 1:
+        lam = Fraction(0)  # the circle is flat; drawn anyway, so later trials keep their data
     space = EinsteinSpace(m, lam)
     roots = [2 * lam, Fraction(2, 3) * (6 - m) * lam, Fraction(0)]
     if m > 1:
