@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
     QuadratureFailure,
     SpectrumCompletenessWarning,
-    StepTooSmall,
 )
 from .family import (
     EpsilonCertificate,
@@ -51,11 +50,7 @@ from .spectra import (
     load_spectrum,
     spectrum_document,
 )
-from .variation import (
-    SecondVariationReport,
-    fd_second_derivative,
-    spectral_prediction,
-)
+from .variation import spectral_prediction
 
 __version__ = "0.1.0"
 
@@ -78,18 +73,15 @@ __all__ = [
     "ParseError",
     "QuadratureConfig",
     "QuadratureFailure",
-    "SecondVariationReport",
     "SpectralBand",
     "SpectrumCompletenessWarning",
     "SpectrumValidation",
-    "StepTooSmall",
     "ValidationIssue",
     "builtin_spectrum",
     "c_constant",
     "contribution_cutoff",
     "epsilon_schedule",
     "evaluate_family",
-    "fd_second_derivative",
     "index_reports",
     "jacobi_eigenvalue",
     "load_spectrum",

@@ -10,7 +10,7 @@ class DomainError(CbstabError, ValueError):
 
 
 class QuadratureFailure(CbstabError, RuntimeError):
-    """Panel doubling exhausted without meeting the error tolerance."""
+    """The trapezoid ladder halved its step max_doublings times without meeting its tolerance."""
 
 
 class NonFiniteSample(CbstabError, ArithmeticError):
@@ -39,10 +39,6 @@ class ParseError(CbstabError, ValueError):
 
 class MissingField(ParseError):
     """A required field is absent from a spectrum file."""
-
-
-class StepTooSmall(CbstabError, ArithmeticError):
-    """Quadrature noise dominates a finite-difference step; results unreliable."""
 
 
 class SpectrumCompletenessWarning(UserWarning):

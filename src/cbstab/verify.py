@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from .core import EinsteinSpace, Functional, SpectralBand, index_reports
 from .errors import DomainError
-from .family import c_constant, epsilon_schedule, evaluate_family, upper_bound
+from .family import M_MAX, c_constant, epsilon_schedule, evaluate_family, upper_bound
 from .quadrature import sphere_volume
 from .spectra import builtin_spectrum
-from .variation import fd_second_derivative
+from .variation import _factor, _family_side, spectral_prediction
 
 CONSTANCY_REL_TOL = 1e-8
 SPOT_REL_TOL = 1e-8
@@ -32,6 +32,9 @@ SPOT_ABS_TOL = 1e-10
 SYMMETRY_REL_TOL = 1e-9
 HESSIAN_REL_TOL = 1e-3
 HESSIAN_ABS_TOL_AT_ZERO = 1e-4
+# the numerical check's central second difference in s = log t
+HESSIAN_STEP = 0.01
+HESSIAN_DIMENSIONS = (4, 5, 6, 7)
 SCALING_SAMPLES = 50
 SCALING_SEED = 20250808
 
@@ -171,19 +174,37 @@ def suite_constancy() -> list[CheckResult]:
 
 
 def suite_hessian() -> list[CheckResult]:
-    """Finite differences against the spectral Hessian value at t = 1."""
-    out = []
-    report = fd_second_derivative(4)
-    out.append(_check("hessian", "m=4 second derivative vanishes", "0",
-                      f"{report.fd_value:.3e}", f"abs {HESSIAN_ABS_TOL_AT_ZERO:g}",
-                      abs(report.fd_value) <= HESSIAN_ABS_TOL_AT_ZERO
-                      and report.prediction == 0.0))
-    for m in (5, 6, 7):
-        report = fd_second_derivative(m)
-        ok = report.relative_gap <= HESSIAN_REL_TOL and report.prediction < 0.0
-        out.append(_check("hessian", f"m={m} fd matches prediction",
-                          f"{report.prediction:.10g}", f"{report.fd_value:.10g}",
-                          f"rel {HESSIAN_REL_TOL:g}", ok))
+    """E2c''(t=1) from the family's integrals against the Jacobi eigenvalue, then numerically."""
+    factors = {m: _factor(m) for m in range(2, M_MAX + 1)}
+    sides = [(m, _family_side(m), f * Fraction(m, m + 1)) for m, f in factors.items()]
+    differ = [side for side in sides if side[1] != side[2]]
+    out = [_check("hessian", f"E2c''(1) family side = Jacobi side, m=2..{M_MAX}",
+                  f"0 of {len(factors)} differ",
+                  f"{len(differ)} of {len(factors)} differ"
+                  + (", first m={}: {} vs {}".format(*differ[0]) if differ else ""),
+                  "exact", not differ)]
+    zero = [m for m, f in factors.items() if f == 0]
+    positive = [m for m, f in factors.items() if f > 0]
+    out.append(_check("hessian", f"sign of the Jacobi factor, m=2..{M_MAX}",
+                      f"zero at m=[2, 4], positive at m=[3], negative at the other {M_MAX - 4}",
+                      f"zero at m={zero}, positive at m={positive}, negative at the other "
+                      f"{len(factors) - len(zero) - len(positive)}",
+                      "exact", zero == [2, 4] and positive == [3]))
+    h = HESSIAN_STEP
+    for m in HESSIAN_DIMENSIONS:
+        center = evaluate_family(m, 1.0).c_bienergy
+        plus = evaluate_family(m, math.exp(h)).c_bienergy
+        minus = evaluate_family(m, math.exp(-h)).c_bienergy
+        quotient = (plus - 2.0 * center + minus) / (h * h)
+        prediction = spectral_prediction(m)
+        if prediction == 0.0:
+            tolerance = f"abs {HESSIAN_ABS_TOL_AT_ZERO:g}"
+            ok = abs(quotient) <= HESSIAN_ABS_TOL_AT_ZERO
+        else:
+            tolerance = f"rel {HESSIAN_REL_TOL:g}"
+            ok = abs(quotient - prediction) <= HESSIAN_REL_TOL * abs(prediction)
+        out.append(_check("hessian", f"m={m} second difference in log t, step {h:g}",
+                          f"{prediction:.10g}", f"{quotient:.10g}", tolerance, ok))
     return out
 
 

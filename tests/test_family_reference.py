@@ -31,6 +31,7 @@ import pytest
 
 from cbstab.family import evaluate_family
 from cbstab.quadrature import DEFAULT_CONFIG
+from cbstab.verify import HESSIAN_DIMENSIONS, HESSIAN_STEP
 
 DIGITS = 40  # significant digits on which two successive precisions must agree
 COMPONENTS = (("energy", "energy_error"), ("bienergy", "bienergy_error"),
@@ -47,7 +48,11 @@ MODERATE = sorted({(m, t) for m in (3, 4, 5, 6) for t in (0.3, 1.0, 2.5)}
                   | {(m, t) for m in (4, 5, 6, 7) for t in (0.05, 0.5, 1.0, 3.0, 20.0)})
 NEAR_ONE = [(m, t) for m in (2, 4, 7, 12) for t in (1 - 2.0 ** -30, 1 + 2.0 ** -30, 1 + 2.0 ** -52)]
 HIGH_DIMENSIONS = [(m, 10.0 ** k) for m in (16, 24, 50) for k in (-8, -4, 0, 4, 8)]
-POINTS = list(dict.fromkeys(GRID + PROBES + MODERATE + NEAR_ONE + HIGH_DIMENSIONS))
+# the points the hessian suite of verify differences (t = 1 is in MODERATE)
+SECOND_DIFFERENCE = [(m, math.exp(s)) for m in HESSIAN_DIMENSIONS
+                     for s in (-HESSIAN_STEP, HESSIAN_STEP)]
+POINTS = list(dict.fromkeys(GRID + PROBES + MODERATE + NEAR_ONE + HIGH_DIMENSIONS
+                            + SECOND_DIFFERENCE))
 
 
 # ---- the oracle: exact terms {(power of pi, power of log t): rational} ----
@@ -185,7 +190,8 @@ def test_reference_covers_the_domain():
     ts = [t for _, t in POINTS]
     assert dims == set(range(2, 13)) | {16, 24, 50}
     assert min(ts) == 1e-8 and max(ts) == 1e8
-    assert set(PROBES) | set(MODERATE) | set(NEAR_ONE) <= set(POINTS)
+    assert set(PROBES) | set(MODERATE) | set(NEAR_ONE) | set(SECOND_DIFFERENCE) <= set(POINTS)
+    assert {(m, 1.0) for m in HESSIAN_DIMENSIONS} <= set(POINTS)
 
 
 def _point_ids(points):

@@ -3,13 +3,17 @@ import math
 
 import pytest
 
-import cbstab.variation
-from cbstab.errors import DomainError, StepTooSmall
-from cbstab.family import evaluate_family
+import cbstab.core
+import cbstab.verify
+from cbstab.core import Functional
+from cbstab.errors import DomainError
+from cbstab.family import M_MAX, evaluate_family
 from cbstab.quadrature import sphere_volume
-from cbstab.variation import fd_second_derivative, spectral_prediction
+from cbstab.variation import _factor, _family_side, spectral_prediction
+from cbstab.verify import HESSIAN_STEP, run_suites
 
 PI = math.pi
+IDENTITY = f"E2c''(1) family side = Jacobi side, m=2..{M_MAX}"
 
 
 def test_prediction_exact_zero_at_m4():
@@ -32,9 +36,13 @@ def test_prediction_matches_factor_times_field_norm():
 
 
 def test_prediction_signs():
-    for m in range(5, 11):
-        assert spectral_prediction(m) < 0.0
+    assert spectral_prediction(2) == spectral_prediction(4) == 0.0
     assert spectral_prediction(3) > 0.0  # J_2^c = J^2 at m = 3
+    for m in range(5, M_MAX + 1):
+        assert spectral_prediction(m) < 0.0
+
+
+def test_prediction_domain_is_the_family_domain():
     # past the family's M_MAX: underflow reads -0.0 near m = 380, and
     # math.pi ** k overflows at m = 2000
     for m in (1, 51, 380, 2000):
@@ -42,55 +50,71 @@ def test_prediction_signs():
             spectral_prediction(m)
 
 
+def _sech_power_integral(n):
+    # B(n) = integral over the real line of sech^n = 2^{n-1} Gamma(n/2)^2 / Gamma(n)
+    return 2.0 ** (n - 1) * math.gamma(n / 2) ** 2 / math.gamma(n)
+
+
+def test_family_side_from_the_sech_integrals():
+    # the second s-derivatives of the family's integrals, before Wallis
+    for m in range(2, 13):
+        omega = sphere_volume(m - 1)
+        b_m, b_m2 = _sech_power_integral(m), _sech_power_integral(m + 2)
+        energy = m / 2 * omega * (4 * b_m - 6 * b_m2)
+        bienergy = (m - 2) ** 2 * omega * b_m2
+        want = bienergy + 2 * (m - 1) * (m - 3) / 3 * energy
+        got = float(_family_side(m)) * sphere_volume(m)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-10), m
+
+
+def _second_difference(m):
+    h = HESSIAN_STEP
+    plus, center, minus = (evaluate_family(m, math.exp(s)).c_bienergy for s in (h, 0.0, -h))
+    return (plus - 2.0 * center + minus) / (h * h)
+
+
 def test_fd_matches_prediction():
     for m in (5, 6):
-        report = fd_second_derivative(m)
-        assert report.relative_gap <= 1e-3
-        assert report.prediction < 0.0
-        assert report.prediction == spectral_prediction(m)
-
-
-def test_fd_domain_is_the_family_domain():
-    with pytest.raises(DomainError):
-        fd_second_derivative(2000)
+        prediction = spectral_prediction(m)
+        assert abs(_second_difference(m) - prediction) <= 1e-3 * abs(prediction)
+        assert prediction < 0.0
 
 
 def test_fd_zero_at_m4():
-    report = fd_second_derivative(4)
-    assert abs(report.fd_value) <= 1e-4
-    assert report.prediction == 0.0
+    assert abs(_second_difference(4)) <= 1e-4
 
 
-def test_fd_step_table_converges_monotonically():
-    for m in (5, 6):
-        report = fd_second_derivative(m)
-        deviations = [abs(v - report.prediction) for _, v in report.fd_step_table]
-        assert all(b < a for a, b in zip(deviations, deviations[1:]))
+def test_wrong_c_bienergy_root_fails_the_identity(monkeypatch):
+    roots = cbstab.core._roots
+
+    def wrong(kind, space):
+        # (2/3)(5 - m) lambda in place of (2/3)(6 - m) lambda
+        if kind is not Functional.CONFORMAL_BIENERGY:
+            return roots(kind, space)
+        lam = space.einstein_constant
+        return roots(kind, space)[:1] + (
+            cbstab.core._reduced(2 * (5 - space.dimension) * lam.numerator, 3 * lam.denominator),)
+
+    monkeypatch.setattr(cbstab.core, "_roots", wrong)
+    results = {r.name: r for r in run_suites(["hessian"])}
+    # the factor keeps only its zero at m = 2, where mu = 2 lambda
+    assert not results[IDENTITY].passed
+    assert results[IDENTITY].got.startswith(f"{M_MAX - 2} of {M_MAX - 1} differ, first m=3")
 
 
-def test_fd_richardson_beats_raw_steps():
-    report = fd_second_derivative(5)
-    best_raw = min(abs(v - report.prediction) for _, v in report.fd_step_table)
-    assert abs(report.fd_value - report.prediction) < best_raw
-
-
-def test_step_too_small_detected(monkeypatch):
-    def inflated(m, t):
-        return dataclasses.replace(evaluate_family(m, t), c_bienergy_error=1.0)
-
-    monkeypatch.setattr(cbstab.variation, "evaluate_family", inflated)
-    with pytest.raises(StepTooSmall, match="exceeds the second difference"):
-        fd_second_derivative(5)
-
-
-def test_step_too_small_when_deviation_grows(monkeypatch):
-    # an unreported error at t = 1 + h enters the quotient as offset/h^2
+def test_offset_at_t_above_1_fails_the_numerical_check(monkeypatch):
+    # an unreported error at t = e^h enters the quotient as offset/h^2; it
+    # fails the check with the number shown, and raises nothing
     def offset(m, t):
         ev = evaluate_family(m, t)
         if t > 1.0:
-            ev = dataclasses.replace(ev, c_bienergy=ev.c_bienergy + 1e-5)
+            ev = dataclasses.replace(ev, c_bienergy=ev.c_bienergy + 1e-3)
         return ev
 
-    monkeypatch.setattr(cbstab.variation, "evaluate_family", offset)
-    with pytest.raises(StepTooSmall, match="deviation grew"):
-        fd_second_derivative(5)
+    monkeypatch.setattr(cbstab.verify, "evaluate_family", offset)
+    results = run_suites(["hessian"])
+    numerical = [r for r in results if "second difference" in r.name]
+    assert len(numerical) == 4 and not any(r.passed for r in numerical)
+    assert all(r.passed for r in results if r not in numerical)
+    m5 = next(r for r in numerical if r.name.startswith("m=5 "))
+    assert abs(float(m5.got) - float(m5.expected)) == pytest.approx(10.0, rel=1e-3)
