@@ -37,6 +37,7 @@ from .family import (
     c_constant,
     epsilon_schedule,
     evaluate_family,
+    spectral_prediction,
     upper_bound,
 )
 from .quadrature import (
@@ -50,7 +51,6 @@ from .spectra import (
     load_spectrum,
     spectrum_document,
 )
-from .variation import spectral_prediction
 
 __version__ = "0.1.0"
 

@@ -36,9 +36,10 @@ from .spectra import (
 from .verify import SUITES, run_suites
 
 _FUNCTIONALS = {
-    "e": Functional.ENERGY,
-    "e2": Functional.BIENERGY,
-    "e2c": Functional.CONFORMAL_BIENERGY,
+    "e": (Functional.ENERGY,),
+    "e2": (Functional.BIENERGY,),
+    "e2c": (Functional.CONFORMAL_BIENERGY,),
+    "all": tuple(Functional),
 }
 
 
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--lambda", dest="einstein_constant", type=_rational,
                          help="Einstein constant as 'p/q' (default: unit sphere m-1)")
     p_index.add_argument("--spectrum-file", help="JSON spectrum file instead of a built-in sphere")
-    p_index.add_argument("--functional", choices=["e", "e2", "e2c", "all"], default="all")
+    p_index.add_argument("--functional", choices=list(_FUNCTIONALS), default="all")
     p_index.add_argument("--strict", action="store_true",
                          help="exit 2 on a bound violation or a spectrum file without "
                               "complete_up_to, and 66 on unknown file fields; rigidity "
@@ -118,12 +119,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _selected_functionals(selector: str) -> list[Functional]:
-    if selector == "all":
-        return [Functional.ENERGY, Functional.BIENERGY, Functional.CONFORMAL_BIENERGY]
-    return [_FUNCTIONALS[selector]]
-
-
 def _report_doc(report) -> dict:
     return {
         "functional": report.functional.value,
@@ -145,7 +140,7 @@ def _source_doc(loaded: LoadedSpectrum) -> dict:
 
 
 def _cmd_index(args) -> int:
-    kinds = _selected_functionals(args.functional)
+    kinds = _FUNCTIONALS[args.functional]
     if args.spectrum_file is not None:
         if args.dim is not None or args.einstein_constant is not None:
             raise DomainError("--spectrum-file excludes --dim/--lambda")

@@ -178,9 +178,6 @@ def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
     return Fraction(*_largest(_roots(kind, space)))
 
 
-_KIND_ORDER = {BandKind.GRADIENT: 0, BandKind.DIVERGENCE_FREE: 1}
-
-
 def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                   kinds: Iterable[Functional],
                   complete_up_to: Rational | None = None) -> list[IndexReport]:
@@ -211,10 +208,11 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     cutoffs = [_largest(kind_roots) for kind_roots in roots]
     # with no kinds every band is past the top and only checked
     top_num, top_den = _largest(cutoffs) if cutoffs else (-1, 1)
-    # (numerator, denominator, kind) -> [band, summed multiplicity, numerator,
-    # denominator]; the reduced integer pair identifies the eigenvalue and
-    # hashes much faster than the Fraction
-    merged: dict[tuple[int, int, BandKind], list] = {}
+    # (numerator, denominator, divergence-free?) -> [band, summed multiplicity,
+    # numerator, denominator]; the reduced integer pair identifies the
+    # eigenvalue and hashes much faster than the Fraction, and a bool, unlike
+    # an Enum member, hashes without a Python-level call
+    merged: dict[tuple[int, int, bool], list] = {}
     for band in bands:
         if type(band) is not SpectralBand:
             band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
@@ -222,7 +220,7 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
         num, den = mu.numerator, mu.denominator
         if num * top_den > top_num * den:
             continue
-        key = (num, den, band.kind)
+        key = (num, den, band.kind is BandKind.DIVERGENCE_FREE)
         row = merged.get(key)
         if row is None:
             merged[key] = [band, band.multiplicity, num, den]
@@ -245,7 +243,7 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     # by eigenvalue, gradient first at ties: two stable sorts compare each
     # Fraction once instead of an (eigenvalue, kind) tuple's == and <
     rows = list(merged.values())
-    rows.sort(key=lambda row: _KIND_ORDER[row[0].kind])
+    rows.sort(key=lambda row: row[0].kind is BandKind.DIVERGENCE_FREE)
     rows.sort(key=lambda row: row[0].eigenvalue)
     reports = []
     for kind, kind_roots in zip(kinds, roots):

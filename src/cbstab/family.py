@@ -53,7 +53,7 @@ from .quadrature import (
 
 # the supported parameter range; M_MAX is the largest dimension on which
 # _first_step was measured.  _check_m and _check_t are the only checks of
-# it: the CLI and variation rely on them.
+# it: the CLI and spectral_prediction rely on them.
 T_MIN = 1e-8
 T_MAX = 1e8
 M_MAX = 50
@@ -208,6 +208,29 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
     t = 0.5 * delta_prime
     return t, EpsilonCertificate(eta=eta, rho=rho, k=k, delta=delta,
                                  delta_prime=delta_prime)
+
+
+def _family_side(m: int) -> Fraction:
+    """E2c''(t=1) from the family's integrals, in units of omega_m.
+
+    E2c is even in s = log t, so E2c''(t=1) = d^2 E2c/ds^2 at s = 0, taken
+    under the integrals above.  With B(n) = integral of sech^n,
+    omega_{m-1} B(m) = omega_m and B(m+2) = w B(m) for w = m/(m+1) (Wallis),
+    so E_ss(0) = (m/2)(4 - 6w), from (sech^2)'' = 4 sech^2 - 6 sech^4, and
+    E2_ss(0) = (m-2)^2 w, from (sinh^2)'' = 2 at 0.  verify's hessian suite
+    checks that this equals the c-bienergy Jacobi eigenvalue of the first
+    gradient band times ||W||^2 / omega_m = w, for the variation field
+    W = (sin r) d/dr, for every m.
+    """
+    # (m+1) E_ss(0) and (m+1) E2_ss(0), integers
+    energy = m * (2 * (m + 1) - 3 * m)
+    bienergy = (m - 2) ** 2 * m
+    return Fraction(3 * bienergy + 2 * (m - 1) * (m - 3) * energy, 3 * (m + 1))
+
+
+def spectral_prediction(m: int) -> float:
+    """E2c''(t=1) for 2 <= m <= M_MAX; 0.0 exactly when the exact value is 0."""
+    return float(_family_side(_check_m(m))) * sphere_volume(m)
 
 
 def upper_bound(m: int, t: float) -> float:

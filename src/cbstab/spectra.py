@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import (
-    _KIND_ORDER,
     BandKind,
     EinsteinSpace,
     Functional,
@@ -88,7 +87,7 @@ def _bands(m: int, lam: Fraction, up_to: Fraction) -> list[SpectralBand]:
         bands.append(SpectralBand(mu, divergence_free_multiplicity(m, k),
                                   BandKind.DIVERGENCE_FREE))
         k += 1
-    bands.sort(key=lambda b: (b.eigenvalue, _KIND_ORDER[b.kind]))
+    bands.sort(key=lambda b: (b.eigenvalue, b.kind is BandKind.DIVERGENCE_FREE))
     return bands
 
 
@@ -147,13 +146,19 @@ def band_document(band: SpectralBand) -> dict:
             "kind": band.kind.value}
 
 
-def _rational_field(raw, where: str) -> Fraction:
-    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-        raise ParseError(f"{where} must be an integer or a 'p/q' string, got {raw!r}")
-    try:
-        return as_rational(raw)
-    except DomainError as exc:
-        raise ParseError(f"{where} is {exc}") from exc
+def _rational_field(raw, field: str, position: int | None = None) -> Fraction:
+    """An integer or "p/q" field; `position` is the index of the band it belongs to."""
+    cause = None
+    if type(raw) is str or type(raw) is int:  # not a bool
+        try:
+            return as_rational(raw)
+        except DomainError as exc:
+            cause, problem = exc, f"is {exc}"
+    else:
+        problem = f"must be an integer or a 'p/q' string, got {raw!r}"
+    # the field's text is built only on this failure path
+    where = field if position is None else f"bands[{position}].{field}"
+    raise ParseError(f"{where} {problem}") from cause
 
 
 def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
@@ -169,13 +174,7 @@ def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
     if strict and len(raw) > len(_BAND_FIELDS):
         unknown = set(raw).difference(_BAND_FIELDS)
         raise ParseError(f"bands[{position}] has unknown fields {sorted(unknown)}")
-    if type(raw_mu) is str:
-        try:
-            eigenvalue = as_rational(raw_mu)
-        except DomainError as exc:
-            raise ParseError(f"bands[{position}].eigenvalue is {exc}") from exc
-    else:
-        eigenvalue = _rational_field(raw_mu, f"bands[{position}].eigenvalue")
+    eigenvalue = _rational_field(raw_mu, "eigenvalue", position)
     kind = _KIND_NAMES.get(kind_name) if type(kind_name) is str else None
     if kind is None:
         raise ParseError(f"bands[{position}].kind must be one of {sorted(_KIND_NAMES)}, "
@@ -194,11 +193,12 @@ def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectr
     Structural problems raise ParseError, MissingField or InvalidBand.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        try:
+            doc = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            # a syntax error, an integer past int's digit limit, too deep a
+            # nesting, or a byte that is not UTF-8
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     for name in ("name", "dimension", "einstein_constant", "bands"):

@@ -14,17 +14,18 @@ tests/test_family_reference.py.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EinsteinSpace, Functional, SpectralBand, index_reports
+from .core import EinsteinSpace, Functional, SpectralBand, index_reports, jacobi_eigenvalue
 from .errors import DomainError
-from .family import M_MAX, c_constant, epsilon_schedule, evaluate_family, upper_bound
+from .family import (M_MAX, _family_side, c_constant, epsilon_schedule, evaluate_family,
+                     spectral_prediction, upper_bound)
 from .quadrature import sphere_volume
 from .spectra import builtin_spectrum
-from .variation import _factor, _family_side, spectral_prediction
 
 CONSTANCY_REL_TOL = 1e-8
 SPOT_REL_TOL = 1e-8
@@ -124,26 +125,10 @@ def _scaling_invariance_check() -> CheckResult:
                   "0 mismatches", f"{failures} mismatches", "exact", failures == 0)
 
 
-def _family_once():
-    """evaluate_family for one suite run, evaluating each distinct (m, t) once.
-
-    The values live only as long as the returned function, so no suite run
-    reuses another's.
-    """
-    values = {}
-
-    def evaluate(m: int, t: float):
-        if (m, t) not in values:
-            values[m, t] = evaluate_family(m, t)
-        return values[m, t]
-
-    return evaluate
-
-
 def suite_constancy() -> list[CheckResult]:
     """Constancy of the m=4 c-bienergy curve plus closed-form spot values."""
     out = []
-    evaluate = _family_once()
+    evaluate = functools.cache(evaluate_family)  # each (m, t) once per run
     target = 32.0 * math.pi ** 2 / 3.0
     worst = 0.0
     for k in range(-10, 11):
@@ -173,8 +158,22 @@ def suite_constancy() -> list[CheckResult]:
     return out
 
 
+def _factor(m: int) -> Fraction:
+    """The c-bienergy Jacobi eigenvalue of the unit m-sphere's first gradient band, mu = m."""
+    space = EinsteinSpace(dimension=m, einstein_constant=Fraction(m - 1))
+    return jacobi_eigenvalue(Functional.CONFORMAL_BIENERGY, space, m)
+
+
 def suite_hessian() -> list[CheckResult]:
-    """E2c''(t=1) from the family's integrals against the Jacobi eigenvalue, then numerically."""
+    """E2c''(t=1) from the family's integrals against the Jacobi eigenvalue, then numerically.
+
+    The variation field of the family at t = 1 is W = (sin r) d/dr, the
+    gradient of -cos r, a Laplace eigenfunction with eigenvalue m.  The
+    identity is a critical point of the c-bienergy, so E2c''(t=1) is the
+    Hessian on W: in units of omega_m, the Jacobi side _factor(m) * w, with
+    ||W||^2 / omega_m = w = m/(m+1) (Wallis).  family._family_side gives the
+    family side, and spectral_prediction(m) its value.
+    """
     factors = {m: _factor(m) for m in range(2, M_MAX + 1)}
     sides = [(m, _family_side(m), f * Fraction(m, m + 1)) for m, f in factors.items()]
     differ = [side for side in sides if side[1] != side[2]]
@@ -245,7 +244,7 @@ def suite_bounds() -> list[CheckResult]:
 def suite_symmetry() -> list[CheckResult]:
     """t <-> 1/t symmetry and positivity."""
     out = []
-    evaluate = _family_once()
+    evaluate = functools.cache(evaluate_family)  # each (m, t) once per run
     for m in (4, 5, 6):
         for t in (0.2, 0.5, 2.0, 5.0):
             a = evaluate(m, t)

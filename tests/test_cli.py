@@ -194,6 +194,26 @@ def test_malformed_file_exits_66(tmp_path, capsys):
     code, _, _ = run(capsys, "index", "--spectrum-file", str(missing))
     assert code == 66
 
+    # what json.loads refuses with ValueError or RecursionError: an integer
+    # past int's digit limit, too deep a nesting, a byte that is not UTF-8
+    huge = "1" * 5000
+    refused = {
+        "huge-dimension.json": ('{"name": "x", "dimension": %s, "einstein_constant": "3", '
+                                '"bands": []}' % huge).encode(),
+        "huge-multiplicity.json": ('{"name": "x", "dimension": 4, "einstein_constant": "3", '
+                                   '"bands": [{"eigenvalue": "4", "multiplicity": %s, '
+                                   '"kind": "gradient"}]}' % huge).encode(),
+        "deep.json": b"[" * 100_000 + b"]" * 100_000,
+        "latin1.json": '{"name": "S\u00e9", "dimension": 4, "einstein_constant": "3", '
+                       '"bands": []}'.encode("latin-1"),
+    }
+    for name, content in refused.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, "index", "--spectrum-file", str(path))
+        assert (code, out) == (66, ""), name
+        assert err.startswith(f"cbstab: spectrum file error: {path}: invalid JSON: "), name
+
 
 def test_malformed_band_exits_66_with_position(tmp_path, capsys):
     base = {"name": "x", "dimension": 4, "einstein_constant": "3"}

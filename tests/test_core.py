@@ -1,3 +1,4 @@
+import enum
 import random
 import sys
 from fractions import Fraction
@@ -71,6 +72,10 @@ def test_band_invariants():
                                            kind="gradient")],
                       [Functional.ENERGY], complete_up_to=10)
     assert band("7/2", 4).eigenvalue == Fraction(7, 2)
+    # an int or "p/q" eigenvalue is read exactly, into a Fraction
+    for raw, want in ((3, Fraction(3)), ("7/2", Fraction(7, 2)), ("6/4", Fraction(3, 2))):
+        mu = SpectralBand(raw, 1, GRAD).eigenvalue
+        assert type(mu) is Fraction and mu == want
 
 
 def test_jacobi_eigenvalue_examples():
@@ -254,6 +259,29 @@ def test_index_reports_builds_a_fraction_per_reported_row_only(m):
     assert counts == {"Fraction": 5, "SpectralBand": 0}
     # no band merged: each report lists the input band itself
     assert all(any(b is given for given in sphere.bands) for b in listed)
+
+
+def test_index_reports_hashes_no_enum_member():
+    # Enum.__hash__ is a Python-level call; the merge key and the tie order
+    # test the kind by identity instead, on every band below the cut
+    sphere = builtin_spectrum(5)
+    enum_hash = enum.Enum.__hash__.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is enum_hash:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        reports = index_reports(sphere.space, sphere.bands * 2, Functional,
+                                complete_up_to=sphere.complete_up_to)
+    finally:
+        sys.setprofile(previous)
+    assert [(r.index, r.nullity) for r in reports] == [(12, 30), (0, 30), (12, 30)]
+    assert calls == 0
 
 
 def test_merged_row_has_one_shared_band():

@@ -283,6 +283,12 @@ def test_load_spectrum_errors(tmp_path):
         load_spectrum(write_spectrum(tmp_path, {
             "name": "x", "dimension": 4, "einstein_constant": "3",
             "bands": [{"eigenvalue": "4", "multiplicity": 1, "kind": "harmonic"}]}))
+    with pytest.raises(ParseError, match="top level must be an object"):
+        load_spectrum(write_spectrum(tmp_path, [s4_document()]))
+    with pytest.raises(ParseError, match="name must be a string, got 4"):
+        load_spectrum(write_spectrum(tmp_path, dict(s4_document(), name=4)))
+    with pytest.raises(ParseError, match="bands must be an array"):
+        load_spectrum(write_spectrum(tmp_path, dict(s4_document(), bands={"0": GOOD_BAND})))
 
 
 def test_load_spectrum_unknown_fields(tmp_path):
