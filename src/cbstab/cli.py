@@ -13,8 +13,9 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
-from .core import Functional, as_rational, index_reports
+from .core import Functional, _index_rows, as_rational
 from .errors import (
     BoundViolation,
     CbstabError,
@@ -28,7 +29,6 @@ from .errors import (
 from .family import evaluate_family
 from .spectra import (
     LoadedSpectrum,
-    band_document,
     builtin_spectrum,
     load_spectrum,
     spectrum_document,
@@ -119,16 +119,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _report_doc(report) -> dict:
-    return {
-        "functional": report.functional.value,
-        "index": report.index,
-        "nullity": report.nullity,
-        "contributing_bands": [dict(band_document(band), jacobi_eigenvalue=str(jacobi))
-                               for band, jacobi in report.contributing_bands],
-    }
-
-
 def _source_doc(loaded: LoadedSpectrum) -> dict:
     if loaded.path is None:
         return {
@@ -159,7 +149,7 @@ def _cmd_index(args) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        reports = index_reports(space, loaded.bands, kinds, complete_up_to=declared)
+        reports = _index_rows(space, loaded.rows, kinds, declared)
     doc_warnings.extend(str(w.message) for w in caught)
 
     doc = {
@@ -173,10 +163,61 @@ def _cmd_index(args) -> int:
         "strict": bool(args.strict),
         "complete_up_to": None if declared is None else str(declared),
         "warnings": doc_warnings,
-        "reports": [_report_doc(r) for r in reports],
     }
-    print(json.dumps(doc, indent=2))
+    print(_index_json(doc, reports))
     return 0
+
+
+def _index_json(head: dict, reports) -> str:
+    """json.dumps(dict(head, reports=...), indent=2) for the `index` document.
+
+    `head` nests at most one level of non-empty dicts, and its lists hold
+    strings only;
+    the reports are written from the IndexReports, so no report dict is
+    built and the pure-Python encoder that `indent` selects is not run.
+    """
+    lines = ["{"]
+    for key, value in head.items():
+        if type(value) is dict:
+            items = [f"    {_json_string(k)}: {_json_scalar(v)}" for k, v in value.items()]
+            lines.append(f"  {_json_string(key)}: {{\n" + ",\n".join(items) + "\n  },")
+        elif type(value) is list and value:
+            items = [f"    {_json_string(item)}" for item in value]
+            lines.append(f"  {_json_string(key)}: [\n" + ",\n".join(items) + "\n  ],")
+        else:
+            lines.append(f"  {_json_string(key)}: {_json_scalar(value)},")
+    lines.append('  "reports": [' if reports else '  "reports": []')
+    for number, report in enumerate(reports):
+        lines.append("    {")
+        lines.append(f'      "functional": {_json_string(report.functional.value)},')
+        lines.append(f'      "index": {report.index},')
+        lines.append(f'      "nullity": {report.nullity},')
+        if not report.contributing_bands:
+            lines.append('      "contributing_bands": []')
+        else:
+            lines.append('      "contributing_bands": [')
+            entries = [
+                f'        {{\n'
+                f'          "eigenvalue": {_json_string(str(band.eigenvalue))},\n'
+                f'          "multiplicity": {band.multiplicity},\n'
+                f'          "kind": {_json_string(band.kind.value)},\n'
+                f'          "jacobi_eigenvalue": {_json_string(str(jacobi))}\n'
+                f'        }}'
+                for band, jacobi in report.contributing_bands]
+            lines.append(",\n".join(entries))
+            lines.append("      ]")
+        lines.append("    }," if number + 1 < len(reports) else "    }")
+    if reports:
+        lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _json_scalar(value) -> str:
+    """A string, integer, boolean, None or empty list, as json.dumps writes it."""
+    if type(value) is str:
+        return _json_string(value)
+    return json.dumps(value)
 
 
 # the JSON keys, the CSV header and the FamilyEvaluation fields after t

@@ -15,6 +15,7 @@ is exact rational arithmetic; zero detection never involves floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -111,7 +112,8 @@ class SpectralBand:
     kind: BandKind
 
     def __post_init__(self):
-        # the only band check, so it must be cheap: every parsed band passes it
+        # every band built passes this check, so it must be cheap; a spectrum
+        # file's plainest bands meet it by spelling (spectra._parse_rows)
         mu = self.eigenvalue
         if type(mu) is not Fraction:
             mu = as_rational(mu)
@@ -178,6 +180,34 @@ def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
     return Fraction(*_largest(_roots(kind, space)))
 
 
+def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
+    """The engine's rows of SpectralBands; a band-like is converted, and so checked, first.
+
+    A row is (num, den, divergence_free, multiplicity, band): the eigenvalue
+    num/den with den > 0, not necessarily reduced, and the SpectralBand it
+    stands for, or None when no band was built for it (a spectrum file's
+    row).  The engine builds a row's band only when it reports the row.
+    """
+    rows = []
+    for band in bands:
+        if type(band) is not SpectralBand:
+            band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
+        mu = band.eigenvalue
+        rows.append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
+                     band.multiplicity, band))
+    return rows
+
+
+def _row_band(num: int, den: int, divergence_free: bool, multiplicity: int) -> SpectralBand:
+    kind = BandKind.DIVERGENCE_FREE if divergence_free else BandKind.GRADIENT
+    return SpectralBand(Fraction(num, den), multiplicity, kind)
+
+
+def _row_order(a, b) -> int:
+    """By eigenvalue, gradient first at ties, for reduced rows with den > 0."""
+    return (a[0] * b[1] - b[0] * a[1]) or (a[2] - b[2])
+
+
 def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                   kinds: Iterable[Functional],
                   complete_up_to: Rational | None = None) -> list[IndexReport]:
@@ -203,34 +233,40 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     SpectrumCompletenessWarning per functional is emitted and the
     computation proceeds on the bands given.
     """
+    return _index_rows(space, _band_rows(bands), kinds, complete_up_to)
+
+
+def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
+                complete_up_to: Rational | None) -> list[IndexReport]:
+    """index_reports on _band_rows rows; a row without a band gets one only if listed."""
     kinds = list(kinds)
     roots = [_roots(kind, space) for kind in kinds]
     cutoffs = [_largest(kind_roots) for kind_roots in roots]
-    # with no kinds every band is past the top and only checked
+    # with no kinds every row is past the top
     top_num, top_den = _largest(cutoffs) if cutoffs else (-1, 1)
-    # (numerator, denominator, divergence-free?) -> [band, summed multiplicity,
-    # numerator, denominator]; the reduced integer pair identifies the
-    # eigenvalue and hashes much faster than the Fraction, and a bool, unlike
-    # an Enum member, hashes without a Python-level call
+    # (numerator, denominator, divergence-free?) -> [numerator, denominator,
+    # divergence-free?, summed multiplicity, first row's band]; the reduced integer
+    # pair identifies the eigenvalue and hashes much faster than a Fraction,
+    # and a bool, unlike an Enum member, hashes without a Python-level call
     merged: dict[tuple[int, int, bool], list] = {}
-    for band in bands:
-        if type(band) is not SpectralBand:
-            band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
-        mu = band.eigenvalue
-        num, den = mu.numerator, mu.denominator
+    for num, den, divergence_free, mult, band in rows:
         if num * top_den > top_num * den:
             continue
-        key = (num, den, band.kind is BandKind.DIVERGENCE_FREE)
-        row = merged.get(key)
-        if row is None:
-            merged[key] = [band, band.multiplicity, num, den]
+        common = math.gcd(num, den)
+        if common != 1:
+            num //= common
+            den //= common
+        key = (num, den, divergence_free)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [num, den, divergence_free, mult, band]
         else:
-            row[1] += band.multiplicity
+            entry[3] += mult
     if complete_up_to is None:
         for _ in kinds:
             warnings.warn(
                 "band list has no declared completeness bound; index/nullity may undercount",
-                SpectrumCompletenessWarning, stacklevel=2)
+                SpectrumCompletenessWarning, stacklevel=3)
     else:
         declared = as_rational(complete_up_to)
         declared_num, declared_den = declared.numerator, declared.denominator
@@ -240,11 +276,7 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                     f"bands declared complete up to {complete_up_to} but contributions "
                     f"extend to {Fraction(cut_num, cut_den)}")
 
-    # by eigenvalue, gradient first at ties: two stable sorts compare each
-    # Fraction once instead of an (eigenvalue, kind) tuple's == and <
-    rows = list(merged.values())
-    rows.sort(key=lambda row: row[0].kind is BandKind.DIVERGENCE_FREE)
-    rows.sort(key=lambda row: row[0].eigenvalue)
+    entries = sorted(merged.values(), key=functools.cmp_to_key(_row_order))
     reports = []
     for kind, kind_roots in zip(kinds, roots):
         degree = len(kind_roots)
@@ -252,8 +284,8 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
         index = 0
         nullity = 0
         contributing = []
-        for row in rows:
-            band, mult, num, den = row
+        for entry in entries:
+            num, den, divergence_free, mult, band = entry
             value = 1
             for rn, rd in kind_roots:
                 value *= num * rd - rn * den
@@ -263,9 +295,11 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                 index += mult
             else:
                 nullity += mult
-            if mult != band.multiplicity:
-                # a merged row's one band, which later reports share
-                band = row[0] = SpectralBand(band.eigenvalue, mult, band.kind)
+            # the row's one band, which later reports share
+            if band is None:
+                band = entry[4] = _row_band(num, den, divergence_free, mult)
+            elif mult != band.multiplicity:
+                band = entry[4] = SpectralBand(band.eigenvalue, mult, band.kind)
             contributing.append((band, Fraction(value, den ** degree * root_scale)))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
                                    contributing_bands=tuple(contributing)))
@@ -309,34 +343,43 @@ def validate_spectrum(space: EinsteinSpace,
     callers raise the first violation with
     SpectrumValidation.raise_first_violation().
     """
+    return _validate_rows(space, _band_rows(bands))
+
+
+def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
+    """validate_spectrum on _band_rows rows, by cross-multiplication.
+
+    A Fraction and a band are built only for a row that raises an issue.
+    """
     lam = space.einstein_constant
     m = space.dimension
     obata = Fraction(m, m - 1) * lam if lam else None  # lam = 0 when m = 1
     two_lam = 2 * lam
-    # each bound as an integer pair, so a band is compared by cross-multiplication
+    # each bound as an integer pair, so a row is compared by cross-multiplication,
+    # and its text in each message, so a message formats one Fraction
     if obata is not None:
         obata_num, obata_den = obata.numerator, obata.denominator
+        below_obata = f"gradient band mu={{}} below Lichnerowicz-Obata bound {obata}"
     two_lam_num, two_lam_den = two_lam.numerator, two_lam.denominator
+    below_two_lam = f"divergence-free band mu={{}} below 2*lambda={two_lam}"
     issues = []
-    for band in bands:
-        if type(band) is not SpectralBand:
-            band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
-        mu = band.eigenvalue
-        num, den = mu.numerator, mu.denominator
-        if band.kind is BandKind.GRADIENT:
-            if obata is None:
+    for num, den, divergence_free, mult, band in rows:
+        if divergence_free:
+            if num * two_lam_den >= two_lam_num * den:
                 continue
+            severity, message = "violation", below_two_lam
+        elif obata is None:
+            continue
+        else:
             vs_obata = num * obata_den - obata_num * den
+            if vs_obata > 0:
+                continue
             if vs_obata < 0:
-                issues.append(ValidationIssue(
-                    band, "violation",
-                    f"gradient band mu={mu} below Lichnerowicz-Obata bound {obata}"))
-            elif vs_obata == 0:
-                issues.append(ValidationIssue(
-                    band, "rigidity",
-                    f"gradient band mu={mu} saturates the Obata bound: round sphere only"))
-        elif num * two_lam_den < two_lam_num * den:
-            issues.append(ValidationIssue(
-                band, "violation",
-                f"divergence-free band mu={mu} below 2*lambda={two_lam}"))
+                severity, message = "violation", below_obata
+            else:
+                severity = "rigidity"
+                message = "gradient band mu={} saturates the Obata bound: round sphere only"
+        if band is None:
+            band = _row_band(num, den, divergence_free, mult)
+        issues.append(ValidationIssue(band, severity, message.format(band.eigenvalue)))
     return SpectrumValidation(issues=tuple(issues))

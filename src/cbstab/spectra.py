@@ -21,6 +21,7 @@ exactly from "p/q" strings, never through floats.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -35,6 +36,9 @@ from .core import (
     Rational,
     SpectralBand,
     SpectrumValidation,
+    _band_rows,
+    _row_band,
+    _validate_rows,
     as_rational,
     contribution_cutoff,
     validate_spectrum,
@@ -93,13 +97,22 @@ def _bands(m: int, lam: Fraction, up_to: Fraction) -> list[SpectralBand]:
 
 @dataclass(frozen=True)
 class LoadedSpectrum:
-    """A validated spectrum: a closed-form sphere (path None) or a spectrum file."""
+    """A validated spectrum: a closed-form sphere (path None) or a spectrum file.
+
+    `rows` holds the bands as the engine's integer rows (see
+    core._band_rows); `bands` is built from them on first access.
+    """
 
     space: EinsteinSpace
-    bands: tuple[SpectralBand, ...]
+    rows: tuple[tuple, ...]
     complete_up_to: Fraction | None
     path: str | None
     validation: SpectrumValidation
+
+    @functools.cached_property
+    def bands(self) -> tuple[SpectralBand, ...]:
+        return tuple(band if band is not None else _row_band(num, den, divergence_free, mult)
+                     for num, den, divergence_free, mult, band in self.rows)
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -129,15 +142,16 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
     up_to = as_rational(up_to)
     if up_to < 0:
         raise DomainError(f"up_to must be >= 0, got {up_to}")
-    bands = tuple(_bands(m, lam, up_to))
-    return LoadedSpectrum(space=space, bands=bands, complete_up_to=up_to, path=None,
-                          validation=validate_spectrum(space, bands))
+    bands = _bands(m, lam, up_to)
+    return LoadedSpectrum(space=space, rows=tuple(_band_rows(bands)), complete_up_to=up_to,
+                          path=None, validation=validate_spectrum(space, bands))
 
 
 _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "bands"}
 # a tuple, so a band missing several fields always names the same one first
 _BAND_FIELDS = ("eigenvalue", "multiplicity", "kind")
 _KIND_NAMES = {kind.value: kind for kind in BandKind}
+_DIVERGENCE_FREE = {kind.value: kind is BandKind.DIVERGENCE_FREE for kind in BandKind}
 
 
 def band_document(band: SpectralBand) -> dict:
@@ -185,6 +199,38 @@ def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
         raise InvalidBand(f"bands[{position}].{exc}") from exc
 
 
+def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
+    """The engine's rows of a file's bands, in file order.
+
+    A band in the plainest spelling (exactly the three fields, a plain
+    ASCII "p" or "p/q" eigenvalue with q > 0, an int multiplicity >= 1 and a
+    known kind) becomes a row without a Fraction or a SpectralBand.  Every
+    other band goes through _parse_band, the one place that refuses a band.
+    """
+    rows = []
+    for position, raw in enumerate(raw_bands):
+        try:
+            if type(raw) is dict and len(raw) == 3:
+                text, mult = raw["eigenvalue"], raw["multiplicity"]
+                divergence_free = _DIVERGENCE_FREE[raw["kind"]]
+                if type(text) is str and type(mult) is int and mult > 0 and text.isascii():
+                    num, slash, den = text.partition("/")
+                    if num.isdigit() and (not slash or den.isdigit()):
+                        # int() stays inside the try: its digit limit raises
+                        # ValueError, and _parse_band words the refusal
+                        q = int(den) if slash else 1
+                        if q:
+                            rows.append((int(num), q, divergence_free, mult, None))
+                            continue
+        except (KeyError, TypeError, ValueError):
+            pass
+        band = _parse_band(raw, position, strict)
+        mu = band.eigenvalue
+        rows.append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
+                     band.multiplicity, band))
+    return tuple(rows)
+
+
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:
     """Load a JSON spectrum file and validate its bounds non-strictly.
 
@@ -222,9 +268,9 @@ def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectr
         complete_up_to = _rational_field(doc["complete_up_to"], "complete_up_to")
     if not isinstance(doc["bands"], list):
         raise ParseError(f"{path}: bands must be an array")
-    bands = tuple(_parse_band(raw, i, strict) for i, raw in enumerate(doc["bands"]))
-    return LoadedSpectrum(space=space, bands=bands, complete_up_to=complete_up_to,
-                          path=str(path), validation=validate_spectrum(space, bands))
+    rows = _parse_rows(doc["bands"], strict)
+    return LoadedSpectrum(space=space, rows=rows, complete_up_to=complete_up_to,
+                          path=str(path), validation=_validate_rows(space, rows))
 
 
 def spectrum_document(spectrum: LoadedSpectrum) -> dict:

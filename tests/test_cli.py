@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import cbstab.core
 from cbstab.cli import build_parser, main
+from cbstab.core import Functional, index_reports
 from cbstab.errors import ParseError
 from cbstab.family import evaluate_family
 from cbstab.spectra import load_spectrum
@@ -383,6 +385,78 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+# name, dimension, einstein_constant, complete_up_to (None: undeclared), bands
+# and the exit code of a strict run, of the spectrum files whose `index`
+# documents are checked against json.dumps
+WRITER_FILES = {
+    # a rigidity note, a violation and a row past the cut
+    'p"a\\th \u00f1\u2211\x01': ('q"uote \\ \u00f1 \u2211 \x07 \u2028', 4, "3", "6",
+                             [("4", 5, "gradient"), ("6", 10, "divergence_free"),
+                              ("9/2", 1, "divergence_free"), ("11", 3, "gradient")], 2),
+    # no warnings; no band at 2*lambda = 10, so the bienergy report lists none
+    "clean": ("clean", 6, "5", "10", [("7", 2, "gradient"), ("23/2", 1, "gradient")], 0),
+    "empty-declared": ("no bands", 5, "4", "8", [], 0),
+    # one completeness warning per functional
+    "empty-undeclared": ("no bands, undeclared", 5, "4", None, [], 2),
+}
+WRITER_KINDS = {"e": [Functional.ENERGY], "e2": [Functional.BIENERGY],
+                "e2c": [Functional.CONFORMAL_BIENERGY], "all": list(Functional)}
+
+
+def index_document_reference(path, functional, strict):
+    """The `index` document of a spectrum file as json.dumps(doc, indent=2) prints it."""
+    loaded = load_spectrum(path, strict=strict)
+    space = loaded.space
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reports = index_reports(space, loaded.bands, WRITER_KINDS[functional],
+                                complete_up_to=loaded.complete_up_to)
+    doc = {
+        "space": {"name": space.name, "dimension": space.dimension,
+                  "einstein_constant": str(space.einstein_constant),
+                  "scalar_curvature": str(space.scalar_curvature)},
+        "source": {"origin": "file", "path": loaded.path},
+        "strict": strict,
+        "complete_up_to": None if loaded.complete_up_to is None else str(loaded.complete_up_to),
+        "warnings": list(loaded.warnings) + [str(w.message) for w in caught],
+        "reports": [{"functional": report.functional.value, "index": report.index,
+                     "nullity": report.nullity,
+                     "contributing_bands": [
+                         {"eigenvalue": str(band.eigenvalue), "multiplicity": band.multiplicity,
+                          "kind": band.kind.value, "jacobi_eigenvalue": str(jacobi)}
+                         for band, jacobi in report.contributing_bands]}
+                    for report in reports],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_index_writer_matches_json_dumps_on_files(tmp_path, capsys):
+    seen = set()
+    for stem, (name, dimension, lam, declared, bands, strict_code) in WRITER_FILES.items():
+        doc = {"name": name, "dimension": dimension, "einstein_constant": lam,
+               "bands": [{"eigenvalue": e, "multiplicity": n, "kind": k} for e, n, k in bands]}
+        if declared is not None:
+            doc["complete_up_to"] = declared
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for functional in WRITER_KINDS:
+            for strict in (False, True):
+                argv = ["index", "--spectrum-file", str(path), "--functional", functional]
+                code, out, err = run(capsys, *argv, *(["--strict"] if strict else []))
+                if strict and strict_code:
+                    assert (code, out) == (strict_code, ""), (stem, functional)
+                    continue
+                assert code == 0, (stem, functional, strict, err)
+                assert out == index_document_reference(path, functional, strict)
+                printed = json.loads(out)
+                seen.add(("warnings", bool(printed["warnings"])))
+                seen.add(("strict", printed["strict"]))
+                seen.update(("listed", bool(report["contributing_bands"]))
+                            for report in printed["reports"])
+    assert seen == {(key, value) for key in ("warnings", "strict", "listed")
+                    for value in (False, True)}
+
+
 def test_index_cost_counters(tmp_path, capsys, monkeypatch):
     # duplicates, a violation, a rigidity note and exact hits on both roots
     # (2*lambda = 6 and c = 4 on S^4)
@@ -394,7 +468,8 @@ def test_index_cost_counters(tmp_path, capsys, monkeypatch):
         "name": "counted", "dimension": 4, "einstein_constant": "3",
         "bands": [{"eigenvalue": e, "multiplicity": n, "kind": k} for e, n, k in bands],
     }), encoding="utf-8")
-    validations = count_calls(monkeypatch, cbstab.core, "validate_spectrum")
+    # the one row validator behind validate_spectrum, which a file load calls directly
+    validations = count_calls(monkeypatch, cbstab.core, "_validate_rows")
     jacobi = count_calls(monkeypatch, cbstab.core, "jacobi_eigenvalue")
     for argv in (["--spectrum-file", str(path)], ["--dim", "4"], ["--dim", "4", "--strict"]):
         validations.clear()

@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from cbstab.cli import main
 from cbstab.core import BandKind, EinsteinSpace, Functional, index_reports, validate_spectrum
 from cbstab.errors import DomainError, InvalidBand, MissingField, ParseError
 from cbstab.spectra import (
     builtin_spectrum,
     divergence_free_multiplicity,
     gradient_multiplicity,
+    _parse_band,
     _rational_field,
     load_spectrum,
     spectrum_document,
 )
+from test_core import count_constructions
 
 
 GRAD = BandKind.GRADIENT
@@ -371,3 +374,70 @@ def test_band_refusal_messages(tmp_path, case):
         load_spectrum(path, strict=strict)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# Bands at position 1500 that load_spectrum may read on its own fast path or
+# hand to _parse_band: each must load as the band _parse_band gives, or be
+# refused with its exception class and message.  (band, strict) pairs.
+PARITY_BANDS = (
+    [(dict(GOOD_BAND, eigenvalue=text), False) for text in PARITY_STRINGS]
+    + [(dict(GOOD_BAND, **change), strict)
+       for change in ({"multiplicity": True}, {"multiplicity": 1.0}, {"multiplicity": "3"},
+                      {"multiplicity": 0}, {"kind": "harmonic"}, {"kind": ["gradient"]},
+                      {"note": "extra"}, {"eigenvalue": 4}, {"eigenvalue": "13/6"})
+       for strict in (False, True)])
+
+
+@pytest.mark.parametrize("bad, strict", PARITY_BANDS,
+                         ids=lambda value: repr(value)[:40] if isinstance(value, dict) else "")
+def test_load_spectrum_matches_parse_band(tmp_path, bad, strict):
+    path = write_spectrum(tmp_path, {"name": "x", "dimension": 4, "einstein_constant": "3",
+                                     "bands": [GOOD_BAND] * 1500 + [bad]})
+    try:
+        expected = _parse_band(bad, 1500, strict)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            load_spectrum(path, strict=strict)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        text = bad["eigenvalue"]
+        if type(text) is str:
+            try:
+                Fraction(text)
+            except (ValueError, ZeroDivisionError) as cause:
+                # the wording _rational_field gives a string Fraction refuses
+                assert str(exc) == f"bands[1500].eigenvalue is not a rational: {text!r} ({cause})"
+    else:
+        loaded = load_spectrum(path, strict=strict)
+        assert len(loaded.bands) == 1501
+        assert loaded.bands[1500] == expected
+        assert type(loaded.bands[1500].eigenvalue) is Fraction
+
+
+def test_index_builds_fractions_and_bands_only_for_what_it_prints(tmp_path, capsys):
+    # 990 bands on a space with lambda = 5 (2*lambda = 10, Obata bound 6,
+    # c = 0, so every cutoff is 10).  Thirty lie at or below it, k/3 for
+    # k = 1..30 of alternating kinds; two of them repeat the (4/3,
+    # divergence-free) row, which leaves 28 merged rows.  Every one of them
+    # is listed by the energy and c-bienergy reports, the one at 10 by the
+    # bienergy report too; 9 gradient and 14 divergence-free bands lie below
+    # their bounds.  The other 960 lie past the cut.
+    bands = [{"eigenvalue": f"{k}/3", "multiplicity": 1 + k % 4,
+              "kind": "gradient" if k % 2 else "divergence_free"} for k in range(1, 31)]
+    bands[1] = bands[5] = bands[3]
+    bands += [{"eigenvalue": f"{k}/7", "multiplicity": 2,
+               "kind": "divergence_free" if k % 3 else "gradient"} for k in range(71, 1031)]
+    path = write_spectrum(tmp_path, {"name": "mostly far", "dimension": 6,
+                                     "einstein_constant": "5", "complete_up_to": "12",
+                                     "bands": bands})
+    counts, code = count_constructions(
+        lambda: main(["index", "--spectrum-file", str(path), "--functional", "all"]))
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    listed = {(row["eigenvalue"], row["kind"])
+              for report in doc["reports"] for row in report["contributing_bands"]}
+    jacobi = sum(len(report["contributing_bands"]) for report in doc["reports"])
+    issues = len(doc["warnings"])
+    assert (len(listed), jacobi, issues) == (28, 57, 23)
+    assert counts["SpectralBand"] <= len(listed) + issues
+    assert counts["Fraction"] <= counts["SpectralBand"] + jacobi + 8
