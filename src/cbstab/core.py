@@ -37,29 +37,19 @@ Rational = Union[Fraction, int, str]
 def as_rational(value: Rational) -> Fraction:
     """Coerce int / "p/q" string / Fraction to an exact Fraction.
 
-    The one reader of exact rationals: spectrum files, the CLI and the
-    library all parse through it.  A string is accepted exactly when
-    Fraction(str) accepts it.  Anything else, a float or a bool included,
-    raises DomainError.
+    The reader of exact rationals in the CLI, the library and every
+    spectrum-file field but a band eigenvalue in the plainest spelling,
+    which spectra._parse_rows reads as an integer pair.  A string is
+    accepted exactly when Fraction(str) accepts it.  Anything else, a float
+    or a bool included, raises DomainError.
     """
     cls = type(value)
     if cls is Fraction:
         return value
-    if cls is not str and isinstance(value, (float, bool)):
+    if isinstance(value, (float, bool)):
         raise DomainError(f"not a rational: {value!r} "
                           f"(a {cls.__name__}; rationals are exact)")
     try:
-        if cls is str:
-            # Plain ASCII "p" and "p/q" with q > 0 skip the regular expression
-            # in Fraction(str); every other string goes through it, so it
-            # alone defines the accepted syntax and the error text.  int()
-            # stays inside the try: its digit limit raises ValueError.
-            num, slash, den = value.partition("/")
-            if num.isascii() and num.isdigit() and (
-                    not slash or (den.isascii() and den.isdigit())):
-                q = int(den) if slash else 1
-                if q:
-                    return Fraction(int(num), q)
         return Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"not a rational: {value!r} ({exc})") from exc
@@ -112,8 +102,9 @@ class SpectralBand:
     kind: BandKind
 
     def __post_init__(self):
-        # every band built passes this check, so it must be cheap; a spectrum
-        # file's plainest bands meet it by spelling (spectra._parse_rows)
+        # every band built passes this check, so it must be cheap; the rows
+        # of a built-in sphere and of a file's plainest bands meet it by
+        # construction (spectra._rows, spectra._parse_rows)
         mu = self.eigenvalue
         if type(mu) is not Fraction:
             mu = as_rational(mu)
@@ -185,8 +176,9 @@ def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
 
     A row is (num, den, divergence_free, multiplicity, band): the eigenvalue
     num/den with den > 0, not necessarily reduced, and the SpectralBand it
-    stands for, or None when no band was built for it (a spectrum file's
-    row).  The engine builds a row's band only when it reports the row.
+    stands for, or None when no band was built for it (every row of a
+    LoadedSpectrum).  The engine builds a row's band only when it reports or
+    flags the row.
     """
     rows = []
     for band in bands:

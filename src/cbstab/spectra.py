@@ -36,12 +36,10 @@ from .core import (
     Rational,
     SpectralBand,
     SpectrumValidation,
-    _band_rows,
     _row_band,
     _validate_rows,
     as_rational,
     contribution_cutoff,
-    validate_spectrum,
 )
 from .errors import DomainError, InvalidBand, MissingField, ParseError
 
@@ -68,39 +66,42 @@ def divergence_free_multiplicity(m: int, k: int) -> int:
     return num // den
 
 
-def _bands(m: int, lam: Fraction, up_to: Fraction) -> list[SpectralBand]:
-    """Closed-form bands with eigenvalue <= up_to, sorted by eigenvalue then kind.
+def _rows(m: int, lam: Fraction, up_to: Fraction) -> list[tuple]:
+    """Closed-form rows with eigenvalue <= up_to, sorted by eigenvalue then kind.
 
-    m = 1 is the flat circle: the rotation field at 0 plus k^2 harmonics.
+    A row is the engine's (num, den, divergence_free, multiplicity, None).
+    Every sphere row shares the denominator lam.denominator*(m - 1), so the
+    cut and the sort compare numerators.  m = 1 is the flat circle: the
+    rotation field at 0 plus k^2 harmonics, with denominator 1.
     """
+    top_num, top_den = up_to.numerator, up_to.denominator
     if m == 1:
-        bands = [SpectralBand(Fraction(0), 1, BandKind.DIVERGENCE_FREE)]
+        rows = [(0, 1, True, 1, None)]
         k = 1
-        while k * k <= up_to:
-            bands.append(SpectralBand(Fraction(k * k), 2, BandKind.GRADIENT))
+        while k * k * top_den <= top_num:
+            rows.append((k * k, 1, False, 2, None))
             k += 1
-        return bands
-    scale = lam / (m - 1)
-    bands = []
+        return rows
+    scale, den = lam.numerator, lam.denominator * (m - 1)
+    rows = []
     k = 1
-    while (mu := k * (k + m - 1) * scale) <= up_to:
-        bands.append(SpectralBand(mu, gradient_multiplicity(m, k), BandKind.GRADIENT))
+    while (num := k * (k + m - 1) * scale) * top_den <= top_num * den:
+        rows.append((num, den, False, gradient_multiplicity(m, k), None))
         k += 1
     k = 1
-    while (mu := (k * (k + m - 1) + m - 2) * scale) <= up_to:
-        bands.append(SpectralBand(mu, divergence_free_multiplicity(m, k),
-                                  BandKind.DIVERGENCE_FREE))
+    while (num := (k * (k + m - 1) + m - 2) * scale) * top_den <= top_num * den:
+        rows.append((num, den, True, divergence_free_multiplicity(m, k), None))
         k += 1
-    bands.sort(key=lambda b: (b.eigenvalue, b.kind is BandKind.DIVERGENCE_FREE))
-    return bands
+    rows.sort(key=lambda row: (row[0], row[2]))
+    return rows
 
 
 @dataclass(frozen=True)
 class LoadedSpectrum:
     """A validated spectrum: a closed-form sphere (path None) or a spectrum file.
 
-    `rows` holds the bands as the engine's integer rows (see
-    core._band_rows); `bands` is built from them on first access.
+    `rows` holds the bands as the engine's integer rows, none of which
+    carries a band; `bands` is built from them on first access.
     """
 
     space: EinsteinSpace
@@ -111,8 +112,8 @@ class LoadedSpectrum:
 
     @functools.cached_property
     def bands(self) -> tuple[SpectralBand, ...]:
-        return tuple(band if band is not None else _row_band(num, den, divergence_free, mult)
-                     for num, den, divergence_free, mult, band in self.rows)
+        return tuple(_row_band(num, den, divergence_free, mult)
+                     for num, den, divergence_free, mult, _ in self.rows)
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -127,7 +128,7 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
     `lam` defaults to the unit sphere's m - 1; the circle must have lam = 0
     and every other sphere lam > 0.  The bands run up to `up_to`, by default
     the largest contribution cutoff over `kinds` (0 for no kinds), and that
-    bound is declared complete.  The result carries the same validate_spectrum
+    bound is declared complete.  The result carries the same validation
     report that load_spectrum gives a file, and no path.
     """
     if type(m) is not int or m < 1:
@@ -142,9 +143,9 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
     up_to = as_rational(up_to)
     if up_to < 0:
         raise DomainError(f"up_to must be >= 0, got {up_to}")
-    bands = _bands(m, lam, up_to)
-    return LoadedSpectrum(space=space, rows=tuple(_band_rows(bands)), complete_up_to=up_to,
-                          path=None, validation=validate_spectrum(space, bands))
+    rows = tuple(_rows(m, lam, up_to))
+    return LoadedSpectrum(space=space, rows=rows, complete_up_to=up_to, path=None,
+                          validation=_validate_rows(space, rows))
 
 
 _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "bands"}
@@ -152,12 +153,7 @@ _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "band
 _BAND_FIELDS = ("eigenvalue", "multiplicity", "kind")
 _KIND_NAMES = {kind.value: kind for kind in BandKind}
 _DIVERGENCE_FREE = {kind.value: kind is BandKind.DIVERGENCE_FREE for kind in BandKind}
-
-
-def band_document(band: SpectralBand) -> dict:
-    """One band in the file format, with the keys _BAND_FIELDS reads."""
-    return {"eigenvalue": str(band.eigenvalue), "multiplicity": band.multiplicity,
-            "kind": band.kind.value}
+_KIND_VALUES = {divergence_free: name for name, divergence_free in _DIVERGENCE_FREE.items()}
 
 
 def _rational_field(raw, field: str, position: int | None = None) -> Fraction:
@@ -206,6 +202,7 @@ def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
     ASCII "p" or "p/q" eigenvalue with q > 0, an int multiplicity >= 1 and a
     known kind) becomes a row without a Fraction or a SpectralBand.  Every
     other band goes through _parse_band, the one place that refuses a band.
+    No row keeps a band.
     """
     rows = []
     for position, raw in enumerate(raw_bands):
@@ -227,14 +224,14 @@ def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
         band = _parse_band(raw, position, strict)
         mu = band.eigenvalue
         rows.append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
-                     band.multiplicity, band))
+                     band.multiplicity, None))
     return tuple(rows)
 
 
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:
     """Load a JSON spectrum file and validate its bounds non-strictly.
 
-    The result carries the validate_spectrum report as `validation`; its
+    The result carries the validation report as `validation`; its
     bound violations and rigidity notes are the `warnings` of the result.
     Structural problems raise ParseError, MissingField or InvalidBand.
     """
@@ -283,5 +280,8 @@ def spectrum_document(spectrum: LoadedSpectrum) -> dict:
     }
     if spectrum.complete_up_to is not None:
         doc["complete_up_to"] = str(spectrum.complete_up_to)
-    doc["bands"] = [band_document(band) for band in spectrum.bands]
+    # the keys _BAND_FIELDS reads
+    doc["bands"] = [{"eigenvalue": str(Fraction(num, den)), "multiplicity": mult,
+                     "kind": _KIND_VALUES[divergence_free]}
+                    for num, den, divergence_free, mult, _ in spectrum.rows]
     return doc

@@ -72,10 +72,10 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
         run_suites(names)
 
 
-# symmetry pairs each t with 1/t and revisits t = 0.5 for positivity;
+# symmetry's 30 positivity points are distinct;
 # constancy's log-spaced curve passes t = 1 on S^4, a spot value too;
 # hessian differences E2c at t = e^-h, 1 and e^h for m = 4..7
-@pytest.mark.parametrize("suite, calls", [("symmetry", 39), ("constancy", 25), ("hessian", 12)])
+@pytest.mark.parametrize("suite, calls", [("symmetry", 30), ("constancy", 25), ("hessian", 12)])
 def test_suite_evaluates_each_point_once(monkeypatch, suite, calls):
     import cbstab.verify
 

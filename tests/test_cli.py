@@ -468,7 +468,8 @@ def test_index_cost_counters(tmp_path, capsys, monkeypatch):
         "name": "counted", "dimension": 4, "einstein_constant": "3",
         "bands": [{"eigenvalue": e, "multiplicity": n, "kind": k} for e, n, k in bands],
     }), encoding="utf-8")
-    # the one row validator behind validate_spectrum, which a file load calls directly
+    # the one row validator behind validate_spectrum, which a file load and a
+    # built-in sphere both call directly
     validations = count_calls(monkeypatch, cbstab.core, "_validate_rows")
     jacobi = count_calls(monkeypatch, cbstab.core, "jacobi_eigenvalue")
     for argv in (["--spectrum-file", str(path)], ["--dim", "4"], ["--dim", "4", "--strict"]):

@@ -252,8 +252,9 @@ def count_constructions(call):
 @pytest.mark.parametrize("m", [4, 5, 7, 10])
 def test_index_reports_builds_a_fraction_per_reported_row_only(m):
     sphere = builtin_spectrum(m)
+    bands = sphere.bands  # built from the rows on first access, so outside the count
     counts, reports = count_constructions(lambda: index_reports(
-        sphere.space, sphere.bands, Functional, complete_up_to=sphere.complete_up_to))
+        sphere.space, bands, Functional, complete_up_to=sphere.complete_up_to))
     listed = [b for report in reports for b, _ in report.contributing_bands]
     assert len(listed) == 5  # one Fraction per reported row, and no other
     assert counts == {"Fraction": 5, "SpectralBand": 0}

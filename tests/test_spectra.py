@@ -205,6 +205,50 @@ def test_builtin_spectrum_names_and_circle():
     assert builtin_spectrum(1).complete_up_to == 0
 
 
+def closed_form_bands(m, lam, up_to):
+    """The closed-form bands up to `up_to` in Fractions, sorted by eigenvalue then kind."""
+    if m == 1:
+        return [(Fraction(0), 1, DIV)] + [(Fraction(k * k), 2, GRAD)
+                                          for k in range(1, math.isqrt(math.floor(up_to)) + 1)]
+    scale = Fraction(lam) / (m - 1)
+    bands = []
+    for k in itertools.count(1):
+        mu = k * (k + m - 1) * scale
+        if mu > up_to:
+            break
+        bands.append((mu, gradient_multiplicity(m, k), GRAD))
+    for k in itertools.count(1):
+        mu = (k * (k + m - 1) + m - 2) * scale
+        if mu > up_to:
+            break
+        bands.append((mu, divergence_free_multiplicity(m, k), DIV))
+    return sorted(bands, key=lambda band: (band[0], band[2] is DIV))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_builtin_bands_match_the_closed_forms(m):
+    # a rational lambda leaves the rows' shared denominator lam.denominator*(m - 1)
+    # unreduced, and on S^2 every gradient band ties with a divergence-free one
+    lams = (0,) if m == 1 else (m - 1, Fraction(7, 3), Fraction(5, 12))
+    for lam in lams:
+        default = builtin_spectrum(m, lam)
+        for up_to in (default.complete_up_to, 30 * Fraction(lam)):
+            got = builtin_spectrum(m, lam, up_to=up_to).bands
+            assert [(b.eigenvalue, b.multiplicity, b.kind) for b in got] \
+                == closed_form_bands(m, lam, up_to), (m, lam, up_to)
+            assert all(type(b.eigenvalue) is Fraction for b in got)
+
+
+@pytest.mark.parametrize("m, lam, up_to", [(12, None, 4000), (7, Fraction(7, 3), 200),
+                                           (1, 0, 400)])
+def test_builtin_spectrum_builds_a_band_only_per_validation_issue(m, lam, up_to):
+    counts, sphere = count_constructions(lambda: builtin_spectrum(m, lam, up_to=up_to))
+    issues = len(sphere.validation.issues)
+    assert len(sphere.rows) > 20
+    assert counts["SpectralBand"] == issues
+    assert counts["Fraction"] <= issues + 5
+
+
 @pytest.mark.parametrize("args", [(0,), (2.0,), (True,), (1, 2), (4, 0), (4, -1),
                                   (4, None, tuple(Functional), -1), (1, 0, (), -1),
                                   (4, True)])
