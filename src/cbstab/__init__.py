@@ -13,7 +13,6 @@ from .core import (
     IndexReport,
     SpectralBand,
     SpectrumValidation,
-    ValidationIssue,
     contribution_cutoff,
     index_reports,
     jacobi_eigenvalue,
@@ -76,7 +75,6 @@ __all__ = [
     "SpectralBand",
     "SpectrumCompletenessWarning",
     "SpectrumValidation",
-    "ValidationIssue",
     "builtin_spectrum",
     "c_constant",
     "contribution_cutoff",

@@ -177,8 +177,8 @@ def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
     A row is (num, den, divergence_free, multiplicity, band): the eigenvalue
     num/den with den > 0, not necessarily reduced, and the SpectralBand it
     stands for, or None when no band was built for it (every row of a
-    LoadedSpectrum).  The engine builds a row's band only when it reports or
-    flags the row.
+    LoadedSpectrum).  The engine builds a row's band only when it reports
+    the row.
     """
     rows = []
     for band in bands:
@@ -299,29 +299,20 @@ def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    band: SpectralBand
-    severity: str  # "violation" or "rigidity"
-    message: str
-
-
-@dataclass(frozen=True)
 class SpectrumValidation:
-    issues: tuple[ValidationIssue, ...]
+    """The messages of validate_spectrum in band order, and the first violation's."""
+
+    warnings: tuple[str, ...]
+    first_violation: str | None
 
     @property
     def ok(self) -> bool:
-        return not any(issue.severity == "violation" for issue in self.issues)
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return tuple(issue.message for issue in self.issues)
+        return self.first_violation is None
 
     def raise_first_violation(self) -> None:
         """Strict mode: raise BoundViolation for the first violation, if any."""
-        for issue in self.issues:
-            if issue.severity == "violation":
-                raise BoundViolation(issue.message, band=issue.band)
+        if self.first_violation is not None:
+            raise BoundViolation(self.first_violation)
 
 
 def validate_spectrum(space: EinsteinSpace,
@@ -341,7 +332,7 @@ def validate_spectrum(space: EinsteinSpace,
 def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
     """validate_spectrum on _band_rows rows, by cross-multiplication.
 
-    A Fraction and a band are built only for a row that raises an issue.
+    A Fraction is built only for a flagged row, to format its message.
     """
     lam = space.einstein_constant
     m = space.dimension
@@ -354,24 +345,23 @@ def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
         below_obata = f"gradient band mu={{}} below Lichnerowicz-Obata bound {obata}"
     two_lam_num, two_lam_den = two_lam.numerator, two_lam.denominator
     below_two_lam = f"divergence-free band mu={{}} below 2*lambda={two_lam}"
-    issues = []
-    for num, den, divergence_free, mult, band in rows:
+    at_obata = "gradient band mu={} saturates the Obata bound: round sphere only"
+    messages = []
+    first_violation = None
+    for num, den, divergence_free, _, _ in rows:
         if divergence_free:
             if num * two_lam_den >= two_lam_num * den:
                 continue
-            severity, message = "violation", below_two_lam
+            template = below_two_lam
         elif obata is None:
             continue
         else:
             vs_obata = num * obata_den - obata_num * den
             if vs_obata > 0:
                 continue
-            if vs_obata < 0:
-                severity, message = "violation", below_obata
-            else:
-                severity = "rigidity"
-                message = "gradient band mu={} saturates the Obata bound: round sphere only"
-        if band is None:
-            band = _row_band(num, den, divergence_free, mult)
-        issues.append(ValidationIssue(band, severity, message.format(band.eigenvalue)))
-    return SpectrumValidation(issues=tuple(issues))
+            template = below_obata if vs_obata < 0 else at_obata
+        message = template.format(Fraction(num, den))
+        messages.append(message)
+        if first_violation is None and template is not at_obata:
+            first_violation = message
+    return SpectrumValidation(warnings=tuple(messages), first_violation=first_violation)

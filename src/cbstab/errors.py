@@ -18,7 +18,7 @@ class NonFiniteSample(CbstabError, ArithmeticError):
 
 
 class InvalidBand(CbstabError, ValueError):
-    """A spectral band violates its invariants (multiplicity < 1 or eigenvalue < 0)."""
+    """A spectral band's multiplicity is < 1, its eigenvalue < 0 or its kind not a BandKind."""
 
 
 class IncompleteSpectrum(CbstabError, ValueError):
@@ -27,10 +27,6 @@ class IncompleteSpectrum(CbstabError, ValueError):
 
 class BoundViolation(CbstabError, ValueError):
     """Strict validation found a band below the Lichnerowicz-Obata or Killing bound."""
-
-    def __init__(self, message, band=None):
-        super().__init__(message)
-        self.band = band
 
 
 class ParseError(CbstabError, ValueError):

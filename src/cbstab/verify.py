@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EinsteinSpace, Functional, SpectralBand, index_reports, jacobi_eigenvalue
+from .core import EinsteinSpace, Functional, _index_rows, jacobi_eigenvalue
 from .errors import DomainError
 from .family import (M_MAX, _family_side, c_constant, epsilon_schedule, evaluate_family,
                      spectral_prediction, upper_bound)
@@ -56,8 +56,7 @@ def _check(suite: str, name: str, expected, got, tolerance: str, passed: bool) -
 
 def _sphere_reports(spectrum):
     """Energy, bienergy and c-bienergy reports of a built-in spectrum, from one merge."""
-    return index_reports(spectrum.space, spectrum.bands, Functional,
-                         complete_up_to=spectrum.complete_up_to)
+    return _index_rows(spectrum.space, spectrum.rows, Functional, spectrum.complete_up_to)
 
 
 def _expected_energy(m: int) -> tuple[int, int]:
@@ -113,10 +112,10 @@ def _scaling_invariance_check() -> CheckResult:
         c = Fraction(rng.randint(1, 60), rng.randint(1, 60))
         for m, spectrum in bases.items():
             scaled_space = EinsteinSpace(m, spectrum.space.einstein_constant * c)
-            scaled_bands = [SpectralBand(b.eigenvalue * c, b.multiplicity, b.kind)
-                            for b in spectrum.bands]
-            scaled = index_reports(scaled_space, scaled_bands, Functional,
-                                   complete_up_to=spectrum.complete_up_to * c)
+            scaled_rows = [(num * c.numerator, den * c.denominator, divergence_free, mult, None)
+                           for num, den, divergence_free, mult, _ in spectrum.rows]
+            scaled = _index_rows(scaled_space, scaled_rows, Functional,
+                                 spectrum.complete_up_to * c)
             for base, report in zip(base_reports[m], scaled):
                 if (base.index, base.nullity) != (report.index, report.nullity):
                     failures += 1

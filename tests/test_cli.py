@@ -286,6 +286,23 @@ def test_strict_validation_exits_2(tmp_path, capsys):
     assert any("Lichnerowicz-Obata" in w for w in json.loads(out)["warnings"])
 
 
+def test_strict_validation_names_the_first_violation_in_band_order(tmp_path, capsys):
+    # a rigidity note at the Obata bound 4, then a divergence-free band below
+    # 2*lambda = 6, then a gradient band below the Obata bound
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({
+        "name": "order", "dimension": 4, "einstein_constant": "3", "complete_up_to": "6",
+        "bands": [
+            {"eigenvalue": "4", "multiplicity": 1, "kind": "gradient"},
+            {"eigenvalue": "5", "multiplicity": 2, "kind": "divergence_free"},
+            {"eigenvalue": "3", "multiplicity": 3, "kind": "gradient"},
+        ],
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "index", "--spectrum-file", str(path), "--strict")
+    assert (code, out) == (2, "")
+    assert err == "cbstab: validation failure: divergence-free band mu=5 below 2*lambda=6\n"
+
+
 def test_strict_requires_declared_completeness(tmp_path, capsys):
     undeclared = tmp_path / "undeclared.json"
     undeclared.write_text(json.dumps({

@@ -351,7 +351,7 @@ def test_validate_spectrum_violations():
     assert not report.ok
     with pytest.raises(BoundViolation) as info:
         validate_spectrum(S4, [band(3, 5, GRAD)]).raise_first_violation()
-    assert info.value.band.eigenvalue == 3
+    assert str(info.value) == "gradient band mu=3 below Lichnerowicz-Obata bound 4"
     with pytest.raises(BoundViolation):
         validate_spectrum(S4, [band(5, 2, DIVFREE)]).raise_first_violation()
 
@@ -360,7 +360,24 @@ def test_validate_spectrum_skips_ricci_flat():
     flat = EinsteinSpace(4, Fraction(0))
     report = validate_spectrum(flat, [band(0, 1, GRAD), band(0, 1, DIVFREE)])
     report.raise_first_violation()
-    assert report.ok and not report.issues
+    assert report.ok
+    assert report.warnings == ()
+    assert report.first_violation is None
+
+
+def test_validate_spectrum_keeps_band_order_and_reports_the_first_violation():
+    # on S^4 the Obata bound is 4 and 2*lambda is 6: a rigidity note, then a
+    # divergence-free violation, then an Obata violation
+    report = validate_spectrum(S4, [band(4, 1, GRAD), band(5, 2, DIVFREE), band(3, 3, GRAD)])
+    assert report.warnings == (
+        "gradient band mu=4 saturates the Obata bound: round sphere only",
+        "divergence-free band mu=5 below 2*lambda=6",
+        "gradient band mu=3 below Lichnerowicz-Obata bound 4",
+    )
+    assert not report.ok
+    with pytest.raises(BoundViolation) as info:
+        report.raise_first_violation()
+    assert str(info.value) == "divergence-free band mu=5 below 2*lambda=6"
 
 
 def test_as_rational_returns_fraction_unchanged():
