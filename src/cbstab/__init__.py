@@ -4,88 +4,44 @@ Exact rational index/nullity computations for the energy, bienergy and
 conformal-bienergy functionals from spectral data, closed-form sphere
 spectra, and numerical evaluation of the functionals along the conformal
 family of sphere self-maps.
+
+Importing the package loads no submodule: each exported name, and each
+submodule that defines one, is imported on first access (PEP 562), so a
+CLI run loads only what its subcommand uses.
 """
 
-from .core import (
-    BandKind,
-    EinsteinSpace,
-    Functional,
-    IndexReport,
-    SpectralBand,
-    SpectrumValidation,
-    contribution_cutoff,
-    index_reports,
-    jacobi_eigenvalue,
-    validate_spectrum,
-)
-from .errors import (
-    BoundViolation,
-    CbstabError,
-    DomainError,
-    IncompleteSpectrum,
-    InvalidBand,
-    MissingField,
-    NonFiniteSample,
-    ParseError,
-    QuadratureFailure,
-    SpectrumCompletenessWarning,
-)
-from .family import (
-    EpsilonCertificate,
-    FamilyEvaluation,
-    c_constant,
-    epsilon_schedule,
-    evaluate_family,
-    spectral_prediction,
-    upper_bound,
-)
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    sphere_volume,
-)
-from .spectra import (
-    LoadedSpectrum,
-    builtin_spectrum,
-    load_spectrum,
-    spectrum_document,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandKind",
-    "BoundViolation",
-    "CbstabError",
-    "DEFAULT_CONFIG",
-    "DomainError",
-    "EinsteinSpace",
-    "EpsilonCertificate",
-    "FamilyEvaluation",
-    "Functional",
-    "IncompleteSpectrum",
-    "IndexReport",
-    "InvalidBand",
-    "LoadedSpectrum",
-    "MissingField",
-    "NonFiniteSample",
-    "ParseError",
-    "QuadratureConfig",
-    "QuadratureFailure",
-    "SpectralBand",
-    "SpectrumCompletenessWarning",
-    "SpectrumValidation",
-    "builtin_spectrum",
-    "c_constant",
-    "contribution_cutoff",
-    "epsilon_schedule",
-    "evaluate_family",
-    "index_reports",
-    "jacobi_eigenvalue",
-    "load_spectrum",
-    "spectral_prediction",
-    "spectrum_document",
-    "sphere_volume",
-    "upper_bound",
-    "validate_spectrum",
-]
+# the submodule that defines each exported name
+_EXPORTS = {
+    "core": ("BandKind", "EinsteinSpace", "Functional", "IndexReport", "SpectralBand",
+             "SpectrumValidation", "contribution_cutoff", "index_reports",
+             "jacobi_eigenvalue", "validate_spectrum"),
+    "errors": ("BoundViolation", "CbstabError", "DomainError", "IncompleteSpectrum",
+               "InvalidBand", "MissingField", "NonFiniteSample", "ParseError",
+               "QuadratureFailure", "SpectrumCompletenessWarning"),
+    "family": ("EpsilonCertificate", "FamilyEvaluation", "c_constant", "epsilon_schedule",
+               "evaluate_family", "spectral_prediction", "upper_bound"),
+    "quadrature": ("DEFAULT_CONFIG", "QuadratureConfig", "sphere_volume"),
+    "spectra": ("LoadedSpectrum", "builtin_spectrum", "load_spectrum", "spectrum_document"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # importing a submodule binds it here
+        return import_module(f".{name}", __name__)
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_EXPORTS})

@@ -9,13 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-import warnings
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_string
 
-from .core import Functional, _index_rows, as_rational
 from .errors import (
     BoundViolation,
     CbstabError,
@@ -26,21 +21,11 @@ from .errors import (
     ParseError,
     QuadratureFailure,
 )
-from .family import evaluate_family
-from .spectra import (
-    LoadedSpectrum,
-    builtin_spectrum,
-    load_spectrum,
-    spectrum_document,
-)
-from .verify import SUITES, run_suites
 
-_FUNCTIONALS = {
-    "e": (Functional.ENERGY,),
-    "e2": (Functional.BIENERGY,),
-    "e2c": (Functional.CONFORMAL_BIENERGY,),
-    "all": tuple(Functional),
-}
+# Each handler imports the modules it runs, so a subcommand loads no module
+# it does not use and the parser needs none.  verify.SUITES holds the same
+# names in the same order; a test checks that.
+_SUITE_NAMES = ("tables", "constancy", "hessian", "epsilon", "bounds", "symmetry")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +33,9 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    from .core import as_rational
+
     try:
         return as_rational(text)
     except DomainError as exc:
@@ -82,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--lambda", dest="einstein_constant", type=_rational,
                          help="Einstein constant as 'p/q' (default: unit sphere m-1)")
     p_index.add_argument("--spectrum-file", help="JSON spectrum file instead of a built-in sphere")
-    p_index.add_argument("--functional", choices=list(_FUNCTIONALS), default="all")
+    p_index.add_argument("--functional", choices=("e", "e2", "e2c", "all"), default="all")
     p_index.add_argument("--strict", action="store_true",
                          help="exit 2 on a bound violation or a spectrum file without "
                               "complete_up_to, and 66 on unknown file fields; rigidity "
@@ -106,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.set_defaults(func=_cmd_spectrum)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("--suites", type=_suite_list, default=list(SUITES),
-                          help=f"comma-separated subset of: {', '.join(SUITES)}")
+    p_verify.add_argument("--suites", type=_suite_list,
+                          help=f"comma-separated subset of: {', '.join(_SUITE_NAMES)}")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
@@ -119,7 +106,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _source_doc(loaded: LoadedSpectrum) -> dict:
+def _source_doc(loaded) -> dict:
     if loaded.path is None:
         return {
             "origin": "closed_form_sphere",
@@ -130,7 +117,13 @@ def _source_doc(loaded: LoadedSpectrum) -> dict:
 
 
 def _cmd_index(args) -> int:
-    kinds = _FUNCTIONALS[args.functional]
+    import warnings
+
+    from .core import Functional, _index_rows
+    from .spectra import builtin_spectrum, load_spectrum
+
+    kinds = {"e": (Functional.ENERGY,), "e2": (Functional.BIENERGY,),
+             "e2c": (Functional.CONFORMAL_BIENERGY,), "all": tuple(Functional)}[args.functional]
     if args.spectrum_file is not None:
         if args.dim is not None or args.einstein_constant is not None:
             raise DomainError("--spectrum-file excludes --dim/--lambda")
@@ -176,16 +169,19 @@ def _index_json(head: dict, reports) -> str:
     the reports are written from the IndexReports, so no report dict is
     built and the pure-Python encoder that `indent` selects is not run.
     """
+    import json
+    from json.encoder import encode_basestring_ascii as _json_string
+
     lines = ["{"]
     for key, value in head.items():
         if type(value) is dict:
-            items = [f"    {_json_string(k)}: {_json_scalar(v)}" for k, v in value.items()]
+            items = [f"    {_json_string(k)}: {json.dumps(v)}" for k, v in value.items()]
             lines.append(f"  {_json_string(key)}: {{\n" + ",\n".join(items) + "\n  },")
         elif type(value) is list and value:
             items = [f"    {_json_string(item)}" for item in value]
             lines.append(f"  {_json_string(key)}: [\n" + ",\n".join(items) + "\n  ],")
         else:
-            lines.append(f"  {_json_string(key)}: {_json_scalar(value)},")
+            lines.append(f"  {_json_string(key)}: {json.dumps(value)},")
     lines.append('  "reports": [' if reports else '  "reports": []')
     for number, report in enumerate(reports):
         lines.append("    {")
@@ -213,25 +209,22 @@ def _index_json(head: dict, reports) -> str:
     return "\n".join(lines)
 
 
-def _json_scalar(value) -> str:
-    """A string, integer, boolean, None or empty list, as json.dumps writes it."""
-    if type(value) is str:
-        return _json_string(value)
-    return json.dumps(value)
-
-
 # the JSON keys, the CSV header and the FamilyEvaluation fields after t
 _ENERGY_COLUMNS = ("t", "energy", "energy_error", "bienergy", "bienergy_error",
                    "c_bienergy", "c_bienergy_error")
 
 
 def _cmd_energy(args) -> int:
+    from .family import evaluate_family
+
     # compute everything first so failures suppress all output
     rows = []
     for t in args.t:
         ev = evaluate_family(args.dim, t)
         rows.append([t] + [getattr(ev, name) for name in _ENERGY_COLUMNS[1:]])
     if args.format == "json":
+        import json
+
         doc = {"dimension": args.dim, "rows": [dict(zip(_ENERGY_COLUMNS, row)) for row in rows]}
         print(json.dumps(doc, indent=2))
     else:
@@ -242,15 +235,23 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    import json
+
+    from .spectra import builtin_spectrum, spectrum_document
+
     loaded = builtin_spectrum(args.dim, args.einstein_constant, up_to=args.up_to)
     print(json.dumps(spectrum_document(loaded), indent=2))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     results = run_suites(args.suites)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
+        import json
+
         doc = {
             # CheckResult's field order is the document's key order
             "checks": [vars(r) for r in results],

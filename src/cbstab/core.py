@@ -133,7 +133,10 @@ def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> F
     mu = as_rational(mu)
     if mu < 0:
         raise DomainError(f"Hodge eigenvalue must be >= 0, got {mu}")
-    return math.prod(mu - Fraction(num, den) for num, den in _roots(kind, space))
+    roots = _roots(kind, space)
+    # one Fraction of the integer products, not one per root
+    return Fraction(math.prod(mu.numerator * den - num * mu.denominator for num, den in roots),
+                    mu.denominator ** len(roots) * math.prod(den for _, den in roots))
 
 
 def _roots(kind: Functional, space: EinsteinSpace) -> tuple[tuple[int, int], ...]:

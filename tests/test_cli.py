@@ -353,13 +353,14 @@ def test_verify_json_format(capsys):
 
 
 def test_numerical_failure_exits_3(capsys, monkeypatch):
-    import cbstab.cli
+    import cbstab.family
     from cbstab.errors import QuadratureFailure
 
     def starved(*args, **kwargs):
         raise QuadratureFailure("panel budget exhausted")
 
-    monkeypatch.setattr(cbstab.cli, "evaluate_family", starved)
+    # the energy handler imports evaluate_family when it runs
+    monkeypatch.setattr(cbstab.family, "evaluate_family", starved)
     code, out, err = run(capsys, "energy", "--dim", "5", "--t", "0.3,1")
     assert code == 3
     assert out == ""  # partial output suppressed

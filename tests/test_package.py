@@ -1,13 +1,56 @@
-"""What README promises of the package: no runtime dependencies, and a
-Library example that runs."""
+"""What README promises of the package: no runtime dependencies, a
+Library example that runs, lazy exports, and a CLI that loads only the
+modules each subcommand runs."""
 
 import ast
+import importlib
+import json
 import os
 import re
+import subprocess
 import sys
+
+import pytest
+
+import cbstab
+import cbstab.cli
+import cbstab.verify
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE = os.path.join(ROOT, "src", "cbstab")
+
+SPECTRUM = {"name": "x", "dimension": 4, "einstein_constant": "3", "complete_up_to": "6",
+            "bands": [{"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}]}
+# the cbstab modules a fresh interpreter holds after each statement or CLI run
+CLI = {"cbstab", "cbstab.cli", "cbstab.errors"}
+ENGINE = CLI | {"cbstab.core", "cbstab.spectra"}
+# (id, statement, argv, expected): a row runs its statement, or cbstab.cli.main(argv)
+MODULE_SETS = [
+    ("import cbstab", "import cbstab", None, {"cbstab"}),
+    ("import cbstab.cli", "import cbstab.cli", None, CLI),
+    ("cbstab.core", "import cbstab; cbstab.core", None, {"cbstab", "cbstab.errors", "cbstab.core"}),
+    ("energy", None, ["energy", "--dim", "5", "--t", "1"],
+     CLI | {"cbstab.family", "cbstab.quadrature"}),
+    ("index --dim", None, ["index", "--dim", "5"], ENGINE),
+    ("index --spectrum-file", None, ["index", "--spectrum-file", "{spectrum}"], ENGINE),
+    ("spectrum", None, ["spectrum", "--dim", "4"], ENGINE),
+    ("verify", None, ["verify"],
+     ENGINE | {"cbstab.family", "cbstab.quadrature", "cbstab.verify"}),
+]
+# prints [exit code or null, sorted cbstab modules] and drops the CLI's stdout
+PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+argv = {argv!r}
+code = None
+if argv is None:
+    {statement}
+else:
+    import cbstab.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cbstab.cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "cbstab")]))
+"""
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -38,3 +81,51 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("statement, argv, expected", [m[1:] for m in MODULE_SETS],
+                         ids=[m[0] for m in MODULE_SETS])
+def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, statement, argv, expected):
+    if argv is not None:
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps(SPECTRUM), encoding="utf-8")
+        argv = [arg.format(spectrum=path) for arg in argv]
+    probe = PROBE.format(src=os.path.dirname(SOURCE), argv=argv, statement=statement or "pass")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code in (None, 0), proc.stderr
+    assert set(modules) == expected
+
+
+def test_each_export_is_its_home_module_object():
+    for name in cbstab.__all__:
+        home = importlib.import_module(f"cbstab.{cbstab._HOME[name]}")
+        value = getattr(cbstab, name)
+        assert value is getattr(home, name)
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from cbstab import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(cbstab.__all__)
+    assert all(namespace[name] is getattr(cbstab, name) for name in namespace)
+
+
+def test_dir_lists_the_exports_and_the_submodules():
+    listed = set(dir(cbstab))
+    assert set(cbstab.__all__) <= listed
+    assert {"__version__", "core", "errors", "family", "quadrature", "spectra"} <= listed
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        cbstab.no_such_name
+
+
+def test_cli_suite_names_are_the_verify_suites():
+    # verify --help lists the suites without importing cbstab.verify
+    assert cbstab.cli._SUITE_NAMES == tuple(cbstab.verify.SUITES)
