@@ -20,11 +20,11 @@ _EXPORTS = {
              "SpectrumValidation", "contribution_cutoff", "index_reports",
              "jacobi_eigenvalue", "validate_spectrum"),
     "errors": ("BoundViolation", "CbstabError", "DomainError", "IncompleteSpectrum",
-               "InvalidBand", "MissingField", "NonFiniteSample", "ParseError",
-               "QuadratureFailure", "SpectrumCompletenessWarning"),
-    "family": ("EpsilonCertificate", "FamilyEvaluation", "c_constant", "epsilon_schedule",
-               "evaluate_family", "spectral_prediction", "upper_bound"),
-    "quadrature": ("DEFAULT_CONFIG", "QuadratureConfig", "sphere_volume"),
+               "InvalidBand", "MissingField", "ParseError", "QuadratureFailure",
+               "SpectrumCompletenessWarning"),
+    "family": ("DEFAULT_CONFIG", "EpsilonCertificate", "FamilyEvaluation", "QuadratureConfig",
+               "c_constant", "epsilon_schedule", "evaluate_family", "spectral_prediction",
+               "sphere_volume", "upper_bound"),
     "spectra": ("LoadedSpectrum", "builtin_spectrum", "load_spectrum", "spectrum_document"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     IncompleteSpectrum,
     InvalidBand,
-    NonFiniteSample,
     ParseError,
     QuadratureFailure,
 )
@@ -285,7 +284,7 @@ def main(argv=None) -> int:
     except (BoundViolation, IncompleteSpectrum) as exc:
         print(f"cbstab: validation failure: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureFailure, NonFiniteSample) as exc:
+    except QuadratureFailure as exc:
         print(f"cbstab: numerical failure: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:

@@ -10,11 +10,10 @@ class DomainError(CbstabError, ValueError):
 
 
 class QuadratureFailure(CbstabError, RuntimeError):
-    """The trapezoid ladder halved its step max_doublings times without meeting its tolerance."""
+    """evaluate_family halved its ladder's step max_doublings times without meeting its tolerance.
 
-
-class NonFiniteSample(CbstabError, ArithmeticError):
-    """An integrand returned NaN or infinity at a quadrature node."""
+    The message lists the largest change between two levels after each halving.
+    """
 
 
 class InvalidBand(CbstabError, ValueError):

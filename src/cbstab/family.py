@@ -28,9 +28,10 @@ so that
 The two integrands are analytic bumps at x = 0 and x = -s that decay at
 least like exp(-m|x|), and t <-> 1/t is the reflection x -> -x.  The
 trapezoidal rule converges geometrically for such integrands, so both are
-summed on one shared, nested ladder of equally spaced nodes
-(quadrature.trapezoid_ladder), centred between the bumps; sech is taken
-from exp(-|x|), which cannot overflow.  In u = x + s/2, the reflection
+summed on one shared, nested ladder of equally spaced nodes (Trefethen and
+Weideman, SIAM Review 56(3), 2014), centred between the bumps; halving the
+step evaluates only the new midpoints, and sech is taken from exp(-|x|),
+which cannot overflow.  In u = x + s/2, the reflection
 u -> -u about the midpoint of the bumps swaps sin r and sin alpha, and
 every ladder level is symmetric about u = 0, so the two exponentials of a
 node u serve both integrands at u and at -u: one pair of exponentials per
@@ -43,13 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    sphere_volume,
-    trapezoid_ladder,
-)
+from .errors import DomainError, QuadratureFailure
 
 # the supported parameter range; M_MAX is the largest dimension on which
 # _first_step was measured.  _check_m and _check_t are the only checks of
@@ -59,8 +54,46 @@ T_MAX = 1e8
 M_MAX = 50
 
 
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Budget of the trapezoid ladder: max_doublings bounds the step halvings."""
+
+    max_doublings: int = 12
+
+    def __post_init__(self):
+        if self.max_doublings < 1:
+            raise DomainError(f"max_doublings must be >= 1, got {self.max_doublings}")
+
+
+DEFAULT_CONFIG = QuadratureConfig()
+
+
+# The ladder stops once every integral's change between two levels is
+# within ABS_TOLERANCE or within REL_TOLERANCE of its value.
+REL_TOLERANCE = 1e-11
+ABS_TOLERANCE = 1e-12
+
+# Relative rounding error allowed for in every ladder estimate, 256 units in
+# the last place.  Once the rule has converged, the change between two
+# levels is the rounding noise of the node values and can miss it; against
+# the exact closed form in tests/test_family_reference.py (m = 2..12 and
+# 16, 24, 50, t in [1e-8, 1e8]) the family's worst relative error is about
+# 7e-15, a tenth of this floor.
+LADDER_ROUNDOFF = 2.0 ** -44
+
+
+def _real(x, name: str) -> float:
+    # float() alone would read "2" as 2.0 and True as 1.0
+    if not isinstance(x, (bool, str, bytes, bytearray)):
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a real number, got {x!r}")
+
+
 def _check_t(t: float) -> float:
-    t = float(t)
+    t = _real(t, "family parameter t")
     if not T_MIN <= t <= T_MAX:  # also rejects nan
         raise DomainError(f"family parameter t must lie in [{T_MIN:g}, {T_MAX:g}], got {t!r}")
     return t
@@ -117,6 +150,12 @@ def evaluate_family(m: int, t: float,
     times (the node 0 has no mirror).  The values are those of evaluating
     every node on its own, bit for bit: the mirror's arguments are exact
     negations, and math.fsum does not depend on the order of the terms.
+
+    Halving stops once every value's change between the last two levels is
+    within ABS_TOLERANCE or within REL_TOLERANCE of it; each error is that
+    change plus LADDER_ROUNDOFF times the value.  Raises QuadratureFailure
+    when quad.max_doublings halvings do not suffice, which a non-finite
+    level sum also ends in, since every later change is then NaN.
     """
     m = _check_m(m)
     t = _check_t(t)
@@ -127,12 +166,14 @@ def evaluate_family(m: int, t: float,
     coef = 2.0 * (m - 1) * (m - 3) / 3.0
     half_omega = 0.5 * sphere_volume(m - 1)
 
-    def sums(nodes: list[float]) -> tuple[float, float, float]:
-        # u = x + s/2 puts the bumps at u = -s/2 and u = s/2.  (-u) -+ half
-        # is exactly -(u +- half), so the node -u has the sin r and sin alpha
-        # of u swapped: walk the level's u >= 0 and add the terms of -u too.
+    def level_sums(level: list[float]) -> tuple[float, float, float]:
+        # u = x + s/2 puts the bumps at u = -s/2 and u = s/2.  A level is
+        # increasing and symmetric about 0 exactly, since the mirror of c*h
+        # is (-c)*h, and (-u) -+ half is exactly -(u +- half), so the node -u
+        # has the sin r and sin alpha of u swapped: walk the level's u >= 0
+        # and add the terms of -u too.
         energy, bienergy = [], []
-        for u in nodes[len(nodes) // 2:]:
+        for u in level[len(level) // 2:]:
             # sech y = 2 e^-|y| / (1 + e^-2|y|), which cannot overflow
             a = math.exp(-abs(u - half))
             sin_r = 2.0 * a / (1.0 + a * a)
@@ -151,18 +192,40 @@ def evaluate_family(m: int, t: float,
         b_sum = half_omega * c1 * math.fsum(bienergy)
         return e_sum, b_sum, b_sum + coef * e_sum
 
-    ladder = trapezoid_ladder(sums, 0.5 * abs(s) + _tail_margin(m), _first_step(m), quad)
-    energy, bienergy, c_bienergy = ladder.values
-    energy_error, bienergy_error, c_bienergy_error = ladder.errors
-    return FamilyEvaluation(
-        energy=energy,
-        energy_error=energy_error,
-        bienergy=bienergy,
-        bienergy_error=bienergy_error,
-        c_bienergy=c_bienergy,
-        c_bienergy_error=c_bienergy_error,
-        nodes=ladder.nodes,
-    )
+    # The first level has the nodes j*h for |j| <= k, over a window that
+    # holds both bumps and their tails; each halving adds the midpoints.
+    h = _first_step(m)
+    k = math.ceil((0.5 * abs(s) + _tail_margin(m)) / h)
+    totals = level_sums([j * h for j in range(-k, k + 1)])
+    nodes = 2 * k + 1
+    values = [h * total for total in totals]
+    history = []
+    for _ in range(quad.max_doublings):
+        midpoints = [(j + 0.5) * h for j in range(-k, k)]
+        totals = [a + b for a, b in zip(totals, level_sums(midpoints))]
+        h *= 0.5
+        k *= 2
+        nodes += len(midpoints)
+        current = [h * total for total in totals]
+        changes = [abs(c - v) for c, v in zip(current, values)]
+        values = current
+        if all(d <= ABS_TOLERANCE or d <= REL_TOLERANCE * abs(v)
+               for d, v in zip(changes, values)):
+            errors = [d + LADDER_ROUNDOFF * abs(v) for d, v in zip(changes, values)]
+            return FamilyEvaluation(
+                energy=values[0],
+                energy_error=errors[0],
+                bienergy=values[1],
+                bienergy_error=errors[1],
+                c_bienergy=values[2],
+                c_bienergy_error=errors[2],
+                nodes=nodes,
+            )
+        history.append(max(changes))
+    raise QuadratureFailure(
+        f"no convergence after {quad.max_doublings} halvings ({nodes} nodes, "
+        f"step {h:.3g}): largest change per level "
+        + ", ".join(f"{d:.3e}" for d in history))
 
 
 def c_constant(m: int) -> float:
@@ -192,7 +255,7 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
     to 1 and delta capped strictly below pi/2 for the same reason.
     """
     constant = c_constant(m)
-    eps = float(eps)
+    eps = _real(eps, "eps")
     if not (eps > 0.0) or not math.isfinite(eps):
         raise DomainError(f"eps must be positive, got {eps!r}")
     eta = eps / constant
@@ -243,3 +306,26 @@ def upper_bound(m: int, t: float) -> float:
     """
     t = _check_t(t)
     return c_constant(m) * (2.0 * math.pi * t / (1.0 + t) ** 2)
+
+
+def sphere_volume_exact(n: int) -> tuple[Fraction, int]:
+    """Volume of the unit n-sphere as (rational coefficient, power of pi).
+
+    Uses the half-integer Gamma recursion, so the coefficient is exact:
+    odd n gives 2/k! type values, even n gives 2*4^k*k!/(2k)!.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"sphere dimension must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError(f"sphere dimension must be >= 1, got {n}")
+    if n % 2 == 1:
+        k = (n + 1) // 2
+        return Fraction(2, math.factorial(k - 1)), k
+    k = n // 2
+    return Fraction(2 * 4 ** k * math.factorial(k), math.factorial(2 * k)), k
+
+
+def sphere_volume(n: int) -> float:
+    """Volume of the Euclidean unit n-sphere (2*pi^((n+1)/2)/Gamma((n+1)/2))."""
+    coeff, k = sphere_volume_exact(n)
+    return float(coeff) * math.pi ** k

@@ -23,8 +23,7 @@ from fractions import Fraction
 from .core import EinsteinSpace, Functional, _index_rows, jacobi_eigenvalue
 from .errors import DomainError
 from .family import (M_MAX, _family_side, c_constant, epsilon_schedule, evaluate_family,
-                     spectral_prediction, upper_bound)
-from .quadrature import sphere_volume
+                     spectral_prediction, sphere_volume, upper_bound)
 from .spectra import builtin_spectrum
 
 CONSTANCY_REL_TOL = 1e-8

@@ -1,17 +1,61 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+import cbstab.family
 from cbstab.errors import DomainError, QuadratureFailure
 from cbstab.family import (
+    QuadratureConfig,
     c_constant,
     epsilon_schedule,
     evaluate_family,
+    sphere_volume,
+    sphere_volume_exact,
     upper_bound,
 )
-from cbstab.quadrature import QuadratureConfig, sphere_volume
 
 PI = math.pi
+
+
+def wallis_oracle(p):
+    """Independent recursion I_p = (p-1)/p * I_{p-2}, I_0 = pi, I_1 = 2."""
+    if p == 0:
+        return math.pi
+    if p == 1:
+        return 2.0
+    return (p - 1) / p * wallis_oracle(p - 2)
+
+
+def test_sphere_volumes():
+    assert sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert sphere_volume(3) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
+    assert sphere_volume(4) == pytest.approx(8.0 * math.pi ** 2 / 3.0, rel=1e-15)
+    assert sphere_volume_exact(5) == (Fraction(1), 3)
+    # against the Gamma-function definition
+    for n in range(1, 13):
+        ref = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+        assert sphere_volume(n) == pytest.approx(ref, rel=1e-13)
+    with pytest.raises(DomainError):
+        sphere_volume(0)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])
+def test_sphere_volume_refuses_a_non_integer_dimension(n):
+    with pytest.raises(DomainError, match="sphere dimension must be an integer"):
+        sphere_volume(n)
+
+
+def test_volume_recursion_identity():
+    # omega_m = omega_{m-1} * int sin^{m-1}, against the independent recursion
+    for m in range(2, 13):
+        assert sphere_volume(m) / sphere_volume(m - 1) == pytest.approx(
+            wallis_oracle(m - 1), rel=1e-14)
+
+
+def test_config_invariants():
+    with pytest.raises(DomainError):
+        QuadratureConfig(max_doublings=0)
 
 
 def test_identity_map_closed_forms():
@@ -72,6 +116,63 @@ def test_one_exp_pair_per_mirror_pair(monkeypatch, m, t):
     assert len(calls) == ev.nodes + 1
 
 
+def test_ladder_levels_are_nested(monkeypatch):
+    # At t = 1 the bumps meet at u = 0, and a node u >= 0 calls math.exp
+    # with -|u - 0| and -|u + 0|, both exactly -u; the mirror -u adds none.
+    calls = []
+    exp = math.exp
+
+    def recording_exp(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", recording_exp)
+    ev = evaluate_family(5, 1.0)
+    assert calls[0::2] == calls[1::2]
+    nodes = [-x for x in calls[0::2]]
+    assert len(set(nodes)) == len(nodes)  # no node is evaluated twice
+    assert 2 * len(nodes) - 1 == ev.nodes  # 0 is its own mirror
+    levels = [[nodes[0]]]  # each level's u >= 0 come in increasing order
+    for u in nodes[1:]:
+        if u > levels[-1][-1]:
+            levels[-1].append(u)
+        else:
+            levels.append([u])
+    first = levels[0]
+    assert first[0] == 0.0
+    assert first == pytest.approx([j * first[1] for j in range(len(first))], rel=1e-15)
+    assert len(levels) >= 2
+    for i in range(1, len(levels)):
+        # exactly the midpoints of the levels before: one in each gap
+        before = sorted(u for level in levels[:i] for u in level)
+        assert len(levels[i]) == len(before) - 1
+        for lo, mid, hi in zip(before, levels[i], before[1:]):
+            assert lo < mid < hi
+            assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", range(2, 51))
+def test_domain_corners_are_finite(m):
+    # every node term is a product of sech powers <= 1 and the bienergy
+    # coefficient (m-2)^2 sinh^2(s) is at most about 5.8e18, so every sum
+    # at the corners of the domain is finite
+    for t in (1e-8, 1e8):
+        ev = evaluate_family(m, t)
+        assert all(math.isfinite(v) for v in (ev.energy, ev.energy_error, ev.bienergy,
+                                              ev.bienergy_error, ev.c_bienergy,
+                                              ev.c_bienergy_error))
+        assert min(ev.energy_error, ev.bienergy_error, ev.c_bienergy_error) >= 0.0
+
+
+@pytest.mark.parametrize("volume", [math.inf, math.nan])
+def test_non_finite_sums_end_in_quadrature_failure(monkeypatch, volume):
+    # a non-finite level sum makes every later change NaN, which meets no
+    # tolerance: the ladder fails rather than return a non-finite value
+    monkeypatch.setattr(cbstab.family, "sphere_volume", lambda n: volume)
+    with pytest.raises(QuadratureFailure, match="largest change per level"):
+        evaluate_family(5, 1.0)
+
+
 def test_positivity():
     for m in (4, 5, 6, 7, 8):
         for t in (0.01, 0.37, 1.0, 2.0, 50.0):
@@ -88,11 +189,32 @@ def test_evaluate_family_domain():
             evaluate_family(5, t)
     with pytest.raises(DomainError):
         evaluate_family(51, 1.0)  # past M_MAX
+    # float() would read these as 2.0, 1.0 and 2.0, or raise a bare error
+    for t in ("x", None, "2", True, b"2", 1j):
+        with pytest.raises(DomainError, match="must be a real number"):
+            evaluate_family(5, t)
+    with pytest.raises(DomainError, match="must be a real number"):
+        upper_bound(5, None)
+
+
+def test_evaluate_family_takes_any_real_t():
+    want = evaluate_family(5, 0.5)
+    assert evaluate_family(5, Fraction(1, 2)) == want
+    assert evaluate_family(5, 1) == evaluate_family(5, 1.0)
 
 
 def test_evaluate_family_quadrature_failure():
     with pytest.raises(QuadratureFailure):
         evaluate_family(5, 0.2, QuadratureConfig(max_doublings=1))
+
+
+def test_ladder_budget():
+    with pytest.raises(QuadratureFailure, match="largest change per level") as info:
+        evaluate_family(5, 0.2, QuadratureConfig(max_doublings=1))
+    message = str(info.value)
+    assert "after 1 halvings" in message
+    changes = message.split("largest change per level ")[1].split(", ")
+    assert len(changes) == 1 and float(changes[0]) > 0.0
 
 
 def test_c_constant_values():
@@ -137,6 +259,10 @@ def test_epsilon_schedule_domain():
         epsilon_schedule(5, 0.0)
     with pytest.raises(DomainError):
         epsilon_schedule(5, -2.0)
+    for eps in ("x", None, "2", True):
+        with pytest.raises(DomainError, match="eps must be a real number"):
+            epsilon_schedule(5, eps)
+    assert epsilon_schedule(5, Fraction(1, 2)) == epsilon_schedule(5, 0.5)
 
 
 def test_upper_bound_at_identity():

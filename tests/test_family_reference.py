@@ -29,8 +29,7 @@ from fractions import Fraction
 
 import pytest
 
-from cbstab.family import evaluate_family
-from cbstab.quadrature import DEFAULT_CONFIG
+from cbstab.family import DEFAULT_CONFIG, evaluate_family
 from cbstab.verify import HESSIAN_DIMENSIONS, HESSIAN_STEP
 
 DIGITS = 40  # significant digits on which two successive precisions must agree

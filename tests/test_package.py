@@ -29,13 +29,11 @@ MODULE_SETS = [
     ("import cbstab", "import cbstab", None, {"cbstab"}),
     ("import cbstab.cli", "import cbstab.cli", None, CLI),
     ("cbstab.core", "import cbstab; cbstab.core", None, {"cbstab", "cbstab.errors", "cbstab.core"}),
-    ("energy", None, ["energy", "--dim", "5", "--t", "1"],
-     CLI | {"cbstab.family", "cbstab.quadrature"}),
+    ("energy", None, ["energy", "--dim", "5", "--t", "1"], CLI | {"cbstab.family"}),
     ("index --dim", None, ["index", "--dim", "5"], ENGINE),
     ("index --spectrum-file", None, ["index", "--spectrum-file", "{spectrum}"], ENGINE),
     ("spectrum", None, ["spectrum", "--dim", "4"], ENGINE),
-    ("verify", None, ["verify"],
-     ENGINE | {"cbstab.family", "cbstab.quadrature", "cbstab.verify"}),
+    ("verify", None, ["verify"], ENGINE | {"cbstab.family", "cbstab.verify"}),
 ]
 # prints [exit code or null, sorted cbstab modules] and drops the CLI's stdout
 PROBE = """
@@ -118,7 +116,7 @@ def test_star_import_binds_every_export():
 def test_dir_lists_the_exports_and_the_submodules():
     listed = set(dir(cbstab))
     assert set(cbstab.__all__) <= listed
-    assert {"__version__", "core", "errors", "family", "quadrature", "spectra"} <= listed
+    assert {"__version__", "core", "errors", "family", "spectra"} <= listed
 
 
 def test_unknown_attribute_is_named():

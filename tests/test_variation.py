@@ -7,8 +7,8 @@ import cbstab.core
 import cbstab.verify
 from cbstab.core import Functional
 from cbstab.errors import DomainError
-from cbstab.family import M_MAX, _family_side, evaluate_family, spectral_prediction
-from cbstab.quadrature import sphere_volume
+from cbstab.family import (M_MAX, _family_side, evaluate_family, spectral_prediction,
+                           sphere_volume)
 from cbstab.verify import HESSIAN_STEP, run_suites
 
 PI = math.pi
