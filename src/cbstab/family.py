@@ -166,46 +166,53 @@ def evaluate_family(m: int, t: float,
     coef = 2.0 * (m - 1) * (m - 3) / 3.0
     half_omega = 0.5 * sphere_volume(m - 1)
 
-    def level_sums(level: list[float]) -> tuple[float, float, float]:
+    def level_sums(offset: float, count: int) -> tuple[float, float, float]:
+        # The level's nodes u >= 0 are (j + offset) * h for 0 <= j < count,
+        # generated here, so no node list is built: offset 0 gives the first
+        # level's j*h and offset 0.5 a halving's midpoints (j + 0.5)*h.
         # u = x + s/2 puts the bumps at u = -s/2 and u = s/2.  A level is
-        # increasing and symmetric about 0 exactly, since the mirror of c*h
-        # is (-c)*h, and (-u) -+ half is exactly -(u +- half), so the node -u
-        # has the sin r and sin alpha of u swapped: walk the level's u >= 0
-        # and add the terms of -u too.
+        # symmetric about 0 exactly, since the mirror of c*h is (-c)*h, and
+        # (-u) -+ half is exactly -(u +- half), so the node -u has the sin r
+        # and sin alpha of u swapped: walk the level's u >= 0 and add the
+        # terms of -u too.  math.exp is looked up on each call, so a patched
+        # math.exp sees every call.
+        exp = math.exp
         energy, bienergy = [], []
-        for u in level[len(level) // 2:]:
+        add_energy, add_bienergy = energy.append, bienergy.append
+        for j in range(count):
+            u = (j + offset) * h
             # sech y = 2 e^-|y| / (1 + e^-2|y|), which cannot overflow
-            a = math.exp(-abs(u - half))
+            a = exp(-abs(u - half))
             sin_r = 2.0 * a / (1.0 + a * a)
-            a = math.exp(-abs(u + half))
+            a = exp(-abs(u + half))
             sin_alpha = 2.0 * a / (1.0 + a * a)
             sin2 = sin_alpha * sin_alpha
             e = sin_r ** p * sin2  # sin^{m-2} r sin^2 alpha
-            energy.append(e)
-            bienergy.append(e * sin2)
+            add_energy(e)
+            add_bienergy(e * sin2)
             if u != 0.0:  # the mirror node -u
                 sin2 = sin_r * sin_r
                 e = sin_alpha ** p * sin2
-                energy.append(e)
-                bienergy.append(e * sin2)
+                add_energy(e)
+                add_bienergy(e * sin2)
         e_sum = half_omega * m * math.fsum(energy)
         b_sum = half_omega * c1 * math.fsum(bienergy)
         return e_sum, b_sum, b_sum + coef * e_sum
 
     # The first level has the nodes j*h for |j| <= k, over a window that
-    # holds both bumps and their tails; each halving adds the midpoints.
+    # holds both bumps and their tails; each halving adds the midpoints
+    # (j + 0.5)*h for -k <= j < k.
     h = _first_step(m)
     k = math.ceil((0.5 * abs(s) + _tail_margin(m)) / h)
-    totals = level_sums([j * h for j in range(-k, k + 1)])
+    totals = level_sums(0, k + 1)
     nodes = 2 * k + 1
     values = [h * total for total in totals]
     history = []
     for _ in range(quad.max_doublings):
-        midpoints = [(j + 0.5) * h for j in range(-k, k)]
-        totals = [a + b for a, b in zip(totals, level_sums(midpoints))]
+        totals = [a + b for a, b in zip(totals, level_sums(0.5, k))]
+        nodes += 2 * k
         h *= 0.5
         k *= 2
-        nodes += len(midpoints)
         current = [h * total for total in totals]
         changes = [abs(c - v) for c, v in zip(current, values)]
         values = current

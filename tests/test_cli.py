@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import cbstab.core
-from cbstab.cli import build_parser, main
+from cbstab.cli import _ENERGY_COLUMNS, _energy_json, build_parser, main
 from cbstab.core import Functional, index_reports
 from cbstab.errors import ParseError
 from cbstab.family import evaluate_family
@@ -139,6 +139,38 @@ def test_energy_documents_hold_the_evaluator_doubles(capsys):
         assert code == 0
         assert [[float(v) for v in line.split(",")]
                 for line in out.splitlines()[1:]] == want
+
+
+def _energy_doc(m, rows):
+    return json.dumps({"dimension": m, "rows": [dict(zip(_ENERGY_COLUMNS, row))
+                                                for row in rows]}, indent=2)
+
+
+@pytest.mark.parametrize("m", [2, 5, 50])
+@pytest.mark.parametrize("ts", [(1e-8,), (1.0,), (1e8,),
+                                (1e-8, 3e-7, 1e-4, 0.02, 0.5, 1.0, 2.5, 60.0, 1e4,
+                                 7e6, 1e8)])
+def test_energy_json_is_json_dumps_with_indent(capsys, m, ts):
+    # the energy document is written directly, byte for byte as json.dumps
+    # with indent=2 writes it from the evaluator's doubles
+    rows = [[t] + [getattr(evaluate_family(m, t), name) for name in _ENERGY_COLUMNS[1:]]
+            for t in ts]
+    code, out, _ = run(capsys, "energy", "--dim", str(m), "--t", ",".join(map(repr, ts)),
+                       "--format", "json")
+    assert code == 0
+    assert out == _energy_doc(m, rows) + "\n"
+
+
+def test_energy_json_writes_each_float_as_json_does():
+    # reprs with an exponent, the extremes of the double range and a signed
+    # zero, in one row and in eleven
+    values = [1e-08, 1e+16, 1.2345678901234568e+17, 5e-324, 1.7976931348623157e+308,
+              -0.0, 2.5e-15, 0.1, 100000000.0, 1e-05, 3.0]
+    assert sum("e" in repr(v) for v in values) >= 6
+    eleven = [(values[i:] + values[:i])[:7] for i in range(11)]
+    for rows in ([values[:7]], eleven):
+        for m in (2, 5, 50):
+            assert _energy_json(m, rows) == _energy_doc(m, rows)
 
 
 def test_energy_deterministic(capsys):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -149,6 +152,38 @@ def test_ladder_levels_are_nested(monkeypatch):
         for lo, mid, hi in zip(before, levels[i], before[1:]):
             assert lo < mid < hi
             assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-15)
+
+
+# t = 1, 2 and 5 per decade from 1e-8 up to 1e8, read from decimal strings
+# so that no libm call makes the grid
+LADDER_GRID_T = [float(f"{d}e{e}") for e in range(-8, 8) for d in (1, 2, 5)] + [1e8]
+
+
+def test_ladder_bits_are_pinned_on_the_grid():
+    """sha256 over every bit of evaluate_family(m, t) on m = 2..50 x the t grid.
+
+    The CLI pins cover 12 values of m at 11 values of t; a rewrite of the
+    ladder must keep every bit at every point.  Like those pins, the digest
+    holds for the libm it was recorded with (glibc 2.36, Debian 12), whose
+    exp, log and sinh are not correctly rounded.
+    """
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                        "family_grid_digest.json")
+    with open(path, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert {1e-8, 1.0, 1e8} <= set(LADDER_GRID_T)
+    digest = hashlib.sha256()
+    points = 0
+    for m in range(2, 51):
+        for t in LADDER_GRID_T:
+            ev = evaluate_family(m, t)
+            values = (ev.energy, ev.energy_error, ev.bienergy, ev.bienergy_error,
+                      ev.c_bienergy, ev.c_bienergy_error)
+            assert all(math.isfinite(v) for v in values), (m, t)
+            digest.update(f"{m} {t.hex()} {' '.join(v.hex() for v in values)} "
+                          f"{ev.nodes}\n".encode("ascii"))
+            points += 1
+    assert (points, digest.hexdigest()) == (pinned["points"], pinned["sha256"])
 
 
 @pytest.mark.parametrize("m", range(2, 51))
