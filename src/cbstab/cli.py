@@ -220,11 +220,9 @@ def _energy_json(dimension: int, rows) -> str:
 
     Each row is a list of floats in _ENERGY_COLUMNS order, and there is at
     least one.  json writes a finite float as its repr, and every value is
-    finite: _check_t bounds t, so s, sinh(s) and the ladder's coefficients
-    are finite, and every node term is a product of sech powers, at most 1,
-    so every level sum and change is finite; a NaN change meets no
-    tolerance, so the ladder never returns one.  Writing the rows directly
-    skips the pure-Python encoder that `indent` selects.
+    finite: _check_t bounds t, and evaluate_family raises QuadratureFailure
+    rather than return a value or error that is not finite.  Writing the
+    rows directly skips the pure-Python encoder that `indent` selects.
     """
     return (f'{{\n  "dimension": {dimension!r},\n  "rows": [\n'
             + ",\n".join(_ENERGY_ROW % tuple(row) for row in rows) + "\n  ]\n}")
@@ -257,22 +255,40 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+# one check of the `verify` JSON document, in CheckResult's field order,
+# indented as json.dumps(indent=2) does
+_VERIFY_CHECK = ("    {\n" + "".join(f'      "{name}": %s,\n' for name in
+                                       ("suite", "name", "expected", "got", "tolerance"))
+                 + '      "passed": %s\n    }')
+
+
+def _verify_json(results, failed: int) -> str:
+    """json.dumps({"checks": [...], "total": ..., "failed": ..., "ok": ...}, indent=2)
+    for `verify`, each check being vars() of a CheckResult.
+
+    Each string goes through json's own ASCII string encoder, as json.dumps
+    writes it; writing the rest directly skips the pure-Python encoder that
+    `indent` selects.
+    """
+    from json.encoder import encode_basestring_ascii as _json_string
+
+    checks = ",\n".join(
+        _VERIFY_CHECK % (_json_string(r.suite), _json_string(r.name), _json_string(r.expected),
+                         _json_string(r.got), _json_string(r.tolerance),
+                         "true" if r.passed else "false")
+        for r in results)
+    return ('{\n  "checks": ' + (f"[\n{checks}\n  ]" if results else "[]")
+            + f',\n  "total": {len(results)},\n  "failed": {failed},'
+            + f'\n  "ok": {"false" if failed else "true"}\n}}')
+
+
 def _cmd_verify(args) -> int:
     from .verify import run_suites
 
     results = run_suites(args.suites)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
-        import json
-
-        doc = {
-            # CheckResult's field order is the document's key order
-            "checks": [vars(r) for r in results],
-            "total": len(results),
-            "failed": len(failed),
-            "ok": not failed,
-        }
-        print(json.dumps(doc, indent=2))
+        print(_verify_json(results, len(failed)))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

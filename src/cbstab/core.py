@@ -235,12 +235,44 @@ def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
                 complete_up_to: Rational | None) -> list[IndexReport]:
     """index_reports on _band_rows rows; a row without a band gets one only if listed."""
     kinds = list(kinds)
+    counts = _sign_counts(space, rows, kinds, complete_up_to)
+    reports = []
+    for kind, (kind_roots, index, nullity, listed, values) in zip(kinds, counts):
+        degree = len(kind_roots)
+        root_scale = math.prod(rd for _, rd in kind_roots)
+        contributing = []
+        for entry, value in zip(listed, values):
+            num, den, divergence_free, mult, band = entry
+            # the row's one band, which later reports share
+            if band is None:
+                band = entry[4] = _row_band(num, den, divergence_free, mult)
+            elif mult != band.multiplicity:
+                band = entry[4] = SpectralBand(band.eigenvalue, mult, band.kind)
+            contributing.append((band, Fraction(value, den ** degree * root_scale)))
+        reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
+                                   contributing_bands=tuple(contributing)))
+    return reports
+
+
+def _sign_counts(space: EinsteinSpace, rows, kinds: Iterable[Functional],
+                 complete_up_to: Rational | None) -> list[tuple]:
+    """The sign counts behind _index_rows, with no band, report or Fraction built.
+
+    Returns one (roots, index, nullity, listed, values) per kind, in order:
+    the kind's _roots, its index and nullity, the merged rows whose Jacobi
+    eigenvalue is <= 0, in eigenvalue order, and for each of them the
+    integer numerator of that eigenvalue, whose denominator is
+    den**len(roots) * prod(root dens).  A listed row is [num, den,
+    divergence-free?, summed multiplicity, first row's band or None] in
+    lowest terms, the same list for every kind that lists it.  The values
+    are a list of their own, so the counts allocate no tuple the garbage
+    collector tracks.
+    """
     roots = [_roots(kind, space) for kind in kinds]
     cutoffs = [_largest(kind_roots) for kind_roots in roots]
     # with no kinds every row is past the top
     top_num, top_den = _largest(cutoffs) if cutoffs else (-1, 1)
-    # (numerator, denominator, divergence-free?) -> [numerator, denominator,
-    # divergence-free?, summed multiplicity, first row's band]; the reduced integer
+    # (numerator, denominator, divergence-free?) -> merged row; the reduced integer
     # pair identifies the eigenvalue and hashes much faster than a Fraction,
     # and a bool, unlike an Enum member, hashes without a Python-level call
     merged: dict[tuple[int, int, bool], list] = {}
@@ -258,10 +290,11 @@ def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
         else:
             entry[3] += mult
     if complete_up_to is None:
-        for _ in kinds:
+        for _ in roots:
+            # stacklevel 4 names index_reports' caller, past _index_rows and this frame
             warnings.warn(
                 "band list has no declared completeness bound; index/nullity may undercount",
-                SpectrumCompletenessWarning, stacklevel=3)
+                SpectrumCompletenessWarning, stacklevel=4)
     else:
         declared = as_rational(complete_up_to)
         declared_num, declared_den = declared.numerator, declared.denominator
@@ -272,15 +305,14 @@ def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
                     f"extend to {Fraction(cut_num, cut_den)}")
 
     entries = sorted(merged.values(), key=functools.cmp_to_key(_row_order))
-    reports = []
-    for kind, kind_roots in zip(kinds, roots):
-        degree = len(kind_roots)
-        root_scale = math.prod(rd for _, rd in kind_roots)
+    counts = []
+    for kind_roots in roots:
         index = 0
         nullity = 0
-        contributing = []
+        listed = []
+        values = []
         for entry in entries:
-            num, den, divergence_free, mult, band = entry
+            num, den, _, mult, _ = entry
             value = 1
             for rn, rd in kind_roots:
                 value *= num * rd - rn * den
@@ -290,15 +322,10 @@ def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
                 index += mult
             else:
                 nullity += mult
-            # the row's one band, which later reports share
-            if band is None:
-                band = entry[4] = _row_band(num, den, divergence_free, mult)
-            elif mult != band.multiplicity:
-                band = entry[4] = SpectralBand(band.eigenvalue, mult, band.kind)
-            contributing.append((band, Fraction(value, den ** degree * root_scale)))
-        reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
-                                   contributing_bands=tuple(contributing)))
-    return reports
+            listed.append(entry)
+            values.append(value)
+        counts.append((kind_roots, index, nullity, listed, values))
+    return counts
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,9 @@ def evaluate_family(m: int, t: float,
     Halving stops once every value's change between the last two levels is
     within ABS_TOLERANCE or within REL_TOLERANCE of it; each error is that
     change plus LADDER_ROUNDOFF times the value.  Raises QuadratureFailure
-    when quad.max_doublings halvings do not suffice, which a non-finite
-    level sum also ends in, since every later change is then NaN.
+    when a level's value or change is not finite, or when
+    quad.max_doublings halvings do not suffice; so every value and error
+    returned is finite.
     """
     m = _check_m(m)
     t = _check_t(t)
@@ -208,6 +209,7 @@ def evaluate_family(m: int, t: float,
     nodes = 2 * k + 1
     values = [h * total for total in totals]
     history = []
+    reason = "no convergence"
     for _ in range(quad.max_doublings):
         totals = [a + b for a, b in zip(totals, level_sums(0.5, k))]
         nodes += 2 * k
@@ -216,6 +218,12 @@ def evaluate_family(m: int, t: float,
         current = [h * total for total in totals]
         changes = [abs(c - v) for c, v in zip(current, values)]
         values = current
+        # a non-finite value makes its change inf or NaN, and the tolerance
+        # test below reads inf <= inf as true, so such a level ends the ladder
+        if not all(map(math.isfinite, changes)):
+            history.append(sum(changes))  # inf or NaN, as every change is >= 0
+            reason = "non-finite level sum"
+            break
         if all(d <= ABS_TOLERANCE or d <= REL_TOLERANCE * abs(v)
                for d, v in zip(changes, values)):
             errors = [d + LADDER_ROUNDOFF * abs(v) for d, v in zip(changes, values)]
@@ -230,7 +238,7 @@ def evaluate_family(m: int, t: float,
             )
         history.append(max(changes))
     raise QuadratureFailure(
-        f"no convergence after {quad.max_doublings} halvings ({nodes} nodes, "
+        f"{reason} after {len(history)} halvings ({nodes} nodes, "
         f"step {h:.3g}): largest change per level "
         + ", ".join(f"{d:.3e}" for d in history))
 

@@ -13,7 +13,8 @@ import time
 import pytest
 
 from cbstab.errors import DomainError
-from cbstab.verify import SUITES, run_suites
+from cbstab.verify import SCALING_SAMPLES, SUITES, run_suites, suite_tables
+from test_core import count_constructions
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
 
@@ -92,3 +93,21 @@ def test_suite_evaluates_each_point_once(monkeypatch, suite, calls):
     # no value outlives the run: a second run evaluates every point again
     run_suites([suite])
     assert len(points) == 2 * calls
+
+
+def test_tables_counts_signs_without_building_reports(monkeypatch):
+    # a machine-independent cost counter: `tables` compares (index, nullity)
+    # from the engine's counting core, so it builds no band and no report
+    # (325 bands, 489 reports and 1602 Fractions while it compared reports).
+    # Its Fractions are the spaces': at most 10 per built-in sphere (13 of
+    # them; 9 before Python 3.12), and per rational factor the factor and,
+    # for each of the three scaled spheres, its lambda*c and its bound*c.
+    import cbstab.core
+
+    reports = []
+    monkeypatch.setattr(cbstab.core, "IndexReport", lambda **fields: reports.append(fields))
+    counts, results = count_constructions(suite_tables)
+    assert len(results) == 38 and all(r.passed for r in results)
+    assert reports == []
+    assert counts["SpectralBand"] == 0
+    assert counts["Fraction"] <= 13 * 10 + SCALING_SAMPLES * (1 + 3 * 2)

@@ -9,7 +9,8 @@ import warnings
 import pytest
 
 import cbstab.core
-from cbstab.cli import _ENERGY_COLUMNS, _energy_json, build_parser, main
+import cbstab.verify
+from cbstab.cli import _ENERGY_COLUMNS, _energy_json, _verify_json, build_parser, main
 from cbstab.core import Functional, index_reports
 from cbstab.errors import ParseError
 from cbstab.family import evaluate_family
@@ -382,6 +383,39 @@ def test_verify_json_format(capsys):
     assert {c["suite"] for c in doc["checks"]} == {"tables", "epsilon"}
     for check in doc["checks"]:
         assert set(check) == {"suite", "name", "expected", "got", "tolerance", "passed"}
+
+
+def _verify_doc(results):
+    failed = sum(not r.passed for r in results)
+    return json.dumps({"checks": [vars(r) for r in results], "total": len(results),
+                       "failed": failed, "ok": not failed}, indent=2)
+
+
+@pytest.mark.parametrize("suite", [None, *cbstab.verify.SUITES])
+def test_verify_json_is_json_dumps_with_indent(capsys, suite):
+    # the verify document is written directly, byte for byte as json.dumps
+    # with indent=2 writes it from the same CheckResults
+    names = list(cbstab.verify.SUITES) if suite is None else [suite]
+    results = cbstab.verify.run_suites(names)
+    code, out, _ = run(capsys, "verify", "--suites", ",".join(names), "--format", "json")
+    assert code == 0
+    assert out == _verify_doc(results) + "\n"
+
+
+def test_verify_json_writes_each_string_as_json_does(capsys, monkeypatch):
+    # quotes, backslashes, control and non-ASCII characters, and a failed check
+    checks = [
+        cbstab.verify.CheckResult("tables", 'a "quoted" \\ name', "line\nbreak\ttab",
+                                  "\u03bc \u2264 2\u03bb on S\u2074", "\x00\x1f\x7f", True),
+        cbstab.verify.CheckResult("tables", "\U0001d4ae failed", "", "\u00e9\ud83d", "exact",
+                                  False),
+    ]
+    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda: checks)
+    code, out, _ = run(capsys, "verify", "--suites", "tables", "--format", "json")
+    assert code == 1
+    assert out == _verify_doc(checks) + "\n"
+    assert json.loads(out)["ok"] is False
+    assert _verify_json([], 0) == _verify_doc([])
 
 
 def test_numerical_failure_exits_3(capsys, monkeypatch):

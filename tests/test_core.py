@@ -1,4 +1,5 @@
 import enum
+import math
 import random
 import sys
 from fractions import Fraction
@@ -7,7 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from cbstab.core import (
+    _band_rows,
+    _index_rows,
     _roots,
+    _sign_counts,
     BandKind,
     EinsteinSpace,
     Functional,
@@ -299,11 +303,15 @@ def test_merged_row_has_one_shared_band():
 
 
 def test_undeclared_completeness_warns():
-    with pytest.warns(SpectrumCompletenessWarning):
+    with pytest.warns(SpectrumCompletenessWarning) as record:
         index_reports(S4, S4_BANDS, [Functional.ENERGY])
+    assert len(record) == 1
     with pytest.warns(SpectrumCompletenessWarning) as record:
         index_reports(S4, S4_BANDS, list(Functional))
     assert len(record) == 3
+    # one warning per functional, attributed to index_reports' caller, past
+    # the engine's own frames
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_index_nullity_rejects_invalid_band():
@@ -466,3 +474,35 @@ def test_root_counting_matches_brute_force():
             assert got == expected, (m, space.einstein_constant, report.functional)
             single = index_reports(space, bands, [report.functional], complete_up_to=10 ** 6)[0]
             assert single == report
+
+
+def test_sign_counts_are_the_reports_counts():
+    # the counting core behind the reports, on the brute-force test's
+    # spectra with every row repeated unreduced (num*k/den*k), which must
+    # merge with its reduced twin
+    rng = random.Random(20261019)
+    for trial in range(300):
+        m = trial % 12 + 1
+        space, bands = random_spectrum(rng, m)
+        rows = _band_rows(bands)
+        k = rng.randint(2, 7)
+        rows += [(num * k, den * k, divergence_free, mult, None)
+                 for num, den, divergence_free, mult, _ in rows]
+        kinds = list(Functional)
+        rng.shuffle(kinds)
+        kinds = kinds[:rng.randint(1, 3)]
+        counts = _sign_counts(space, rows, kinds, 10 ** 6)
+        reports = _index_rows(space, rows, kinds, 10 ** 6)
+        assert len(counts) == len(reports) == len(kinds)
+        for kind, (roots, index, nullity, listed, values), report in zip(kinds, counts,
+                                                                         reports):
+            assert roots == _roots(kind, space)
+            assert (index, nullity) == (report.index, report.nullity)
+            expected = brute_force_report(space, bands + bands, kind)
+            assert (index, nullity) == expected[:2], (m, space.einstein_constant, kind)
+            # each listed row in lowest terms, with its Jacobi eigenvalue's numerator
+            scale = math.prod(rd for _, rd in roots)
+            got = [(Fraction(num, den), mult, Fraction(value, den ** len(roots) * scale))
+                   for (num, den, _, mult, _), value in zip(listed, values)]
+            assert got == [(b.eigenvalue, b.multiplicity, j) for b, j in report.contributing_bands]
+            assert all(math.gcd(num, den) == 1 for num, den, *_ in listed)

@@ -201,12 +201,35 @@ def test_domain_corners_are_finite(m):
 
 @pytest.mark.parametrize("volume", [math.inf, math.nan])
 def test_non_finite_sums_end_in_quadrature_failure(monkeypatch, volume):
-    # a non-finite level sum makes every later change NaN, which meets no
-    # tolerance: the ladder fails rather than return a non-finite value
+    # a non-finite level sum makes its change NaN: the ladder fails at that
+    # level rather than return a non-finite value
     monkeypatch.setattr(cbstab.family, "sphere_volume", lambda n: volume)
     with pytest.raises(QuadratureFailure, match="largest change per level"):
         evaluate_family(5, 1.0)
 
+
+
+@pytest.mark.parametrize("call, value, change", [(3, math.inf, "inf"), (4, math.inf, "nan"),
+                                                 (1, math.inf, "nan"), (3, math.nan, "nan")])
+def test_a_non_finite_level_sum_ends_in_quadrature_failure(monkeypatch, call, value, change):
+    # an infinite level after a finite one changes by inf, which the
+    # relative tolerance reads as inf <= inf; the ladder must refuse it, not
+    # return energy=inf with error inf.  The first level sums call 1 (E) and
+    # call 2 (E2), the first halving calls 3 and 4; at t = 1 the E2 sum's
+    # coefficient sinh^2(s) is 0, so an infinite E2 sum reads 0 * inf = nan.
+    fsum = math.fsum
+    calls = []
+
+    def broken_fsum(values):
+        calls.append(None)
+        return value if len(calls) == call else fsum(values)
+
+    monkeypatch.setattr(math, "fsum", broken_fsum)
+    with pytest.raises(QuadratureFailure) as info:
+        evaluate_family(5, 1.0)
+    assert str(info.value) == ("non-finite level sum after 1 halvings (85 nodes, step 0.211): "
+                               f"largest change per level {change}")
+    assert len(calls) == 4  # refused at the level it appeared in
 
 def test_positivity():
     for m in (4, 5, 6, 7, 8):
