@@ -116,9 +116,7 @@ def _source_doc(loaded) -> dict:
 
 
 def _cmd_index(args) -> int:
-    import warnings
-
-    from .core import Functional, _index_rows
+    from .core import COMPLETENESS_WARNING, Functional, _sign_counts
     from .spectra import builtin_spectrum, load_spectrum
 
     kinds = {"e": (Functional.ENERGY,), "e2": (Functional.BIENERGY,),
@@ -137,12 +135,11 @@ def _cmd_index(args) -> int:
             raise IncompleteSpectrum(
                 "strict mode requires the spectrum file to declare complete_up_to")
         loaded.validation.raise_first_violation()
+    counts = _sign_counts(space, loaded.rows, kinds, declared)
     doc_warnings = list(loaded.warnings)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        reports = _index_rows(space, loaded.rows, kinds, declared)
-    doc_warnings.extend(str(w.message) for w in caught)
+    if declared is None:
+        # what index_reports warns, once per functional
+        doc_warnings += [COMPLETENESS_WARNING] * len(kinds)
 
     doc = {
         "space": {
@@ -156,20 +153,24 @@ def _cmd_index(args) -> int:
         "complete_up_to": None if declared is None else str(declared),
         "warnings": doc_warnings,
     }
-    print(_index_json(doc, reports))
+    print(_index_json(doc, kinds, counts))
     return 0
 
 
-def _index_json(head: dict, reports) -> str:
+def _index_json(head: dict, kinds, counts) -> str:
     """json.dumps(dict(head, reports=...), indent=2) for the `index` document.
 
     `head` nests at most one level of non-empty dicts, and its lists hold
-    strings only;
-    the reports are written from the IndexReports, so no report dict is
-    built and the pure-Python encoder that `indent` selects is not run.
+    strings only.  The reports are written from the kinds' core._sign_counts,
+    whose listed rows are in lowest terms: only a Jacobi eigenvalue is a
+    Fraction, no band, report or dict is built, and the pure-Python encoder
+    that `indent` selects is not run.
     """
     import json
     from json.encoder import encode_basestring_ascii as _json_string
+
+    from .core import _jacobi_fraction
+    from .spectra import _KIND_VALUES
 
     lines = ["{"]
     for key, value in head.items():
@@ -181,28 +182,28 @@ def _index_json(head: dict, reports) -> str:
             lines.append(f"  {_json_string(key)}: [\n" + ",\n".join(items) + "\n  ],")
         else:
             lines.append(f"  {_json_string(key)}: {json.dumps(value)},")
-    lines.append('  "reports": [' if reports else '  "reports": []')
-    for number, report in enumerate(reports):
+    lines.append('  "reports": [' if kinds else '  "reports": []')
+    for number, (kind, (roots, index, nullity, listed, values)) in enumerate(zip(kinds, counts)):
         lines.append("    {")
-        lines.append(f'      "functional": {_json_string(report.functional.value)},')
-        lines.append(f'      "index": {report.index},')
-        lines.append(f'      "nullity": {report.nullity},')
-        if not report.contributing_bands:
+        lines.append(f'      "functional": {_json_string(kind.value)},')
+        lines.append(f'      "index": {index},')
+        lines.append(f'      "nullity": {nullity},')
+        if not listed:
             lines.append('      "contributing_bands": []')
         else:
             lines.append('      "contributing_bands": [')
             entries = [
                 f'        {{\n'
-                f'          "eigenvalue": {_json_string(str(band.eigenvalue))},\n'
-                f'          "multiplicity": {band.multiplicity},\n'
-                f'          "kind": {_json_string(band.kind.value)},\n'
-                f'          "jacobi_eigenvalue": {_json_string(str(jacobi))}\n'
+                f'          "eigenvalue": "{num if den == 1 else f"{num}/{den}"}",\n'
+                f'          "multiplicity": {mult},\n'
+                f'          "kind": "{_KIND_VALUES[divergence_free]}",\n'
+                f'          "jacobi_eigenvalue": "{_jacobi_fraction(value, den, roots)}"\n'
                 f'        }}'
-                for band, jacobi in report.contributing_bands]
+                for (num, den, divergence_free, mult, _), value in zip(listed, values)]
             lines.append(",\n".join(entries))
             lines.append("      ]")
-        lines.append("    }," if number + 1 < len(reports) else "    }")
-    if reports:
+        lines.append("    }," if number + 1 < len(kinds) else "    }")
+    if kinds:
         lines.append("  ]")
     lines.append("}")
     return "\n".join(lines)

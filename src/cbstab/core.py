@@ -135,8 +135,13 @@ def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> F
         raise DomainError(f"Hodge eigenvalue must be >= 0, got {mu}")
     roots = _roots(kind, space)
     # one Fraction of the integer products, not one per root
-    return Fraction(math.prod(mu.numerator * den - num * mu.denominator for num, den in roots),
-                    mu.denominator ** len(roots) * math.prod(den for _, den in roots))
+    value = math.prod(mu.numerator * den - num * mu.denominator for num, den in roots)
+    return _jacobi_fraction(value, mu.denominator, roots)
+
+
+def _jacobi_fraction(value: int, den: int, roots) -> Fraction:
+    """The Jacobi eigenvalue with `roots` on mu = num/den, whose numerator is `value`."""
+    return Fraction(value, den ** len(roots) * math.prod(rd for _, rd in roots))
 
 
 def _roots(kind: Functional, space: EinsteinSpace) -> tuple[tuple[int, int], ...]:
@@ -179,9 +184,8 @@ def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
 
     A row is (num, den, divergence_free, multiplicity, band): the eigenvalue
     num/den with den > 0, not necessarily reduced, and the SpectralBand it
-    stands for, or None when no band was built for it (every row of a
-    LoadedSpectrum).  The engine builds a row's band only when it reports
-    the row.
+    stands for.  The rows of a LoadedSpectrum carry None there; only
+    index_reports reads the band.
     """
     rows = []
     for band in bands:
@@ -201,6 +205,10 @@ def _row_band(num: int, den: int, divergence_free: bool, multiplicity: int) -> S
 def _row_order(a, b) -> int:
     """By eigenvalue, gradient first at ties, for reduced rows with den > 0."""
     return (a[0] * b[1] - b[0] * a[1]) or (a[2] - b[2])
+
+
+# the text of SpectrumCompletenessWarning, which `cbstab index` also lists
+COMPLETENESS_WARNING = "band list has no declared completeness bound; index/nullity may undercount"
 
 
 def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
@@ -228,27 +236,20 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     SpectrumCompletenessWarning per functional is emitted and the
     computation proceeds on the bands given.
     """
-    return _index_rows(space, _band_rows(bands), kinds, complete_up_to)
-
-
-def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
-                complete_up_to: Rational | None) -> list[IndexReport]:
-    """index_reports on _band_rows rows; a row without a band gets one only if listed."""
     kinds = list(kinds)
-    counts = _sign_counts(space, rows, kinds, complete_up_to)
+    counts = _sign_counts(space, _band_rows(bands), kinds, complete_up_to)
+    if complete_up_to is None:
+        for _ in kinds:
+            warnings.warn(COMPLETENESS_WARNING, SpectrumCompletenessWarning, stacklevel=2)
     reports = []
-    for kind, (kind_roots, index, nullity, listed, values) in zip(kinds, counts):
-        degree = len(kind_roots)
-        root_scale = math.prod(rd for _, rd in kind_roots)
+    for kind, (roots, index, nullity, listed, values) in zip(kinds, counts):
         contributing = []
         for entry, value in zip(listed, values):
-            num, den, divergence_free, mult, band = entry
+            _, den, _, mult, band = entry
             # the row's one band, which later reports share
-            if band is None:
-                band = entry[4] = _row_band(num, den, divergence_free, mult)
-            elif mult != band.multiplicity:
+            if mult != band.multiplicity:
                 band = entry[4] = SpectralBand(band.eigenvalue, mult, band.kind)
-            contributing.append((band, Fraction(value, den ** degree * root_scale)))
+            contributing.append((band, _jacobi_fraction(value, den, roots)))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
                                    contributing_bands=tuple(contributing)))
     return reports
@@ -256,17 +257,18 @@ def _index_rows(space: EinsteinSpace, rows, kinds: Iterable[Functional],
 
 def _sign_counts(space: EinsteinSpace, rows, kinds: Iterable[Functional],
                  complete_up_to: Rational | None) -> list[tuple]:
-    """The sign counts behind _index_rows, with no band, report or Fraction built.
+    """The engine's sign counts, with no band, report, Fraction or warning made.
 
     Returns one (roots, index, nullity, listed, values) per kind, in order:
     the kind's _roots, its index and nullity, the merged rows whose Jacobi
     eigenvalue is <= 0, in eigenvalue order, and for each of them the
-    integer numerator of that eigenvalue, whose denominator is
-    den**len(roots) * prod(root dens).  A listed row is [num, den,
+    integer numerator `value` of that eigenvalue, which is
+    _jacobi_fraction(value, den, roots).  A listed row is [num, den,
     divergence-free?, summed multiplicity, first row's band or None] in
-    lowest terms, the same list for every kind that lists it.  The values
-    are a list of their own, so the counts allocate no tuple the garbage
-    collector tracks.
+    lowest terms with den > 0, the same list for every kind that lists it.
+    The values are a list of their own, so the counts allocate no tuple the
+    garbage collector tracks.  A declared bound short of a cutoff raises
+    IncompleteSpectrum.
     """
     roots = [_roots(kind, space) for kind in kinds]
     cutoffs = [_largest(kind_roots) for kind_roots in roots]
@@ -289,13 +291,7 @@ def _sign_counts(space: EinsteinSpace, rows, kinds: Iterable[Functional],
             merged[key] = [num, den, divergence_free, mult, band]
         else:
             entry[3] += mult
-    if complete_up_to is None:
-        for _ in roots:
-            # stacklevel 4 names index_reports' caller, past _index_rows and this frame
-            warnings.warn(
-                "band list has no declared completeness bound; index/nullity may undercount",
-                SpectrumCompletenessWarning, stacklevel=4)
-    else:
+    if complete_up_to is not None:
         declared = as_rational(complete_up_to)
         declared_num, declared_den = declared.numerator, declared.denominator
         for cut_num, cut_den in cutoffs:
@@ -366,8 +362,9 @@ def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
     """
     lam = space.einstein_constant
     m = space.dimension
-    obata = Fraction(m, m - 1) * lam if lam else None  # lam = 0 when m = 1
-    two_lam = 2 * lam
+    # lam = 0 when m = 1; 2*lambda is the energy's Jacobi root
+    obata = Fraction(m * lam.numerator, (m - 1) * lam.denominator) if lam else None
+    two_lam = Fraction(*_roots(Functional.ENERGY, space)[0])
     # each bound as an integer pair, so a row is compared by cross-multiplication,
     # and its text in each message, so a message formats one Fraction
     if obata is not None:

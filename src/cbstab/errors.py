@@ -10,9 +10,9 @@ class DomainError(CbstabError, ValueError):
 
 
 class QuadratureFailure(CbstabError, RuntimeError):
-    """evaluate_family halved its ladder's step max_doublings times without meeting its tolerance.
+    """evaluate_family's ladder hit a non-finite level sum or ran out of max_doublings halvings.
 
-    The message lists the largest change between two levels after each halving.
+    The message says which, and lists the largest change between levels after each halving.
     """
 
 

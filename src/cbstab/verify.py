@@ -7,8 +7,8 @@ suites mean the same thing in every run.  The acceptance tests
 no check of their own.
 
 The `tables` suite compares (index, nullity) from core._sign_counts, the
-engine's counting core, which index_reports builds its reports on; it
-builds no SpectralBand, IndexReport or Jacobi Fraction.
+counting core that `cbstab index` and index_reports read; it builds no
+SpectralBand, IndexReport or Jacobi Fraction.
 
 No suite compares E2c with E2 + (2/3)(m-1)(m-3) E: evaluate_family computes
 it that way, so the comparison would test rounding only.  The accuracy of

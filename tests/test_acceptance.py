@@ -100,7 +100,7 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
     # from the engine's counting core, so it builds no band and no report
     # (325 bands, 489 reports and 1602 Fractions while it compared reports).
     # Its Fractions are the spaces': at most 10 per built-in sphere (13 of
-    # them; 9 before Python 3.12), and per rational factor the factor and,
+    # them; 8 on Python 3.10 to 3.13), and per rational factor the factor and,
     # for each of the three scaled spheres, its lambda*c and its bound*c.
     import cbstab.core
 

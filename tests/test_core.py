@@ -2,6 +2,7 @@ import enum
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,7 +10,6 @@ import pytest
 
 from cbstab.core import (
     _band_rows,
-    _index_rows,
     _roots,
     _sign_counts,
     BandKind,
@@ -479,7 +479,9 @@ def test_root_counting_matches_brute_force():
 def test_sign_counts_are_the_reports_counts():
     # the counting core behind the reports, on the brute-force test's
     # spectra with every row repeated unreduced (num*k/den*k), which must
-    # merge with its reduced twin
+    # merge with its reduced twin as the bands given twice merge in
+    # index_reports.  A quarter of the draws declare no bound: the core
+    # warns nothing, and index_reports warns once per functional
     rng = random.Random(20261019)
     for trial in range(300):
         m = trial % 12 + 1
@@ -491,8 +493,15 @@ def test_sign_counts_are_the_reports_counts():
         kinds = list(Functional)
         rng.shuffle(kinds)
         kinds = kinds[:rng.randint(1, 3)]
-        counts = _sign_counts(space, rows, kinds, 10 ** 6)
-        reports = _index_rows(space, rows, kinds, 10 ** 6)
+        declared = None if rng.random() < 0.25 else 10 ** 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _sign_counts(space, rows, kinds, declared)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = index_reports(space, bands * 2, kinds, declared)
+        assert [w.category for w in caught] \
+            == [SpectrumCompletenessWarning] * (len(kinds) if declared is None else 0)
         assert len(counts) == len(reports) == len(kinds)
         for kind, (roots, index, nullity, listed, values), report in zip(kinds, counts,
                                                                          reports):
