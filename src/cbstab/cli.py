@@ -161,15 +161,15 @@ def _index_json(head: dict, kinds, counts) -> str:
     """json.dumps(dict(head, reports=...), indent=2) for the `index` document.
 
     `head` nests at most one level of non-empty dicts, and its lists hold
-    strings only.  The reports are written from the kinds' core._sign_counts,
-    whose listed rows are in lowest terms: only a Jacobi eigenvalue is a
-    Fraction, no band, report or dict is built, and the pure-Python encoder
-    that `indent` selects is not run.
+    strings only.  The reports are written from the kinds' core._sign_counts:
+    each listed row's eigenvalue and Jacobi eigenvalue is written from its
+    integer pair, so no Fraction, band, report or dict is built, and the
+    pure-Python encoder that `indent` selects is not run.
     """
     import json
     from json.encoder import encode_basestring_ascii as _json_string
 
-    from .core import _jacobi_fraction
+    from .core import _jacobi_denominator, _ratio_text
     from .spectra import _KIND_VALUES
 
     lines = ["{"]
@@ -178,8 +178,8 @@ def _index_json(head: dict, kinds, counts) -> str:
             items = [f"    {_json_string(k)}: {json.dumps(v)}" for k, v in value.items()]
             lines.append(f"  {_json_string(key)}: {{\n" + ",\n".join(items) + "\n  },")
         elif type(value) is list and value:
-            items = [f"    {_json_string(item)}" for item in value]
-            lines.append(f"  {_json_string(key)}: [\n" + ",\n".join(items) + "\n  ],")
+            items = ",\n    ".join(map(_json_string, value))
+            lines.append(f"  {_json_string(key)}: [\n    {items}\n  ],")
         else:
             lines.append(f"  {_json_string(key)}: {json.dumps(value)},")
     lines.append('  "reports": [' if kinds else '  "reports": []')
@@ -194,10 +194,11 @@ def _index_json(head: dict, kinds, counts) -> str:
             lines.append('      "contributing_bands": [')
             entries = [
                 f'        {{\n'
-                f'          "eigenvalue": "{num if den == 1 else f"{num}/{den}"}",\n'
+                f'          "eigenvalue": "{_ratio_text(num, den)}",\n'
                 f'          "multiplicity": {mult},\n'
                 f'          "kind": "{_KIND_VALUES[divergence_free]}",\n'
-                f'          "jacobi_eigenvalue": "{_jacobi_fraction(value, den, roots)}"\n'
+                f'          "jacobi_eigenvalue": '
+                f'"{_ratio_text(value, _jacobi_denominator(den, roots))}"\n'
                 f'        }}'
                 for (num, den, divergence_free, mult, _), value in zip(listed, values)]
             lines.append(",\n".join(entries))

@@ -90,7 +90,9 @@ class EinsteinSpace:
 
     @property
     def scalar_curvature(self) -> Fraction:
-        return self.dimension * self.einstein_constant
+        # one Fraction: from Python 3.12, int * Fraction builds two
+        lam = self.einstein_constant
+        return Fraction(self.dimension * lam.numerator, lam.denominator)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,7 +143,15 @@ def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> F
 
 def _jacobi_fraction(value: int, den: int, roots) -> Fraction:
     """The Jacobi eigenvalue with `roots` on mu = num/den, whose numerator is `value`."""
-    return Fraction(value, den ** len(roots) * math.prod(rd for _, rd in roots))
+    return Fraction(value, _jacobi_denominator(den, roots))
+
+
+def _jacobi_denominator(den: int, roots) -> int:
+    """den**len(roots) * prod(rd): the denominator of `value` on mu = num/den."""
+    result = 1
+    for _, rd in roots:
+        result *= den * rd
+    return result
 
 
 def _roots(kind: Functional, space: EinsteinSpace) -> tuple[tuple[int, int], ...]:
@@ -163,6 +173,15 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     """num/den in lowest terms, for den > 0."""
     common = math.gcd(num, den)
     return num // common, den // common
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    common = math.gcd(num, den)
+    if common != 1:
+        num //= common
+        den //= common
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _largest(pairs) -> tuple[int, int]:
@@ -298,7 +317,7 @@ def _sign_counts(space: EinsteinSpace, rows, kinds: Iterable[Functional],
             if declared_num * cut_den < cut_num * declared_den:
                 raise IncompleteSpectrum(
                     f"bands declared complete up to {complete_up_to} but contributions "
-                    f"extend to {Fraction(cut_num, cut_den)}")
+                    f"extend to {_ratio_text(cut_num, cut_den)}")
 
     entries = sorted(merged.values(), key=functools.cmp_to_key(_row_order))
     counts = []
@@ -358,37 +377,35 @@ def validate_spectrum(space: EinsteinSpace,
 def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
     """validate_spectrum on _band_rows rows, by cross-multiplication.
 
-    A Fraction is built only for a flagged row, to format its message.
+    Every row's eigenvalue is >= 0, so for lambda = 0 nothing is flagged.
+    One cross-multiplication per row picks the rows below or at a bound, in
+    band order, and only a picked row's message is formatted; every number
+    in it is written from its integer pair, so no Fraction is built.
     """
     lam = space.einstein_constant
+    if not lam:
+        return SpectrumValidation(warnings=(), first_violation=None)
     m = space.dimension
-    # lam = 0 when m = 1; 2*lambda is the energy's Jacobi root
-    obata = Fraction(m * lam.numerator, (m - 1) * lam.denominator) if lam else None
-    two_lam = Fraction(*_roots(Functional.ENERGY, space)[0])
-    # each bound as an integer pair, so a row is compared by cross-multiplication,
-    # and its text in each message, so a message formats one Fraction
-    if obata is not None:
-        obata_num, obata_den = obata.numerator, obata.denominator
-        below_obata = f"gradient band mu={{}} below Lichnerowicz-Obata bound {obata}"
-    two_lam_num, two_lam_den = two_lam.numerator, two_lam.denominator
-    below_two_lam = f"divergence-free band mu={{}} below 2*lambda={two_lam}"
-    at_obata = "gradient band mu={} saturates the Obata bound: round sphere only"
+    # 2*lambda is the energy's Jacobi root; both bounds stay unreduced pairs
+    two_lam_num, two_lam_den = _roots(Functional.ENERGY, space)[0]
+    obata_num, obata_den = m * lam.numerator, (m - 1) * lam.denominator
+    picked = [(num, den, divergence_free) for num, den, divergence_free, _, _ in rows
+              if (num * two_lam_den < two_lam_num * den if divergence_free
+                  else num * obata_den <= obata_num * den)]
+    obata = _ratio_text(obata_num, obata_den)
+    two_lam = _ratio_text(two_lam_num, two_lam_den)
     messages = []
     first_violation = None
-    for num, den, divergence_free, _, _ in rows:
+    for num, den, divergence_free in picked:
+        mu = _ratio_text(num, den)
         if divergence_free:
-            if num * two_lam_den >= two_lam_num * den:
-                continue
-            template = below_two_lam
-        elif obata is None:
+            messages.append(f"divergence-free band mu={mu} below 2*lambda={two_lam}")
+        elif num * obata_den == obata_num * den:
+            # a rigidity note, not a violation
+            messages.append(f"gradient band mu={mu} saturates the Obata bound: round sphere only")
             continue
         else:
-            vs_obata = num * obata_den - obata_num * den
-            if vs_obata > 0:
-                continue
-            template = below_obata if vs_obata < 0 else at_obata
-        message = template.format(Fraction(num, den))
-        messages.append(message)
-        if first_violation is None and template is not at_obata:
-            first_violation = message
+            messages.append(f"gradient band mu={mu} below Lichnerowicz-Obata bound {obata}")
+        if first_violation is None:
+            first_violation = messages[-1]
     return SpectrumValidation(warnings=tuple(messages), first_violation=first_violation)

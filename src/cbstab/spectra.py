@@ -36,6 +36,7 @@ from .core import (
     Rational,
     SpectralBand,
     SpectrumValidation,
+    _ratio_text,
     _row_band,
     _validate_rows,
     as_rational,
@@ -205,7 +206,8 @@ def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
     No row keeps a band.
     """
     rows = []
-    for position, raw in enumerate(raw_bands):
+    append = rows.append
+    for raw in raw_bands:
         try:
             if type(raw) is dict and len(raw) == 3:
                 text, mult = raw["eigenvalue"], raw["multiplicity"]
@@ -217,14 +219,15 @@ def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
                         # ValueError, and _parse_band words the refusal
                         q = int(den) if slash else 1
                         if q:
-                            rows.append((int(num), q, divergence_free, mult, None))
+                            append((int(num), q, divergence_free, mult, None))
                             continue
         except (KeyError, TypeError, ValueError):
             pass
-        band = _parse_band(raw, position, strict)
+        # one row per band before this one, so len(rows) is its position
+        band = _parse_band(raw, len(rows), strict)
         mu = band.eigenvalue
-        rows.append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
-                     band.multiplicity, None))
+        append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
+                band.multiplicity, None))
     return tuple(rows)
 
 
@@ -281,7 +284,7 @@ def spectrum_document(spectrum: LoadedSpectrum) -> dict:
     if spectrum.complete_up_to is not None:
         doc["complete_up_to"] = str(spectrum.complete_up_to)
     # the keys _BAND_FIELDS reads
-    doc["bands"] = [{"eigenvalue": str(Fraction(num, den)), "multiplicity": mult,
+    doc["bands"] = [{"eigenvalue": _ratio_text(num, den), "multiplicity": mult,
                      "kind": _KIND_VALUES[divergence_free]}
                     for num, den, divergence_free, mult, _ in spectrum.rows]
     return doc

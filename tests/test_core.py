@@ -10,8 +10,10 @@ import pytest
 
 from cbstab.core import (
     _band_rows,
+    _ratio_text,
     _roots,
     _sign_counts,
+    _validate_rows,
     BandKind,
     EinsteinSpace,
     Functional,
@@ -386,6 +388,71 @@ def test_validate_spectrum_keeps_band_order_and_reports_the_first_violation():
     with pytest.raises(BoundViolation) as info:
         report.raise_first_violation()
     assert str(info.value) == "divergence-free band mu=5 below 2*lambda=6"
+
+
+def test_scalar_curvature_builds_one_fraction():
+    # from Python 3.12, int * Fraction converts the int to a Fraction first
+    for lam in (Fraction(3), Fraction(7, 3), Fraction(0)):
+        counts, curvature = count_constructions(lambda: EinsteinSpace(6, lam).scalar_curvature)
+        assert curvature == 6 * lam
+        assert counts == {"Fraction": 1, "SpectralBand": 0}
+
+
+def test_ratio_text_is_str_of_fraction():
+    rng = random.Random(2026)
+    pairs = [(0, 1), (0, 7), (0, 2**70), (5, 1), (-5, 1), (6, 8), (-6, 8), (-12, 4),
+             (2**64 + 1, 1), (-(2**64) * 3, 2**64 * 6), (3**50, 3**45 * 7)]
+    for _ in range(2000):
+        num = rng.randint(-(2**80), 2**80) if rng.random() < 0.2 else rng.randint(-60, 60)
+        den = rng.randint(1, 2**70) if rng.random() < 0.2 else rng.randint(1, 30)
+        common = rng.choice([1, 1, 2, 6, 2**65 + 3])  # unreduced pairs
+        pairs.append((num * common, den * common))
+    for num, den in pairs:
+        assert _ratio_text(num, den) == str(Fraction(num, den)), (num, den)
+
+
+def reference_validation(space, rows):
+    """Reference for validate_spectrum: compare and format Fractions, row by row."""
+    lam = space.einstein_constant
+    if not lam:
+        return (), None
+    obata = Fraction(space.dimension, space.dimension - 1) * lam
+    messages = []
+    first = None
+    for num, den, divergence_free, _, _ in rows:
+        mu = Fraction(num, den)
+        if divergence_free and mu < 2 * lam:
+            message = f"divergence-free band mu={mu} below 2*lambda={2 * lam}"
+        elif not divergence_free and mu < obata:
+            message = f"gradient band mu={mu} below Lichnerowicz-Obata bound {obata}"
+        elif not divergence_free and mu == obata:
+            messages.append(f"gradient band mu={mu} saturates the Obata bound: round sphere only")
+            continue
+        else:
+            continue
+        messages.append(message)
+        first = first or message
+    return tuple(messages), first
+
+
+def test_validation_matches_a_fraction_reference():
+    # unreduced rows around both bounds, with lambda = 0 and the circle among the spaces
+    rng = random.Random(31)
+    for _ in range(300):
+        m = rng.choice([1, 2, 3, 4, 5, 6, 9, 12])
+        lam = Fraction(0) if m == 1 or rng.random() < 0.15 else Fraction(rng.randint(1, 40),
+                                                                            rng.randint(1, 9))
+        space = EinsteinSpace(m, lam)
+        bounds = [Fraction(0), 2 * lam] + ([Fraction(m, m - 1) * lam] if m > 1 else [])
+        rows = []
+        for _ in range(rng.randint(0, 40)):
+            mu = rng.choice(bounds) + Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+            mu = max(mu, Fraction(0))
+            k = rng.randint(1, 4)
+            rows.append((mu.numerator * k, mu.denominator * k, rng.random() < 0.5,
+                         rng.randint(1, 9), None))
+        report = _validate_rows(space, rows)
+        assert (report.warnings, report.first_violation) == reference_validation(space, rows)
 
 
 def test_as_rational_returns_fraction_unchanged():

@@ -356,7 +356,8 @@ def test_load_spectrum_unknown_fields(tmp_path):
 # Strings the "p/q" fast path takes, strings it must hand to Fraction(str),
 # and the integer-conversion digit limit, which both must report alike.
 PARITY_STRINGS = ["6/8", "7", "0", " 3/4", "+3/4", "-1/2", "1.5", "1e3", "3_000/4", "3/ 4",
-                  "1/0", "0/0", "\u0663/4", "\u00b2/4", "", "9" * 5000, "1/" + "7" * 5000]
+                  "1/0", "0/0", "\u0663/4", "\u00b2/4", "", "9" * 5000, "1/" + "7" * 5000,
+                  "5/", "/5", "5//6", "05/010", "0/7", "7/1"]
 
 
 @pytest.mark.parametrize("text", PARITY_STRINGS, ids=lambda text: repr(text)[:16])
@@ -487,11 +488,30 @@ def test_index_builds_fractions_and_bands_only_for_what_it_prints(tmp_path, caps
     jacobi = sum(len(report["contributing_bands"]) for report in doc["reports"])
     issues = len(doc["warnings"])
     assert (len(listed), jacobi, issues) == (28, 57, 23)
-    # the document is written from the sign counts: no band, no report, and
-    # one Fraction per printed Jacobi eigenvalue and per warning, plus the
-    # space's: lambda and complete_up_to as read, the two bounds' texts and
-    # the scalar curvature (two from Python 3.12, where int * Fraction
-    # converts the int first)
+    # the document is written from the sign counts and every number in it
+    # from its integer pair: no band, no report, and no Fraction per listed
+    # row or warning, only lambda and complete_up_to as read and the scalar
+    # curvature
     assert counts["SpectralBand"] == 0
     assert reports == []
-    assert counts["Fraction"] <= jacobi + issues + 6
+    assert counts["Fraction"] <= 3
+
+
+def test_load_spectrum_builds_no_fraction_per_flagged_band(tmp_path):
+    # on lambda = 3, m = 4 the Obata bound is 4 and 2*lambda is 6: every band
+    # below is flagged, unreduced, of either kind, and some gradient ones sit
+    # at the bound
+    flagged = [{"eigenvalue": f"{2 * (k % 9)}/4", "multiplicity": 1, "kind": "gradient"}
+               if k % 2 else
+               {"eigenvalue": f"{2 * (k % 11)}/4", "multiplicity": 1, "kind": "divergence_free"}
+               for k in range(1000)]
+    counts = []
+    for number in (1, 1000):
+        path = write_spectrum(tmp_path, {"name": "x", "dimension": 4, "einstein_constant": "3",
+                                         "bands": flagged[:number]},
+                              name=f"flagged-{number}.json")
+        fractions, loaded = count_constructions(lambda: load_spectrum(path))
+        assert len(loaded.warnings) == number
+        counts.append(fractions)
+    assert counts[0] == counts[1]
+    assert counts[1]["SpectralBand"] == 0
