@@ -135,7 +135,9 @@ def _cmd_index(args) -> int:
             raise IncompleteSpectrum(
                 "strict mode requires the spectrum file to declare complete_up_to")
         loaded.validation.raise_first_violation()
-    counts = _sign_counts(space, loaded.rows, kinds, declared)
+    lam = space.einstein_constant
+    counts = _sign_counts(space.dimension, lam.numerator, lam.denominator, loaded.rows, kinds,
+                          None if declared is None else (declared.numerator, declared.denominator))
     doc_warnings = list(loaded.warnings)
     if declared is None:
         # what index_reports warns, once per functional

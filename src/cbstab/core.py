@@ -135,10 +135,25 @@ def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> F
     mu = as_rational(mu)
     if mu < 0:
         raise DomainError(f"Hodge eigenvalue must be >= 0, got {mu}")
-    roots = _roots(kind, space)
-    # one Fraction of the integer products, not one per root
-    value = math.prod(mu.numerator * den - num * mu.denominator for num, den in roots)
-    return _jacobi_fraction(value, mu.denominator, roots)
+    lam = space.einstein_constant
+    # one Fraction of the integer pair, not one per root
+    return Fraction(*_jacobi_pair(kind, space.dimension, lam.numerator, lam.denominator,
+                                  mu.numerator, mu.denominator))
+
+
+def _jacobi_pair(kind: Functional, dimension: int, lam_num: int, lam_den: int,
+                 num: int, den: int) -> tuple[int, int]:
+    """kind's Jacobi eigenvalue on mu = num/den, den > 0, as an integer pair.
+
+    The pair (value, denominator) has denominator > 0 and is not reduced;
+    lambda = lam_num/lam_den need not be either.  The roots are read
+    through this module's _roots.
+    """
+    roots = _roots(kind, dimension, lam_num, lam_den)
+    value = 1
+    for rn, rd in roots:
+        value *= num * rd - rn * den
+    return value, _jacobi_denominator(den, roots)
 
 
 def _jacobi_fraction(value: int, den: int, roots) -> Fraction:
@@ -154,19 +169,21 @@ def _jacobi_denominator(den: int, roots) -> int:
     return result
 
 
-def _roots(kind: Functional, space: EinsteinSpace) -> tuple[tuple[int, int], ...]:
+def _roots(kind: Functional, dimension: int, lam_num: int,
+           lam_den: int) -> tuple[tuple[int, int], ...]:
     """The roots of kind's Jacobi eigenvalue as a monic polynomial in mu.
 
-    Each root is a reduced (numerator, denominator) pair with denominator > 0.
+    The one definition of the roots, for lambda = lam_num/lam_den with
+    lam_den > 0, not necessarily reduced.  Each root is a reduced
+    (numerator, denominator) pair with denominator > 0.
     """
-    lam = space.einstein_constant
-    two_lam = _reduced(2 * lam.numerator, lam.denominator)
+    two_lam = _reduced(2 * lam_num, lam_den)
     if kind is Functional.ENERGY:
         return (two_lam,)
     if kind is Functional.BIENERGY:
         return (two_lam, two_lam)
     # c = (2/3)(6 - m)*lambda
-    return (two_lam, _reduced(2 * (6 - space.dimension) * lam.numerator, 3 * lam.denominator))
+    return (two_lam, _reduced(2 * (6 - dimension) * lam_num, 3 * lam_den))
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -195,7 +212,8 @@ def _largest(pairs) -> tuple[int, int]:
 
 def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
     """Least mu* with Jacobi eigenvalue > 0 for every mu > mu*."""
-    return Fraction(*_largest(_roots(kind, space)))
+    lam = space.einstein_constant
+    return Fraction(*_largest(_roots(kind, space.dimension, lam.numerator, lam.denominator)))
 
 
 def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
@@ -256,7 +274,14 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     computation proceeds on the bands given.
     """
     kinds = list(kinds)
-    counts = _sign_counts(space, _band_rows(bands), kinds, complete_up_to)
+    rows = _band_rows(bands)
+    declared = None
+    if complete_up_to is not None:
+        bound = as_rational(complete_up_to)
+        declared = bound.numerator, bound.denominator
+    lam = space.einstein_constant
+    counts = _sign_counts(space.dimension, lam.numerator, lam.denominator, rows, kinds,
+                          declared, complete_up_to)
     if complete_up_to is None:
         for _ in kinds:
             warnings.warn(COMPLETENESS_WARNING, SpectrumCompletenessWarning, stacklevel=2)
@@ -274,9 +299,18 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     return reports
 
 
-def _sign_counts(space: EinsteinSpace, rows, kinds: Iterable[Functional],
-                 complete_up_to: Rational | None) -> list[tuple]:
+def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
+                 kinds: Iterable[Functional], declared: tuple[int, int] | None,
+                 written: Rational | None = None) -> list[tuple]:
     """The engine's sign counts, with no band, report, Fraction or warning made.
+
+    The one counting function: `cbstab index`, index_reports and verify's
+    `tables` suite read it.  It takes the space as its dimension and
+    lambda = lam_num/lam_den, and the declared completeness bound as an
+    integer pair (num, den), or None for none; every denominator is > 0
+    and none need be reduced.  A declared bound short of a cutoff raises
+    IncompleteSpectrum, whose message writes the bound as `written`, the
+    caller's own spelling of it, or in lowest terms if that is None.
 
     Returns one (roots, index, nullity, listed, values) per kind, in order:
     the kind's _roots, its index and nullity, the merged rows whose Jacobi
@@ -286,10 +320,9 @@ def _sign_counts(space: EinsteinSpace, rows, kinds: Iterable[Functional],
     divergence-free?, summed multiplicity, first row's band or None] in
     lowest terms with den > 0, the same list for every kind that lists it.
     The values are a list of their own, so the counts allocate no tuple the
-    garbage collector tracks.  A declared bound short of a cutoff raises
-    IncompleteSpectrum.
+    garbage collector tracks.
     """
-    roots = [_roots(kind, space) for kind in kinds]
+    roots = [_roots(kind, dimension, lam_num, lam_den) for kind in kinds]
     cutoffs = [_largest(kind_roots) for kind_roots in roots]
     # with no kinds every row is past the top
     top_num, top_den = _largest(cutoffs) if cutoffs else (-1, 1)
@@ -310,13 +343,14 @@ def _sign_counts(space: EinsteinSpace, rows, kinds: Iterable[Functional],
             merged[key] = [num, den, divergence_free, mult, band]
         else:
             entry[3] += mult
-    if complete_up_to is not None:
-        declared = as_rational(complete_up_to)
-        declared_num, declared_den = declared.numerator, declared.denominator
+    if declared is not None:
+        declared_num, declared_den = declared
         for cut_num, cut_den in cutoffs:
             if declared_num * cut_den < cut_num * declared_den:
+                if written is None:
+                    written = _ratio_text(declared_num, declared_den)
                 raise IncompleteSpectrum(
-                    f"bands declared complete up to {complete_up_to} but contributions "
+                    f"bands declared complete up to {written} but contributions "
                     f"extend to {_ratio_text(cut_num, cut_den)}")
 
     entries = sorted(merged.values(), key=functools.cmp_to_key(_row_order))
@@ -387,7 +421,7 @@ def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
         return SpectrumValidation(warnings=(), first_violation=None)
     m = space.dimension
     # 2*lambda is the energy's Jacobi root; both bounds stay unreduced pairs
-    two_lam_num, two_lam_den = _roots(Functional.ENERGY, space)[0]
+    two_lam_num, two_lam_den = _roots(Functional.ENERGY, m, lam.numerator, lam.denominator)[0]
     obata_num, obata_den = m * lam.numerator, (m - 1) * lam.denominator
     picked = [(num, den, divergence_free) for num, den, divergence_free, _, _ in rows
               if (num * two_lam_den < two_lam_num * den if divergence_free

@@ -247,7 +247,8 @@ def c_constant(m: int) -> float:
     """The constant C = (2(m-2)^2 + m(m-1)(m-3)/3) * omega_{S^{m-1}}."""
     if not isinstance(m, int) or not 5 <= m <= M_MAX:
         raise DomainError(f"the upper-bound constant needs integer m in [5, {M_MAX}], got {m!r}")
-    return float(2 * (m - 2) ** 2 + Fraction(m * (m - 1) * (m - 3), 3)) * sphere_volume(m - 1)
+    # the exact rational, rounded once: int / int is correctly rounded
+    return (6 * (m - 2) ** 2 + m * (m - 1) * (m - 3)) / 3 * sphere_volume(m - 1)
 
 
 @dataclass(frozen=True)
@@ -329,18 +330,25 @@ def sphere_volume_exact(n: int) -> tuple[Fraction, int]:
     Uses the half-integer Gamma recursion, so the coefficient is exact:
     odd n gives 2/k! type values, even n gives 2*4^k*k!/(2k)!.
     """
+    num, den, k = _sphere_volume_terms(n)
+    return Fraction(num, den), k
+
+
+def _sphere_volume_terms(n: int) -> tuple[int, int, int]:
+    """sphere_volume_exact(n) as (numerator, denominator, power of pi), not reduced."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"sphere dimension must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"sphere dimension must be >= 1, got {n}")
     if n % 2 == 1:
         k = (n + 1) // 2
-        return Fraction(2, math.factorial(k - 1)), k
+        return 2, math.factorial(k - 1), k
     k = n // 2
-    return Fraction(2 * 4 ** k * math.factorial(k), math.factorial(2 * k)), k
+    return 2 * 4 ** k * math.factorial(k), math.factorial(2 * k), k
 
 
 def sphere_volume(n: int) -> float:
     """Volume of the Euclidean unit n-sphere (2*pi^((n+1)/2)/Gamma((n+1)/2))."""
-    coeff, k = sphere_volume_exact(n)
-    return float(coeff) * math.pi ** k
+    num, den, k = _sphere_volume_terms(n)
+    # int / int is correctly rounded, as float() of the coefficient is
+    return num / den * math.pi ** k

@@ -6,9 +6,14 @@ suites mean the same thing in every run.  The acceptance tests
 (tests/test_acceptance.py) call these suites through run_suites and define
 no check of their own.
 
-The `tables` suite compares (index, nullity) from core._sign_counts, the
-counting core that `cbstab index` and index_reports read; it builds no
-SpectralBand, IndexReport or Jacobi Fraction.
+The exact checks run on integer pairs.  The `tables` suite compares
+(index, nullity) from core._sign_counts, the counting core that `cbstab
+index` and index_reports read; it builds no SpectralBand, IndexReport or
+Jacobi Fraction, and its rescaled spheres are integer pairs, with no
+EinsteinSpace or Fraction of their own.  The exact half of `hessian`
+compares the Jacobi numerator of core._jacobi_pair with
+family._family_side by integer cross-multiplication.  Both read the roots
+from their one definition, core._roots.
 
 No suite compares E2c with E2 + (2/3)(m-1)(m-3) E: evaluate_family computes
 it that way, so the comparison would test rounding only.  The accuracy of
@@ -22,9 +27,8 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import EinsteinSpace, Functional, _sign_counts, jacobi_eigenvalue
+from .core import Functional, _jacobi_pair, _ratio_text, _sign_counts
 from .errors import DomainError
 from .family import (M_MAX, _family_side, c_constant, epsilon_schedule, evaluate_family,
                      spectral_prediction, sphere_volume, upper_bound)
@@ -57,10 +61,22 @@ def _check(suite: str, name: str, expected, got, tolerance: str, passed: bool) -
                        tolerance=tolerance, passed=bool(passed))
 
 
-def _sphere_counts(spectrum) -> list[tuple[int, int]]:
-    """Energy, bienergy and c-bienergy (index, nullity) of a built-in spectrum, from one merge."""
+# the kinds every sphere is counted for, in the order the tables read them
+_KINDS = tuple(Functional)
+
+
+def _sphere_counts(m: int, lam_num: int, lam_den: int, rows,
+                   bound: tuple[int, int]) -> list[tuple[int, int]]:
+    """Energy, bienergy and c-bienergy (index, nullity) of a sphere's rows, from one merge."""
     return [(index, nullity) for _, index, nullity, _, _ in
-            _sign_counts(spectrum.space, spectrum.rows, Functional, spectrum.complete_up_to)]
+            _sign_counts(m, lam_num, lam_den, rows, _KINDS, bound)]
+
+
+def _unit_sphere(m: int) -> tuple:
+    """The built-in unit m-sphere as (m, lambda's pair, its rows, its bound's pair)."""
+    spectrum = builtin_spectrum(m)
+    lam, bound = spectrum.space.einstein_constant, spectrum.complete_up_to
+    return m, lam.numerator, lam.denominator, spectrum.rows, (bound.numerator, bound.denominator)
 
 
 def _expected_energy(m: int) -> tuple[int, int]:
@@ -82,7 +98,8 @@ def _expected_c_bienergy(m: int) -> tuple[int, int]:
 def suite_tables() -> list[CheckResult]:
     """Index/nullity tables for unit spheres m = 1..10, exact."""
     out = []
-    counts = {m: _sphere_counts(builtin_spectrum(m)) for m in range(1, 11)}
+    spheres = {m: _unit_sphere(m) for m in range(1, 11)}
+    counts = {m: _sphere_counts(*data) for m, data in spheres.items()}
     for m, (e, e2, e2c) in counts.items():
         want_e = _expected_energy(m)
         want_e2 = (0, want_e[1])
@@ -102,25 +119,28 @@ def suite_tables() -> list[CheckResult]:
         out.append(_check("tables", f"S^{m} index/nullity coincidence",
                           want, e2c, "exact", e2c == want))
 
-    out.append(_scaling_invariance_check())
+    out.append(_scaling_invariance_check([(spheres[m], counts[m]) for m in (4, 5, 7)]))
     return out
 
 
-def _scaling_invariance_check() -> CheckResult:
+def _scaling_invariance_check(bases) -> CheckResult:
+    """Each (sphere, counts) in `bases`, scaled by SCALING_SAMPLES rational factors c.
+
+    Scaling the metric by 1/c scales lambda, every eigenvalue and the
+    declared bound by c, so the counts must not move.  Each is scaled as an
+    integer pair, unreduced.
+    """
     rng = random.Random(SCALING_SEED)
-    bases = {m: builtin_spectrum(m) for m in (4, 5, 7)}
-    base_counts = {m: _sphere_counts(spectrum) for m, spectrum in bases.items()}
     failures = 0
     for _ in range(SCALING_SAMPLES):
-        c = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        for m, spectrum in bases.items():
-            scaled_space = EinsteinSpace(m, spectrum.space.einstein_constant * c)
-            scaled_rows = [(num * c.numerator, den * c.denominator, divergence_free, mult, None)
-                           for num, den, divergence_free, mult, _ in spectrum.rows]
-            scaled = _sign_counts(scaled_space, scaled_rows, Functional,
-                                  spectrum.complete_up_to * c)
-            for base, (_, index, nullity, _, _) in zip(base_counts[m], scaled):
-                if base != (index, nullity):
+        c_num, c_den = rng.randint(1, 60), rng.randint(1, 60)
+        for (m, lam_num, lam_den, rows, (bound_num, bound_den)), base in bases:
+            scaled_rows = [(num * c_num, den * c_den, divergence_free, mult, None)
+                           for num, den, divergence_free, mult, _ in rows]
+            scaled = _sign_counts(m, lam_num * c_num, lam_den * c_den, scaled_rows, _KINDS,
+                                  (bound_num * c_num, bound_den * c_den))
+            for counts, (_, index, nullity, _, _) in zip(base, scaled):
+                if counts != (index, nullity):
                     failures += 1
     return _check("tables", f"scaling invariance ({SCALING_SAMPLES} rational factors)",
                   "0 mismatches", f"{failures} mismatches", "exact", failures == 0)
@@ -159,10 +179,12 @@ def suite_constancy() -> list[CheckResult]:
     return out
 
 
-def _factor(m: int) -> Fraction:
-    """The c-bienergy Jacobi eigenvalue of the unit m-sphere's first gradient band, mu = m."""
-    space = EinsteinSpace(dimension=m, einstein_constant=Fraction(m - 1))
-    return jacobi_eigenvalue(Functional.CONFORMAL_BIENERGY, space, m)
+def _factor(m: int) -> tuple[int, int]:
+    """The c-bienergy Jacobi eigenvalue of the unit m-sphere's first gradient band, mu = m.
+
+    An integer pair (value, denominator) with denominator > 0.
+    """
+    return _jacobi_pair(Functional.CONFORMAL_BIENERGY, m, m - 1, 1, m, 1)
 
 
 def suite_hessian() -> list[CheckResult]:
@@ -173,18 +195,23 @@ def suite_hessian() -> list[CheckResult]:
     identity is a critical point of the c-bienergy, so E2c''(t=1) is the
     Hessian on W: in units of omega_m, the Jacobi side _factor(m) * w, with
     ||W||^2 / omega_m = w = m/(m+1) (Wallis).  family._family_side gives the
-    family side, and spectral_prediction(m) its value.
+    family side, and spectral_prediction(m) its value.  The two sides are
+    compared by integer cross-multiplication.
     """
     factors = {m: _factor(m) for m in range(2, M_MAX + 1)}
-    sides = [(m, _family_side(m), f * Fraction(m, m + 1)) for m, f in factors.items()]
-    differ = [side for side in sides if side[1] != side[2]]
+    differ = []
+    for m, (value, den) in factors.items():
+        family = _family_side(m)
+        # the Jacobi side is (value * m) / (den * (m + 1))
+        if family.numerator * den * (m + 1) != value * m * family.denominator:
+            differ.append((m, family, _ratio_text(value * m, den * (m + 1))))
     out = [_check("hessian", f"E2c''(1) family side = Jacobi side, m=2..{M_MAX}",
                   f"0 of {len(factors)} differ",
                   f"{len(differ)} of {len(factors)} differ"
                   + (", first m={}: {} vs {}".format(*differ[0]) if differ else ""),
                   "exact", not differ)]
-    zero = [m for m, f in factors.items() if f == 0]
-    positive = [m for m, f in factors.items() if f > 0]
+    zero = [m for m, (value, _) in factors.items() if value == 0]
+    positive = [m for m, (value, _) in factors.items() if value > 0]
     out.append(_check("hessian", f"sign of the Jacobi factor, m=2..{M_MAX}",
                       f"zero at m=[2, 4], positive at m=[3], negative at the other {M_MAX - 4}",
                       f"zero at m={zero}, positive at m={positive}, negative at the other "

@@ -13,7 +13,8 @@ import time
 import pytest
 
 from cbstab.errors import DomainError
-from cbstab.verify import SCALING_SAMPLES, SUITES, run_suites, suite_tables
+from cbstab.family import M_MAX
+from cbstab.verify import HESSIAN_DIMENSIONS, SUITES, run_suites, suite_hessian, suite_tables
 from test_core import count_constructions
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
@@ -99,9 +100,11 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
     # a machine-independent cost counter: `tables` compares (index, nullity)
     # from the engine's counting core, so it builds no band and no report
     # (325 bands, 489 reports and 1602 Fractions while it compared reports).
-    # Its Fractions are the spaces': at most 10 per built-in sphere (13 of
-    # them; 8 on Python 3.10 to 3.13), and per rational factor the factor and,
-    # for each of the three scaled spheres, its lambda*c and its bound*c.
+    # Its Fractions and spaces are the built-in spheres' (10 of them): each
+    # builtin_spectrum builds its lambda, its three contribution cutoffs and
+    # max()'s default 0, and one EinsteinSpace, on Python 3.10 to 3.13.  A
+    # scaled copy is integer pairs only, so neither count grows with
+    # SCALING_SAMPLES (415 Fractions and 163 spaces while each copy had its own).
     import cbstab.core
 
     reports = []
@@ -110,4 +113,16 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
     assert len(results) == 38 and all(r.passed for r in results)
     assert reports == []
     assert counts["SpectralBand"] == 0
-    assert counts["Fraction"] <= 13 * 10 + SCALING_SAMPLES * (1 + 3 * 2)
+    assert counts["EinsteinSpace"] == 10
+    assert counts["Fraction"] <= 10 * 5
+
+
+def test_hessian_builds_a_fraction_per_family_side_only():
+    # the exact half compares integer pairs by cross-multiplication, so its
+    # only Fraction per m = 2..M_MAX is _family_side's; the numerical half
+    # builds one more per spectral_prediction, and evaluate_family none
+    # (314 Fractions and 49 spaces while the sides were compared as Fractions)
+    counts, results = count_constructions(suite_hessian)
+    assert all(r.passed for r in results)
+    assert counts == {"Fraction": (M_MAX - 1) + len(HESSIAN_DIMENSIONS), "SpectralBand": 0,
+                      "EinsteinSpace": 0}

@@ -365,6 +365,19 @@ def test_declared_bound_below_cutoff_exits_2(tmp_path, capsys):
     assert "validation failure" in err
 
 
+def test_declared_bound_is_written_in_lowest_terms(tmp_path, capsys):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({
+        "name": "short", "dimension": 4, "einstein_constant": "3",
+        "complete_up_to": "22/4",
+        "bands": [{"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}],
+    }), encoding="utf-8")
+    code, _, err = run(capsys, "index", "--spectrum-file", str(short))
+    assert code == 2
+    assert err == ("cbstab: validation failure: bands declared complete up to 11/2 "
+                   "but contributions extend to 6\n")
+
+
 def test_verify_tables_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suites", "tables")
     assert code == 0

@@ -204,15 +204,18 @@ def test_roots_are_reduced_pairs_of_the_formula():
                        Functional.BIENERGY: [2 * lam, 2 * lam],
                        Functional.CONFORMAL_BIENERGY: [2 * lam, Fraction(2, 3) * (6 - m) * lam]}
             for kind, want in formula.items():
-                pairs = _roots(kind, space)
+                pairs = _roots(kind, m, lam.numerator, lam.denominator)
                 assert all(type(num) is int and type(den) is int for num, den in pairs)
                 assert [(root.numerator, root.denominator) for root in want] == list(pairs)
                 assert contribution_cutoff(space, kind) == max(want)
     # the second root c = (2/3)(6 - m)*lambda is zero at m = 6 and negative past it
     c_bienergy = Functional.CONFORMAL_BIENERGY
-    assert _roots(c_bienergy, EinsteinSpace(6, 7)) == ((14, 1), (0, 1))
-    assert _roots(c_bienergy, EinsteinSpace(7, Fraction(1, 3))) == ((2, 3), (-2, 9))
-    assert _roots(c_bienergy, EinsteinSpace(12, Fraction(5, 2))) == ((5, 1), (-10, 1))
+    assert _roots(c_bienergy, 6, 7, 1) == ((14, 1), (0, 1))
+    assert _roots(c_bienergy, 7, 1, 3) == ((2, 3), (-2, 9))
+    assert _roots(c_bienergy, 12, 5, 2) == ((5, 1), (-10, 1))
+    # lambda need not be reduced; the roots are
+    assert _roots(c_bienergy, 7, 4, 12) == ((2, 3), (-2, 9))
+    assert _roots(c_bienergy, 12, 35, 14) == ((5, 1), (-10, 1))
 
 
 def test_incomplete_spectrum_raises():
@@ -228,16 +231,26 @@ def test_incomplete_spectrum_raises():
     with pytest.raises(IncompleteSpectrum) as info:
         index_reports(S4, S4_BANDS, list(Functional), complete_up_to="11/2")
     assert str(info.value) == "bands declared complete up to 11/2 but contributions extend to 6"
+    # the message echoes the caller's own spelling of the bound
+    with pytest.raises(IncompleteSpectrum) as info:
+        index_reports(S4, S4_BANDS, list(Functional), complete_up_to="22/4")
+    assert str(info.value) == "bands declared complete up to 22/4 but contributions extend to 6"
+    # the counting core writes an unreduced pair with no spelling in lowest terms
+    with pytest.raises(IncompleteSpectrum) as info:
+        _sign_counts(4, 6, 2, _band_rows(S4_BANDS), list(Functional), (22, 4))
+    assert str(info.value) == "bands declared complete up to 11/2 but contributions extend to 6"
 
 
 def count_constructions(call):
-    """Fractions and SpectralBands built while call() runs, counted by the
-    profiler hook (not by timing), and call()'s result."""
+    """Fractions, SpectralBands and EinsteinSpaces built while call() runs,
+    counted by the profiler hook (not by timing), and call()'s result."""
     fraction_code = {Fraction.__new__.__code__}
     if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic since 3.12
         fraction_code.add(Fraction._from_coprime_ints.__func__.__code__)
-    band_code = SpectralBand.__post_init__.__code__  # runs once per band built
-    counts = {"Fraction": 0, "SpectralBand": 0}
+    # each __post_init__ runs once per object built
+    band_code = SpectralBand.__post_init__.__code__
+    space_code = EinsteinSpace.__post_init__.__code__
+    counts = {"Fraction": 0, "SpectralBand": 0, "EinsteinSpace": 0}
 
     def profile(frame, event, arg):
         if event == "call":
@@ -245,6 +258,8 @@ def count_constructions(call):
                 counts["Fraction"] += 1
             elif frame.f_code is band_code:
                 counts["SpectralBand"] += 1
+            elif frame.f_code is space_code:
+                counts["EinsteinSpace"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -263,7 +278,7 @@ def test_index_reports_builds_a_fraction_per_reported_row_only(m):
         sphere.space, bands, Functional, complete_up_to=sphere.complete_up_to))
     listed = [b for report in reports for b, _ in report.contributing_bands]
     assert len(listed) == 5  # one Fraction per reported row, and no other
-    assert counts == {"Fraction": 5, "SpectralBand": 0}
+    assert counts == {"Fraction": 5, "SpectralBand": 0, "EinsteinSpace": 0}
     # no band merged: each report lists the input band itself
     assert all(any(b is given for given in sphere.bands) for b in listed)
 
@@ -296,7 +311,7 @@ def test_merged_row_has_one_shared_band():
     bound = Fraction(9)  # an int would be converted to a Fraction inside
     counts, reports = count_constructions(
         lambda: index_reports(S4, s4_bands, Functional, complete_up_to=bound))
-    assert counts == {"Fraction": 5, "SpectralBand": 1}
+    assert counts == {"Fraction": 5, "SpectralBand": 1, "EinsteinSpace": 0}
     energy, bienergy, c_bienergy = ([b for b, _ in r.contributing_bands] for r in reports)
     assert energy[0] is c_bienergy[0] is s4_bands[0]  # not merged: the input band
     merged = energy[1]
@@ -395,7 +410,7 @@ def test_scalar_curvature_builds_one_fraction():
     for lam in (Fraction(3), Fraction(7, 3), Fraction(0)):
         counts, curvature = count_constructions(lambda: EinsteinSpace(6, lam).scalar_curvature)
         assert curvature == 6 * lam
-        assert counts == {"Fraction": 1, "SpectralBand": 0}
+        assert counts == {"Fraction": 1, "SpectralBand": 0, "EinsteinSpace": 1}
 
 
 def test_ratio_text_is_str_of_fraction():
@@ -547,8 +562,9 @@ def test_sign_counts_are_the_reports_counts():
     # the counting core behind the reports, on the brute-force test's
     # spectra with every row repeated unreduced (num*k/den*k), which must
     # merge with its reduced twin as the bands given twice merge in
-    # index_reports.  A quarter of the draws declare no bound: the core
-    # warns nothing, and index_reports warns once per functional
+    # index_reports.  The core is given lambda and the bound unreduced by the
+    # same k.  A quarter of the draws declare no bound: the core warns
+    # nothing, and index_reports warns once per functional
     rng = random.Random(20261019)
     for trial in range(300):
         m = trial % 12 + 1
@@ -563,7 +579,9 @@ def test_sign_counts_are_the_reports_counts():
         declared = None if rng.random() < 0.25 else 10 ** 6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = _sign_counts(space, rows, kinds, declared)
+            lam = space.einstein_constant
+            counts = _sign_counts(m, lam.numerator * k, lam.denominator * k, rows, kinds,
+                                  None if declared is None else (declared * k, k))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             reports = index_reports(space, bands * 2, kinds, declared)
@@ -572,7 +590,7 @@ def test_sign_counts_are_the_reports_counts():
         assert len(counts) == len(reports) == len(kinds)
         for kind, (roots, index, nullity, listed, values), report in zip(kinds, counts,
                                                                          reports):
-            assert roots == _roots(kind, space)
+            assert roots == _roots(kind, m, lam.numerator, lam.denominator)
             assert (index, nullity) == (report.index, report.nullity)
             expected = brute_force_report(space, bands + bands, kind)
             assert (index, nullity) == expected[:2], (m, space.einstein_constant, kind)

@@ -9,6 +9,7 @@ import pytest
 import cbstab.family
 from cbstab.errors import DomainError, QuadratureFailure
 from cbstab.family import (
+    M_MAX,
     QuadratureConfig,
     c_constant,
     epsilon_schedule,
@@ -17,6 +18,7 @@ from cbstab.family import (
     sphere_volume_exact,
     upper_bound,
 )
+from test_core import count_constructions
 
 PI = math.pi
 
@@ -41,6 +43,19 @@ def test_sphere_volumes():
         assert sphere_volume(n) == pytest.approx(ref, rel=1e-13)
     with pytest.raises(DomainError):
         sphere_volume(0)
+
+
+def test_sphere_volume_is_its_exact_coefficient_rounded_once():
+    # the integer numerator divided by the denominator is correctly rounded,
+    # as float() of the exact coefficient is, so no Fraction is built
+    for n in range(1, 400):
+        coeff, k = sphere_volume_exact(n)
+        assert float.hex(sphere_volume(n)) == float.hex(float(coeff) * PI ** k), n
+    for m in range(5, M_MAX + 1):
+        exact = 2 * (m - 2) ** 2 + Fraction(m * (m - 1) * (m - 3), 3)
+        assert float.hex(c_constant(m)) == float.hex(float(exact) * sphere_volume(m - 1)), m
+    counts, _ = count_constructions(lambda: (sphere_volume(7), c_constant(7)))
+    assert counts["Fraction"] == 0
 
 
 @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -83,22 +84,44 @@ def test_fd_zero_at_m4():
     assert abs(_second_difference(4)) <= 1e-4
 
 
-def test_wrong_c_bienergy_root_fails_the_identity(monkeypatch):
+def _patch_wrong_c_root(monkeypatch):
+    """Put (2/3)(5 - m) lambda in place of (2/3)(6 - m) lambda in core's one root definition."""
     roots = cbstab.core._roots
 
-    def wrong(kind, space):
-        # (2/3)(5 - m) lambda in place of (2/3)(6 - m) lambda
+    def wrong(kind, dimension, lam_num, lam_den):
         if kind is not Functional.CONFORMAL_BIENERGY:
-            return roots(kind, space)
-        lam = space.einstein_constant
-        return roots(kind, space)[:1] + (
-            cbstab.core._reduced(2 * (5 - space.dimension) * lam.numerator, 3 * lam.denominator),)
+            return roots(kind, dimension, lam_num, lam_den)
+        return roots(kind, dimension, lam_num, lam_den)[:1] + (
+            cbstab.core._reduced(2 * (5 - dimension) * lam_num, 3 * lam_den),)
 
     monkeypatch.setattr(cbstab.core, "_roots", wrong)
+
+
+def test_wrong_c_bienergy_root_fails_the_identity(monkeypatch):
+    _patch_wrong_c_root(monkeypatch)
     results = {r.name: r for r in run_suites(["hessian"])}
     # the factor keeps only its zero at m = 2, where mu = 2 lambda
     assert not results[IDENTITY].passed
     assert results[IDENTITY].got.startswith(f"{M_MAX - 2} of {M_MAX - 1} differ, first m=3")
+
+
+def test_one_root_definition_serves_tables_and_hessian(monkeypatch):
+    # the tables' counts and the hessian's Jacobi side read the same roots,
+    # so one defect in them fails checks in both suites
+    _patch_wrong_c_root(monkeypatch)
+    results = run_suites(["tables", "hessian"])
+    failed = {r.name: r for r in results if not r.passed}
+    # S^3 and S^4 gain an index; the S^5..S^10 coincidence holds for any c
+    # below the Obata bound, so it cannot see this defect
+    assert set(failed) == {"c_bienergy S^3", "c_bienergy S^4", "S^4 exception", IDENTITY,
+                           f"sign of the Jacobi factor, m=2..{M_MAX}"}
+    # the failure text is written as Fractions write it
+    m, lam = 3, 2
+    family = _family_side(m)
+    jacobi = (m - 2 * lam) * (m - Fraction(2, 3) * (5 - m) * lam) * Fraction(m, m + 1)
+    assert failed[IDENTITY].got \
+        == f"{M_MAX - 2} of {M_MAX - 1} differ, first m={m}: {family} vs {jacobi}"
+    assert failed["S^4 exception"].got == "(5, 5, 10, 10)"
 
 
 def test_offset_at_t_above_1_fails_the_numerical_check(monkeypatch):
