@@ -156,11 +156,6 @@ def _jacobi_pair(kind: Functional, dimension: int, lam_num: int, lam_den: int,
     return value, _jacobi_denominator(den, roots)
 
 
-def _jacobi_fraction(value: int, den: int, roots) -> Fraction:
-    """The Jacobi eigenvalue with `roots` on mu = num/den, whose numerator is `value`."""
-    return Fraction(value, _jacobi_denominator(den, roots))
-
-
 def _jacobi_denominator(den: int, roots) -> int:
     """den**len(roots) * prod(rd): the denominator of `value` on mu = num/den."""
     result = 1
@@ -214,6 +209,19 @@ def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
     """Least mu* with Jacobi eigenvalue > 0 for every mu > mu*."""
     lam = space.einstein_constant
     return Fraction(*_largest(_roots(kind, space.dimension, lam.numerator, lam.denominator)))
+
+
+def _cutoffs(dimension: int, lam_num: int, lam_den: int, kinds: Iterable[Functional]) -> tuple:
+    """(roots, cutoffs, top): each kind's _roots and contribution cutoff, and the largest cutoff.
+
+    The one place that picks a spectrum's top cutoff, read by _sign_counts
+    and by spectra.builtin_spectrum for its default bound.  Every cutoff is
+    a reduced integer pair; top is None for no kinds.  The roots are read
+    through this module's _roots.
+    """
+    roots = [_roots(kind, dimension, lam_num, lam_den) for kind in kinds]
+    cutoffs = [_largest(kind_roots) for kind_roots in roots]
+    return roots, cutoffs, _largest(cutoffs) if cutoffs else None
 
 
 def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
@@ -293,7 +301,7 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
             # the row's one band, which later reports share
             if mult != band.multiplicity:
                 band = entry[4] = SpectralBand(band.eigenvalue, mult, band.kind)
-            contributing.append((band, _jacobi_fraction(value, den, roots)))
+            contributing.append((band, Fraction(value, _jacobi_denominator(den, roots))))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
                                    contributing_bands=tuple(contributing)))
     return reports
@@ -315,17 +323,16 @@ def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
     Returns one (roots, index, nullity, listed, values) per kind, in order:
     the kind's _roots, its index and nullity, the merged rows whose Jacobi
     eigenvalue is <= 0, in eigenvalue order, and for each of them the
-    integer numerator `value` of that eigenvalue, which is
-    _jacobi_fraction(value, den, roots).  A listed row is [num, den,
+    integer numerator `value` of that eigenvalue over
+    _jacobi_denominator(den, roots).  A listed row is [num, den,
     divergence-free?, summed multiplicity, first row's band or None] in
     lowest terms with den > 0, the same list for every kind that lists it.
     The values are a list of their own, so the counts allocate no tuple the
     garbage collector tracks.
     """
-    roots = [_roots(kind, dimension, lam_num, lam_den) for kind in kinds]
-    cutoffs = [_largest(kind_roots) for kind_roots in roots]
+    roots, cutoffs, top = _cutoffs(dimension, lam_num, lam_den, kinds)
     # with no kinds every row is past the top
-    top_num, top_den = _largest(cutoffs) if cutoffs else (-1, 1)
+    top_num, top_den = (-1, 1) if top is None else top
     # (numerator, denominator, divergence-free?) -> merged row; the reduced integer
     # pair identifies the eigenvalue and hashes much faster than a Fraction,
     # and a bool, unlike an Enum member, hashes without a Python-level call

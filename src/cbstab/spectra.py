@@ -36,11 +36,11 @@ from .core import (
     Rational,
     SpectralBand,
     SpectrumValidation,
+    _cutoffs,
     _ratio_text,
     _row_band,
     _validate_rows,
     as_rational,
-    contribution_cutoff,
 )
 from .errors import DomainError, InvalidBand, MissingField, ParseError
 
@@ -140,7 +140,8 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
     space = EinsteinSpace(dimension=m, einstein_constant=lam,
                           name=f"S^{m}" if lam == m - 1 else f"S^{m} (lambda={lam})")
     if up_to is None:
-        up_to = max((contribution_cutoff(space, kind) for kind in kinds), default=Fraction(0))
+        top = _cutoffs(m, lam.numerator, lam.denominator, kinds)[2]
+        up_to = Fraction(0) if top is None else Fraction(*top)
     up_to = as_rational(up_to)
     if up_to < 0:
         raise DomainError(f"up_to must be >= 0, got {up_to}")

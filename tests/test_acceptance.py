@@ -15,7 +15,7 @@ import pytest
 from cbstab.errors import DomainError
 from cbstab.family import M_MAX
 from cbstab.verify import HESSIAN_DIMENSIONS, SUITES, run_suites, suite_hessian, suite_tables
-from test_core import count_constructions
+from test_core import count_constructions, patch_energy_root_plus_one
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
 
@@ -67,6 +67,13 @@ def test_verify_suite(suite):
     _assert_suite(suite)
 
 
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_each_suite_gives_passing_checks_under_its_own_name(suite):
+    # what each op of the benchmark's verify workload requires of one suite
+    results, _ = _timed_run(suite)
+    assert results and all(r.suite == suite and r.passed for r in results)
+
+
 @pytest.mark.parametrize("names", [["nonsense"], ["tables", "nonsense"]])
 def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
     monkeypatch.setitem(SUITES, "tables", lambda: pytest.fail("a suite ran"))
@@ -101,20 +108,21 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
     # from the engine's counting core, so it builds no band and no report
     # (325 bands, 489 reports and 1602 Fractions while it compared reports).
     # Its Fractions and spaces are the built-in spheres' (10 of them): each
-    # builtin_spectrum builds its lambda, its three contribution cutoffs and
-    # max()'s default 0, and one EinsteinSpace, on Python 3.10 to 3.13.  A
+    # builtin_spectrum builds its lambda and its bound, picked from the
+    # cutoffs as integer pairs, and one EinsteinSpace, on Python 3.10 to
+    # 3.13 (5 Fractions per sphere while each cutoff was a Fraction).  A
     # scaled copy is integer pairs only, so neither count grows with
     # SCALING_SAMPLES (415 Fractions and 163 spaces while each copy had its own).
     import cbstab.core
 
     reports = []
     monkeypatch.setattr(cbstab.core, "IndexReport", lambda **fields: reports.append(fields))
-    counts, results = count_constructions(suite_tables)
-    assert len(results) == 38 and all(r.passed for r in results)
+    counts, results = count_constructions(lambda: list(suite_tables()))
+    assert len(results) == 38 and all(passed for *_, passed in results)
     assert reports == []
     assert counts["SpectralBand"] == 0
     assert counts["EinsteinSpace"] == 10
-    assert counts["Fraction"] <= 10 * 5
+    assert counts["Fraction"] <= 10 * 2
 
 
 def test_hessian_builds_a_fraction_per_family_side_only():
@@ -122,7 +130,19 @@ def test_hessian_builds_a_fraction_per_family_side_only():
     # only Fraction per m = 2..M_MAX is _family_side's; the numerical half
     # builds one more per spectral_prediction, and evaluate_family none
     # (314 Fractions and 49 spaces while the sides were compared as Fractions)
-    counts, results = count_constructions(suite_hessian)
-    assert all(r.passed for r in results)
+    counts, results = count_constructions(lambda: list(suite_hessian()))
+    assert all(passed for *_, passed in results)
     assert counts == {"Fraction": (M_MAX - 1) + len(HESSIAN_DIMENSIONS), "SpectralBand": 0,
                       "EinsteinSpace": 0}
+
+
+def test_scaled_copy_short_of_its_cutoff_is_a_mismatch(monkeypatch):
+    # with energy root 2*lambda + 1 the top cutoff of S^4, S^5 and S^7 does not
+    # scale with lambda, so a copy scaled by c < 1 declares a bound short of
+    # it; the run goes on, and the scaling check counts each such copy, 19 of
+    # the 50 factors on each of the three spheres, as one mismatch
+    patch_energy_root_plus_one(monkeypatch)
+    results = {r.name: r for r in run_suites(["tables"])}
+    scaling = results["scaling invariance (50 rational factors)"]
+    assert not scaling.passed
+    assert scaling.got == f"{3 * 19} mismatches"

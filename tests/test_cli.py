@@ -418,15 +418,15 @@ def test_verify_json_is_json_dumps_with_indent(capsys, suite):
 def test_verify_json_writes_each_string_as_json_does(capsys, monkeypatch):
     # quotes, backslashes, control and non-ASCII characters, and a failed check
     checks = [
-        cbstab.verify.CheckResult("tables", 'a "quoted" \\ name', "line\nbreak\ttab",
-                                  "\u03bc \u2264 2\u03bb on S\u2074", "\x00\x1f\x7f", True),
-        cbstab.verify.CheckResult("tables", "\U0001d4ae failed", "", "\u00e9\ud83d", "exact",
-                                  False),
+        ('a "quoted" \\ name', "line\nbreak\ttab", "\u03bc \u2264 2\u03bb on S\u2074",
+         "\x00\x1f\x7f", True),
+        ("\U0001d4ae failed", "", "\u00e9\ud83d", "exact", False),
     ]
-    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda: checks)
+    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda: iter(checks))
     code, out, _ = run(capsys, "verify", "--suites", "tables", "--format", "json")
     assert code == 1
-    assert out == _verify_doc(checks) + "\n"
+    assert out == _verify_doc([cbstab.verify.CheckResult("tables", *check)
+                               for check in checks]) + "\n"
     assert json.loads(out)["ok"] is False
     assert _verify_json([], 0) == _verify_doc([])
 

@@ -270,6 +270,20 @@ def count_constructions(call):
     return counts, result
 
 
+def patch_energy_root_plus_one(monkeypatch):
+    """Put 2*lambda + 1 in place of the energy's root 2*lambda in core's one root definition."""
+    import cbstab.core
+
+    roots = cbstab.core._roots
+
+    def wrong(kind, dimension, lam_num, lam_den):
+        if kind is not Functional.ENERGY:
+            return roots(kind, dimension, lam_num, lam_den)
+        return (cbstab.core._reduced(2 * lam_num + lam_den, lam_den),)
+
+    monkeypatch.setattr(cbstab.core, "_roots", wrong)
+
+
 @pytest.mark.parametrize("m", [4, 5, 7, 10])
 def test_index_reports_builds_a_fraction_per_reported_row_only(m):
     sphere = builtin_spectrum(m)

@@ -17,7 +17,7 @@ from cbstab.spectra import (
     load_spectrum,
     spectrum_document,
 )
-from test_core import count_constructions
+from test_core import count_constructions, patch_energy_root_plus_one
 
 
 GRAD = BandKind.GRADIENT
@@ -240,12 +240,30 @@ def test_builtin_bands_match_the_closed_forms(m):
 
 
 @pytest.mark.parametrize("m, lam, up_to", [(12, None, 4000), (7, Fraction(7, 3), 200),
-                                           (1, 0, 400)])
+                                           (1, 0, 400), (4, None, None),
+                                           (7, Fraction(7, 3), None), (1, 0, None)])
 def test_builtin_spectrum_builds_no_band(m, lam, up_to):
     counts, sphere = count_constructions(lambda: builtin_spectrum(m, lam, up_to=up_to))
-    assert len(sphere.rows) > 20
     assert counts["SpectralBand"] == 0
-    assert counts["Fraction"] <= len(sphere.warnings) + 5
+    if up_to is None:
+        # the default bound is the top cutoff, picked as an integer pair: one
+        # Fraction for lambda and one for the bound (5 while each cutoff and
+        # max()'s default 0 were Fractions)
+        assert counts["Fraction"] <= 2
+    else:
+        assert len(sphere.rows) > 20
+        assert counts["Fraction"] <= len(sphere.warnings) + 5
+
+
+def test_builtin_bound_reads_the_roots_the_counts_read(monkeypatch):
+    # the built-in bound and the counting core pick the top cutoff on one
+    # path, so a defect in core's roots moves both and the sphere stays
+    # complete for its own counts
+    assert builtin_spectrum(4).complete_up_to == 6
+    patch_energy_root_plus_one(monkeypatch)
+    sphere = builtin_spectrum(4)
+    assert sphere.complete_up_to == 7
+    index_reports(sphere.space, sphere.bands, Functional, complete_up_to=sphere.complete_up_to)
 
 
 @pytest.mark.parametrize("args", [(0,), (2.0,), (True,), (1, 2), (4, 0), (4, -1),
