@@ -202,7 +202,7 @@ def _index_json(head: dict, kinds, counts) -> str:
                 f'          "jacobi_eigenvalue": '
                 f'"{_ratio_text(value, _jacobi_denominator(den, roots))}"\n'
                 f'        }}'
-                for (num, den, divergence_free, mult, _), value in zip(listed, values)]
+                for (num, den, divergence_free, mult), value in zip(listed, values)]
             lines.append(",\n".join(entries))
             lines.append("      ]")
         lines.append("    }," if number + 1 < len(kinds) else "    }")

@@ -38,10 +38,10 @@ def as_rational(value: Rational) -> Fraction:
     """Coerce int / "p/q" string / Fraction to an exact Fraction.
 
     The reader of exact rationals in the CLI, the library and every
-    spectrum-file field but a band eigenvalue in the plainest spelling,
-    which spectra._parse_rows reads as an integer pair.  A string is
-    accepted exactly when Fraction(str) accepts it.  Anything else, a float
-    or a bool included, raises DomainError.
+    spectrum-file field but a band eigenvalue in the plain ASCII "p" or
+    "p/q" spelling, which spectra._parse_rows reads as an integer pair.  A
+    string is accepted exactly when Fraction(str) accepts it.  Anything
+    else, a float or a bool included, raises DomainError.
     """
     cls = type(value)
     if cls is Fraction:
@@ -105,8 +105,8 @@ class SpectralBand:
 
     def __post_init__(self):
         # every band built passes this check, so it must be cheap; the rows
-        # of a built-in sphere and of a file's plainest bands meet it by
-        # construction (spectra._rows, spectra._parse_rows)
+        # of a built-in sphere meet it by construction (spectra._rows), and
+        # spectra._parse_rows builds a band only to word a file band's refusal
         mu = self.eigenvalue
         if type(mu) is not Fraction:
             mu = as_rational(mu)
@@ -224,22 +224,21 @@ def _cutoffs(dimension: int, lam_num: int, lam_den: int, kinds: Iterable[Functio
     return roots, cutoffs, _largest(cutoffs) if cutoffs else None
 
 
-def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
-    """The engine's rows of SpectralBands; a band-like is converted, and so checked, first.
+def _checked_bands(bands: Iterable[SpectralBand]) -> list[SpectralBand]:
+    """The bands as SpectralBands; a band-like is converted, and so checked."""
+    return [band if type(band) is SpectralBand
+            else SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
+            for band in bands]
 
-    A row is (num, den, divergence_free, multiplicity, band): the eigenvalue
-    num/den with den > 0, not necessarily reduced, and the SpectralBand it
-    stands for.  The rows of a LoadedSpectrum carry None there; only
-    index_reports reads the band.
+
+def _band_rows(bands: list[SpectralBand]) -> list[tuple]:
+    """The engine's rows (num, den, divergence_free, multiplicity) of SpectralBands.
+
+    A band's eigenvalue is a Fraction, so num/den is in lowest terms; the
+    rows of spectra._rows and spectra._parse_rows need not be.
     """
-    rows = []
-    for band in bands:
-        if type(band) is not SpectralBand:
-            band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
-        mu = band.eigenvalue
-        rows.append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
-                     band.multiplicity, band))
-    return rows
+    return [(band.eigenvalue.numerator, band.eigenvalue.denominator,
+             band.kind is BandKind.DIVERGENCE_FREE, band.multiplicity) for band in bands]
 
 
 def _row_band(num: int, den: int, divergence_free: bool, multiplicity: int) -> SpectralBand:
@@ -268,11 +267,12 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     cutoffs, the cut of bands past the largest one (every selected Jacobi
     eigenvalue is positive there) and the completeness check are integer
     cross-multiplications too.  Repeated (eigenvalue, kind) rows are merged
-    once; each merged row carries one SpectralBand, shared by every report
-    that lists it: the input band if the row merged nothing, else one band
-    with the summed multiplicity, built only if a report lists the row.  A
-    Fraction is built only for each reported Jacobi eigenvalue.  A band that
-    is not a SpectralBand is converted, and so checked, first.
+    once.  A dict from each reduced (num, den, divergence_free) key to the
+    first band given with it names the band a report lists: that band if
+    the row merged nothing, else one band with the summed multiplicity,
+    built only if a report lists the row and shared by every report that
+    does.  A Fraction is built only for each reported Jacobi eigenvalue.  A
+    band that is not a SpectralBand is converted, and so checked, first.
 
     `complete_up_to` declares that `bands` lists every eigenvalue up to that
     bound.  If the declared bound does not reach a functional's contribution
@@ -282,7 +282,12 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     computation proceeds on the bands given.
     """
     kinds = list(kinds)
+    bands = _checked_bands(bands)
     rows = _band_rows(bands)
+    # a band's eigenvalue is a Fraction, so each row is reduced and is its own key
+    first = {}
+    for band, row in zip(bands, rows):
+        first.setdefault(row[:3], band)
     declared = None
     if complete_up_to is not None:
         bound = as_rational(complete_up_to)
@@ -296,11 +301,12 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     reports = []
     for kind, (roots, index, nullity, listed, values) in zip(kinds, counts):
         contributing = []
-        for entry, value in zip(listed, values):
-            _, den, _, mult, band = entry
-            # the row's one band, which later reports share
+        for (num, den, divergence_free, mult), value in zip(listed, values):
+            key = num, den, divergence_free
+            band = first[key]
+            # a merged row's one summed band, which later reports share
             if mult != band.multiplicity:
-                band = entry[4] = SpectralBand(band.eigenvalue, mult, band.kind)
+                band = first[key] = SpectralBand(band.eigenvalue, mult, band.kind)
             contributing.append((band, Fraction(value, _jacobi_denominator(den, roots))))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
                                    contributing_bands=tuple(contributing)))
@@ -325,9 +331,9 @@ def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
     eigenvalue is <= 0, in eigenvalue order, and for each of them the
     integer numerator `value` of that eigenvalue over
     _jacobi_denominator(den, roots).  A listed row is [num, den,
-    divergence-free?, summed multiplicity, first row's band or None] in
-    lowest terms with den > 0, the same list for every kind that lists it.
-    The values are a list of their own, so the counts allocate no tuple the
+    divergence-free?, summed multiplicity] in lowest terms with den > 0, the
+    same list for every kind that lists it; callers only read it.  The
+    values are a list of their own, so the counts allocate no tuple the
     garbage collector tracks.
     """
     roots, cutoffs, top = _cutoffs(dimension, lam_num, lam_den, kinds)
@@ -337,7 +343,7 @@ def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
     # pair identifies the eigenvalue and hashes much faster than a Fraction,
     # and a bool, unlike an Enum member, hashes without a Python-level call
     merged: dict[tuple[int, int, bool], list] = {}
-    for num, den, divergence_free, mult, band in rows:
+    for num, den, divergence_free, mult in rows:
         if num * top_den > top_num * den:
             continue
         common = math.gcd(num, den)
@@ -347,7 +353,7 @@ def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
         key = (num, den, divergence_free)
         entry = merged.get(key)
         if entry is None:
-            merged[key] = [num, den, divergence_free, mult, band]
+            merged[key] = [num, den, divergence_free, mult]
         else:
             entry[3] += mult
     if declared is not None:
@@ -368,7 +374,7 @@ def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
         listed = []
         values = []
         for entry in entries:
-            num, den, _, mult, _ = entry
+            num, den, _, mult = entry
             value = 1
             for rn, rd in kind_roots:
                 value *= num * rd - rn * den
@@ -412,11 +418,11 @@ def validate_spectrum(space: EinsteinSpace,
     callers raise the first violation with
     SpectrumValidation.raise_first_violation().
     """
-    return _validate_rows(space, _band_rows(bands))
+    return _validate_rows(space, _band_rows(_checked_bands(bands)))
 
 
 def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
-    """validate_spectrum on _band_rows rows, by cross-multiplication.
+    """validate_spectrum on the engine's rows, by cross-multiplication.
 
     Every row's eigenvalue is >= 0, so for lambda = 0 nothing is flagged.
     One cross-multiplication per row picks the rows below or at a bound, in
@@ -430,7 +436,7 @@ def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
     # 2*lambda is the energy's Jacobi root; both bounds stay unreduced pairs
     two_lam_num, two_lam_den = _roots(Functional.ENERGY, m, lam.numerator, lam.denominator)[0]
     obata_num, obata_den = m * lam.numerator, (m - 1) * lam.denominator
-    picked = [(num, den, divergence_free) for num, den, divergence_free, _, _ in rows
+    picked = [(num, den, divergence_free) for num, den, divergence_free, _ in rows
               if (num * two_lam_den < two_lam_num * den if divergence_free
                   else num * obata_den <= obata_num * den)]
     obata = _ratio_text(obata_num, obata_den)

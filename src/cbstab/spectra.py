@@ -70,28 +70,28 @@ def divergence_free_multiplicity(m: int, k: int) -> int:
 def _rows(m: int, lam: Fraction, up_to: Fraction) -> list[tuple]:
     """Closed-form rows with eigenvalue <= up_to, sorted by eigenvalue then kind.
 
-    A row is the engine's (num, den, divergence_free, multiplicity, None).
+    A row is the engine's (num, den, divergence_free, multiplicity).
     Every sphere row shares the denominator lam.denominator*(m - 1), so the
     cut and the sort compare numerators.  m = 1 is the flat circle: the
     rotation field at 0 plus k^2 harmonics, with denominator 1.
     """
     top_num, top_den = up_to.numerator, up_to.denominator
     if m == 1:
-        rows = [(0, 1, True, 1, None)]
+        rows = [(0, 1, True, 1)]
         k = 1
         while k * k * top_den <= top_num:
-            rows.append((k * k, 1, False, 2, None))
+            rows.append((k * k, 1, False, 2))
             k += 1
         return rows
     scale, den = lam.numerator, lam.denominator * (m - 1)
     rows = []
     k = 1
     while (num := k * (k + m - 1) * scale) * top_den <= top_num * den:
-        rows.append((num, den, False, gradient_multiplicity(m, k), None))
+        rows.append((num, den, False, gradient_multiplicity(m, k)))
         k += 1
     k = 1
     while (num := (k * (k + m - 1) + m - 2) * scale) * top_den <= top_num * den:
-        rows.append((num, den, True, divergence_free_multiplicity(m, k), None))
+        rows.append((num, den, True, divergence_free_multiplicity(m, k)))
         k += 1
     rows.sort(key=lambda row: (row[0], row[2]))
     return rows
@@ -101,8 +101,8 @@ def _rows(m: int, lam: Fraction, up_to: Fraction) -> list[tuple]:
 class LoadedSpectrum:
     """A validated spectrum: a closed-form sphere (path None) or a spectrum file.
 
-    `rows` holds the bands as the engine's integer rows, none of which
-    carries a band; `bands` is built from them on first access.
+    `rows` holds the bands as the engine's four-integer rows; `bands` is
+    built from them on first access.
     """
 
     space: EinsteinSpace
@@ -113,8 +113,7 @@ class LoadedSpectrum:
 
     @functools.cached_property
     def bands(self) -> tuple[SpectralBand, ...]:
-        return tuple(_row_band(num, den, divergence_free, mult)
-                     for num, den, divergence_free, mult, _ in self.rows)
+        return tuple(_row_band(*row) for row in self.rows)
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -153,7 +152,6 @@ def builtin_spectrum(m: int, lam: Rational | None = None,
 _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "bands"}
 # a tuple, so a band missing several fields always names the same one first
 _BAND_FIELDS = ("eigenvalue", "multiplicity", "kind")
-_KIND_NAMES = {kind.value: kind for kind in BandKind}
 _DIVERGENCE_FREE = {kind.value: kind is BandKind.DIVERGENCE_FREE for kind in BandKind}
 _KIND_VALUES = {divergence_free: name for name, divergence_free in _DIVERGENCE_FREE.items()}
 
@@ -173,62 +171,55 @@ def _rational_field(raw, field: str, position: int | None = None) -> Fraction:
     raise ParseError(f"{where} {problem}") from cause
 
 
-def _parse_band(raw, position: int, strict: bool) -> SpectralBand:
-    # one pass per band: the position text is built only on a failure path
-    if not isinstance(raw, dict):
-        raise ParseError(f"bands[{position}] must be an object, got {type(raw).__name__}")
-    try:
-        raw_mu, multiplicity, kind_name = raw["eigenvalue"], raw["multiplicity"], raw["kind"]
-    except KeyError:
-        missing = next(name for name in _BAND_FIELDS if name not in raw)
-        raise MissingField(
-            f"bands[{position}] is missing required field {missing!r}") from None
-    if strict and len(raw) > len(_BAND_FIELDS):
-        unknown = set(raw).difference(_BAND_FIELDS)
-        raise ParseError(f"bands[{position}] has unknown fields {sorted(unknown)}")
-    eigenvalue = _rational_field(raw_mu, "eigenvalue", position)
-    kind = _KIND_NAMES.get(kind_name) if type(kind_name) is str else None
-    if kind is None:
-        raise ParseError(f"bands[{position}].kind must be one of {sorted(_KIND_NAMES)}, "
-                         f"got {kind_name!r}")
-    try:
-        return SpectralBand(eigenvalue, multiplicity, kind)
-    except InvalidBand as exc:
-        raise InvalidBand(f"bands[{position}].{exc}") from exc
-
-
 def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
-    """The engine's rows of a file's bands, in file order.
+    """The engine's rows of a file's bands, in file order: the one band reader.
 
-    A band in the plainest spelling (exactly the three fields, a plain
-    ASCII "p" or "p/q" eigenvalue with q > 0, an int multiplicity >= 1 and a
-    known kind) becomes a row without a Fraction or a SpectralBand.  Every
-    other band goes through _parse_band, the one place that refuses a band.
-    No row keeps a band.
+    A row is (num, den, divergence_free, multiplicity), the eigenvalue
+    num/den with den > 0, not necessarily reduced.  A plain ASCII "p" or
+    "p/q" eigenvalue is read as its integer pair, without a Fraction; any
+    other spelling goes through _rational_field.  A band is refused for the
+    first of: not an object, a missing field, unknown fields (strict only),
+    the eigenvalue, the kind, the multiplicity, the sign; SpectralBand words
+    the last two.  One row per band before it, so len(rows) is its position.
     """
     rows = []
     append = rows.append
     for raw in raw_bands:
         try:
-            if type(raw) is dict and len(raw) == 3:
-                text, mult = raw["eigenvalue"], raw["multiplicity"]
-                divergence_free = _DIVERGENCE_FREE[raw["kind"]]
-                if type(text) is str and type(mult) is int and mult > 0 and text.isascii():
-                    num, slash, den = text.partition("/")
-                    if num.isdigit() and (not slash or den.isdigit()):
-                        # int() stays inside the try: its digit limit raises
-                        # ValueError, and _parse_band words the refusal
-                        q = int(den) if slash else 1
-                        if q:
-                            append((int(num), q, divergence_free, mult, None))
-                            continue
-        except (KeyError, TypeError, ValueError):
-            pass
-        # one row per band before this one, so len(rows) is its position
-        band = _parse_band(raw, len(rows), strict)
-        mu = band.eigenvalue
-        append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
-                band.multiplicity, None))
+            text, mult, kind = raw["eigenvalue"], raw["multiplicity"], raw["kind"]
+        except (KeyError, TypeError):
+            if type(raw) is not dict:
+                raise ParseError(f"bands[{len(rows)}] must be an object, "
+                                 f"got {type(raw).__name__}") from None
+            missing = next(name for name in _BAND_FIELDS if name not in raw)
+            raise MissingField(
+                f"bands[{len(rows)}] is missing required field {missing!r}") from None
+        if strict and len(raw) > len(_BAND_FIELDS):
+            unknown = set(raw).difference(_BAND_FIELDS)
+            raise ParseError(f"bands[{len(rows)}] has unknown fields {sorted(unknown)}")
+        den = 0
+        if type(text) is str and text.isascii():
+            head, slash, tail = text.partition("/")
+            if head.isdigit() and (not slash or tail.isdigit()):
+                try:
+                    num, den = int(head), int(tail) if slash else 1
+                except ValueError:
+                    # past int's digit limit: _rational_field words the refusal
+                    pass
+        if not den:
+            mu = _rational_field(text, "eigenvalue", len(rows))
+            num, den = mu.numerator, mu.denominator
+        try:
+            divergence_free = _DIVERGENCE_FREE[kind]
+        except (KeyError, TypeError):
+            raise ParseError(f"bands[{len(rows)}].kind must be one of "
+                             f"{sorted(_DIVERGENCE_FREE)}, got {kind!r}") from None
+        if type(mult) is not int or mult < 1 or num < 0:
+            try:
+                _row_band(num, den, divergence_free, mult)
+            except InvalidBand as exc:
+                raise InvalidBand(f"bands[{len(rows)}].{exc}") from exc
+        append((num, den, divergence_free, mult))
     return tuple(rows)
 
 
@@ -287,5 +278,5 @@ def spectrum_document(spectrum: LoadedSpectrum) -> dict:
     # the keys _BAND_FIELDS reads
     doc["bands"] = [{"eigenvalue": _ratio_text(num, den), "multiplicity": mult,
                      "kind": _KIND_VALUES[divergence_free]}
-                    for num, den, divergence_free, mult, _ in spectrum.rows]
+                    for num, den, divergence_free, mult in spectrum.rows]
     return doc

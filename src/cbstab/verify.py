@@ -127,8 +127,8 @@ def _scaling_invariance(bases) -> tuple:
     for _ in range(SCALING_SAMPLES):
         c_num, c_den = rng.randint(1, 60), rng.randint(1, 60)
         for (m, lam_num, lam_den, rows, (bound_num, bound_den)), base in bases:
-            scaled_rows = [(num * c_num, den * c_den, divergence_free, mult, None)
-                           for num, den, divergence_free, mult, _ in rows]
+            scaled_rows = [(num * c_num, den * c_den, divergence_free, mult)
+                           for num, den, divergence_free, mult in rows]
             try:
                 scaled = _sign_counts(m, lam_num * c_num, lam_den * c_den, scaled_rows, _KINDS,
                                       (bound_num * c_num, bound_den * c_den))

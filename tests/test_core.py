@@ -448,7 +448,7 @@ def reference_validation(space, rows):
     obata = Fraction(space.dimension, space.dimension - 1) * lam
     messages = []
     first = None
-    for num, den, divergence_free, _, _ in rows:
+    for num, den, divergence_free, _ in rows:
         mu = Fraction(num, den)
         if divergence_free and mu < 2 * lam:
             message = f"divergence-free band mu={mu} below 2*lambda={2 * lam}"
@@ -479,7 +479,7 @@ def test_validation_matches_a_fraction_reference():
             mu = max(mu, Fraction(0))
             k = rng.randint(1, 4)
             rows.append((mu.numerator * k, mu.denominator * k, rng.random() < 0.5,
-                         rng.randint(1, 9), None))
+                         rng.randint(1, 9)))
         report = _validate_rows(space, rows)
         assert (report.warnings, report.first_violation) == reference_validation(space, rows)
 
@@ -585,8 +585,8 @@ def test_sign_counts_are_the_reports_counts():
         space, bands = random_spectrum(rng, m)
         rows = _band_rows(bands)
         k = rng.randint(2, 7)
-        rows += [(num * k, den * k, divergence_free, mult, None)
-                 for num, den, divergence_free, mult, _ in rows]
+        rows += [(num * k, den * k, divergence_free, mult)
+                 for num, den, divergence_free, mult in rows]
         kinds = list(Functional)
         rng.shuffle(kinds)
         kinds = kinds[:rng.randint(1, 3)]
@@ -611,6 +611,6 @@ def test_sign_counts_are_the_reports_counts():
             # each listed row in lowest terms, with its Jacobi eigenvalue's numerator
             scale = math.prod(rd for _, rd in roots)
             got = [(Fraction(num, den), mult, Fraction(value, den ** len(roots) * scale))
-                   for (num, den, _, mult, _), value in zip(listed, values)]
+                   for (num, den, _, mult), value in zip(listed, values)]
             assert got == [(b.eigenvalue, b.multiplicity, j) for b, j in report.contributing_bands]
             assert all(math.gcd(num, den) == 1 for num, den, *_ in listed)

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from cbstab.spectra import (
     builtin_spectrum,
     divergence_free_multiplicity,
     gradient_multiplicity,
-    _parse_band,
+    _parse_rows,
     _rational_field,
     load_spectrum,
     spectrum_document,
@@ -245,14 +247,25 @@ def test_builtin_bands_match_the_closed_forms(m):
 def test_builtin_spectrum_builds_no_band(m, lam, up_to):
     counts, sphere = count_constructions(lambda: builtin_spectrum(m, lam, up_to=up_to))
     assert counts["SpectralBand"] == 0
-    if up_to is None:
-        # the default bound is the top cutoff, picked as an integer pair: one
-        # Fraction for lambda and one for the bound (5 while each cutoff and
-        # max()'s default 0 were Fractions)
-        assert counts["Fraction"] <= 2
-    else:
+    # at most one Fraction for lambda and one for the bound: the default bound
+    # is the top cutoff, picked as an integer pair, and the rows and the
+    # warnings are written from integer pairs
+    assert counts["Fraction"] <= 2
+    if up_to is not None:
         assert len(sphere.rows) > 20
-        assert counts["Fraction"] <= len(sphere.warnings) + 5
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_rows_are_four_integers(tmp_path, m):
+    # a row is (num, den, divergence-free?, multiplicity) and carries no band
+    sphere = builtin_spectrum(m)
+    path = write_spectrum(tmp_path, spectrum_document(sphere))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["bands"][0]["eigenvalue"] = " " + doc["bands"][0]["eigenvalue"]  # not plain
+    loaded = load_spectrum(write_spectrum(tmp_path, doc, name="spaced.json"))
+    assert {tuple(map(type, row)) for row in sphere.rows + loaded.rows} \
+        == {(int, int, bool, int)}
+    assert loaded.bands == sphere.bands
 
 
 def test_builtin_bound_reads_the_roots_the_counts_read(monkeypatch):
@@ -371,8 +384,9 @@ def test_load_spectrum_unknown_fields(tmp_path):
         load_spectrum(path, strict=True)
 
 
-# Strings the "p/q" fast path takes, strings it must hand to Fraction(str),
-# and the integer-conversion digit limit, which both must report alike.
+# Strings the band reader reads as an integer pair, strings it hands to
+# Fraction(str), and the integer-conversion digit limit, which both must
+# report alike.
 PARITY_STRINGS = ["6/8", "7", "0", " 3/4", "+3/4", "-1/2", "1.5", "1e3", "3_000/4", "3/ 4",
                   "1/0", "0/0", "\u0663/4", "\u00b2/4", "", "9" * 5000, "1/" + "7" * 5000,
                   "5/", "/5", "5//6", "05/010", "0/7", "7/1"]
@@ -438,9 +452,9 @@ def test_band_refusal_messages(tmp_path, case):
     assert str(info.value) == message
 
 
-# Bands at position 1500 that load_spectrum may read on its own fast path or
-# hand to _parse_band: each must load as the band _parse_band gives, or be
-# refused with its exception class and message.  (band, strict) pairs.
+# Bands at position 1500 in the spellings _parse_rows reads as an integer
+# pair and in those it hands to _rational_field, refusals of each check
+# among them.  (band, strict) pairs.
 PARITY_BANDS = (
     [(dict(GOOD_BAND, eigenvalue=text), False) for text in PARITY_STRINGS]
     + [(dict(GOOD_BAND, **change), strict)
@@ -448,32 +462,45 @@ PARITY_BANDS = (
                       {"multiplicity": 0}, {"kind": "harmonic"}, {"kind": ["gradient"]},
                       {"note": "extra"}, {"eigenvalue": 4}, {"eigenvalue": "13/6"})
        for strict in (False, True)])
+# Each case's outcome, recorded while a second band reader, _parse_band,
+# read every band but the plainest: {"row": reduced row} or {"error": class
+# name, "message": ...}.  Where Python's Fraction or int moved an outcome,
+# the case maps each version ("3.10", ...) to the outcome from it on, in
+# ascending order.  Keyed by the band's JSON text, which tells True, 1 and
+# 1.0 apart.
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "band_parity.json"), encoding="utf-8") as _handle:
+    PARITY_OUTCOMES = {(json.dumps(case["band"]), case["strict"]): case["outcome"]
+                       for case in json.load(_handle)}
+
+
+def recorded_outcome(bad, strict):
+    outcome = PARITY_OUTCOMES[json.dumps(bad), strict]
+    if "row" in outcome or "error" in outcome:
+        return outcome
+    since = [version for version in outcome
+             if tuple(map(int, version.split("."))) <= sys.version_info[:2]]
+    return outcome[since[-1]]
 
 
 @pytest.mark.parametrize("bad, strict", PARITY_BANDS,
                          ids=lambda value: repr(value)[:40] if isinstance(value, dict) else "")
 def test_load_spectrum_matches_parse_band(tmp_path, bad, strict):
+    outcome = recorded_outcome(bad, strict)
     path = write_spectrum(tmp_path, {"name": "x", "dimension": 4, "einstein_constant": "3",
                                      "bands": [GOOD_BAND] * 1500 + [bad]})
-    try:
-        expected = _parse_band(bad, 1500, strict)
-    except Exception as exc:
+    if "error" in outcome:
         with pytest.raises(Exception) as info:
             load_spectrum(path, strict=strict)
-        assert type(info.value) is type(exc)
-        assert str(info.value) == str(exc)
-        text = bad["eigenvalue"]
-        if type(text) is str:
-            try:
-                Fraction(text)
-            except (ValueError, ZeroDivisionError) as cause:
-                # the wording _rational_field gives a string Fraction refuses
-                assert str(exc) == f"bands[1500].eigenvalue is not a rational: {text!r} ({cause})"
+        assert type(info.value).__name__ == outcome["error"]
+        assert str(info.value) == outcome["message"]
     else:
         loaded = load_spectrum(path, strict=strict)
-        assert len(loaded.bands) == 1501
-        assert loaded.bands[1500] == expected
-        assert type(loaded.bands[1500].eigenvalue) is Fraction
+        assert len(loaded.rows) == 1501
+        band = loaded.bands[1500]
+        mu = band.eigenvalue
+        assert [mu.numerator, mu.denominator, band.kind is DIV, band.multiplicity] \
+            == outcome["row"]
 
 
 def test_index_builds_fractions_and_bands_only_for_what_it_prints(tmp_path, capsys,
@@ -533,3 +560,19 @@ def test_load_spectrum_builds_no_fraction_per_flagged_band(tmp_path):
         counts.append(fractions)
     assert counts[0] == counts[1]
     assert counts[1]["SpectralBand"] == 0
+
+
+def test_band_with_an_extra_field_is_read_as_an_integer_pair(tmp_path):
+    # a plain band with a field the reader ignores is read like its plain
+    # twin: no Fraction and no SpectralBand for it
+    plain = [{"eigenvalue": f"{k}/3", "multiplicity": k, "kind": "gradient"}
+             for k in range(1, 101)]
+    noted = [dict(band, note="extra") for band in plain]
+    counts, rows = count_constructions(lambda: _parse_rows(noted, False))
+    assert (counts["Fraction"], counts["SpectralBand"]) == (0, 0)
+    assert rows == _parse_rows(plain, False)
+    doc = {"name": "x", "dimension": 4, "einstein_constant": "3", "bands": noted}
+    path = write_spectrum(tmp_path, doc)
+    counts, loaded = count_constructions(lambda: load_spectrum(path))
+    assert (counts["Fraction"], counts["SpectralBand"]) == (1, 0)  # lambda only
+    assert loaded.rows == rows
