@@ -105,14 +105,40 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _source_doc(loaded) -> dict:
-    if loaded.path is None:
-        return {
-            "origin": "closed_form_sphere",
-            "dimension": loaded.space.dimension,
-            "einstein_constant": str(loaded.space.einstein_constant),
-        }
-    return {"origin": "file", "path": loaded.path}
+def _object(keys, indent: int) -> str:
+    """The %s template of an object with these keys, laid out as
+    json.dumps(indent=2) lays it out when the object opens at `indent`."""
+    pad = " " * indent
+    return "{\n" + ",\n".join(f'{pad}  "{key}": %s' for key in keys) + f"\n{pad}}}"
+
+
+def _array(items, indent: int) -> str:
+    """Written items laid out as json.dumps(indent=2) lays out an array opening at `indent`."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+# The keys are fixed ASCII names, so the templates are built without json,
+# which the writers import only when they run.
+_INDEX = _object(("space", "source", "strict", "complete_up_to", "warnings", "reports"), 0)
+_SPACE = _object(("name", "dimension", "einstein_constant", "scalar_curvature"), 2)
+_FILE_SOURCE = _object(("origin", "path"), 2)
+_SPHERE_SOURCE = _object(("origin", "dimension", "einstein_constant"), 2)
+_REPORT = _object(("functional", "index", "nullity", "contributing_bands"), 4)
+# a file can list thousands of bands, which an f-string fills several times
+# faster than %, so the band template, string fields quoted, is split at them
+_BAND_PARTS = (_object(("eigenvalue", "multiplicity", "kind", "jacobi_eigenvalue"), 8)
+               % ('"%s"', "%s", '"%s"', '"%s"')).split("%s")
+# the JSON keys, the CSV header and the FamilyEvaluation fields after t
+_ENERGY_COLUMNS = ("t", "energy", "energy_error", "bienergy", "bienergy_error",
+                   "c_bienergy", "c_bienergy_error")
+_ENERGY = _object(("dimension", "rows"), 0)
+_ENERGY_ROW = _object(_ENERGY_COLUMNS, 4)
+_VERIFY = _object(("checks", "total", "failed", "ok"), 0)
+# one check in CheckResult's field order
+_CHECK = _object(("suite", "name", "expected", "got", "tolerance", "passed"), 4)
 
 
 def _cmd_index(args) -> int:
@@ -142,94 +168,53 @@ def _cmd_index(args) -> int:
     if declared is None:
         # what index_reports warns, once per functional
         doc_warnings += [COMPLETENESS_WARNING] * len(kinds)
-
-    doc = {
-        "space": {
-            "name": space.name,
-            "dimension": space.dimension,
-            "einstein_constant": str(space.einstein_constant),
-            "scalar_curvature": str(space.scalar_curvature),
-        },
-        "source": _source_doc(loaded),
-        "strict": bool(args.strict),
-        "complete_up_to": None if declared is None else str(declared),
-        "warnings": doc_warnings,
-    }
-    print(_index_json(doc, kinds, counts))
+    print(_index_json(space, loaded.path, args.strict, declared, doc_warnings, kinds, counts))
     return 0
 
 
-def _index_json(head: dict, kinds, counts) -> str:
-    """json.dumps(dict(head, reports=...), indent=2) for the `index` document.
+def _index_json(space, path, strict, declared, warnings, kinds, counts) -> str:
+    """json.dumps(doc, indent=2) for the `index` document of `space`, read
+    from the spectrum file at `path`, or a closed-form sphere if `path` is None.
 
-    `head` nests at most one level of non-empty dicts, and its lists hold
-    strings only.  The reports are written from the kinds' core._sign_counts:
-    each listed row's eigenvalue and Jacobi eigenvalue is written from its
-    integer pair, so no Fraction, band, report or dict is built, and the
-    pure-Python encoder that `indent` selects is not run.
+    The reports are written from the kinds' core._sign_counts: each listed
+    row's eigenvalue and Jacobi eigenvalue is written from its integer pair,
+    so no Fraction, band, report or dict is built, and the pure-Python
+    encoder that `indent` selects is not run.  A Fraction is written as
+    "{value}", since str() of one holds only digits, a sign and a slash.
     """
-    import json
     from json.encoder import encode_basestring_ascii as _json_string
 
     from .core import _jacobi_denominator, _ratio_text
     from .spectra import _KIND_VALUES
 
-    lines = ["{"]
-    for key, value in head.items():
-        if type(value) is dict:
-            items = [f"    {_json_string(k)}: {json.dumps(v)}" for k, v in value.items()]
-            lines.append(f"  {_json_string(key)}: {{\n" + ",\n".join(items) + "\n  },")
-        elif type(value) is list and value:
-            items = ",\n    ".join(map(_json_string, value))
-            lines.append(f"  {_json_string(key)}: [\n    {items}\n  ],")
-        else:
-            lines.append(f"  {_json_string(key)}: {json.dumps(value)},")
-    lines.append('  "reports": [' if kinds else '  "reports": []')
-    for number, (kind, (roots, index, nullity, listed, values)) in enumerate(zip(kinds, counts)):
-        lines.append("    {")
-        lines.append(f'      "functional": {_json_string(kind.value)},')
-        lines.append(f'      "index": {index},')
-        lines.append(f'      "nullity": {nullity},')
-        if not listed:
-            lines.append('      "contributing_bands": []')
-        else:
-            lines.append('      "contributing_bands": [')
-            entries = [
-                f'        {{\n'
-                f'          "eigenvalue": "{_ratio_text(num, den)}",\n'
-                f'          "multiplicity": {mult},\n'
-                f'          "kind": "{_KIND_VALUES[divergence_free]}",\n'
-                f'          "jacobi_eigenvalue": '
-                f'"{_ratio_text(value, _jacobi_denominator(den, roots))}"\n'
-                f'        }}'
-                for (num, den, divergence_free, mult), value in zip(listed, values)]
-            lines.append(",\n".join(entries))
-            lines.append("      ]")
-        lines.append("    }," if number + 1 < len(kinds) else "    }")
-    if kinds:
-        lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-# the JSON keys, the CSV header and the FamilyEvaluation fields after t
-_ENERGY_COLUMNS = ("t", "energy", "energy_error", "bienergy", "bienergy_error",
-                   "c_bienergy", "c_bienergy_error")
-# one row of the `energy` JSON document, indented as json.dumps(indent=2) does
-_ENERGY_ROW = "    {\n" + ",\n".join(f'      "{name}": %r' for name in _ENERGY_COLUMNS) + "\n    }"
+    lam = space.einstein_constant
+    source = (_SPHERE_SOURCE % ('"closed_form_sphere"', space.dimension, f'"{lam}"')
+              if path is None else _FILE_SOURCE % ('"file"', _json_string(path)))
+    start, after_eigenvalue, after_multiplicity, after_kind, end = _BAND_PARTS
+    reports = [
+        _REPORT % (_json_string(kind.value), index, nullity, _array([
+            f"{start}{_ratio_text(num, den)}{after_eigenvalue}{mult}{after_multiplicity}"
+            f"{_KIND_VALUES[divergence_free]}{after_kind}"
+            f"{_ratio_text(value, _jacobi_denominator(den, roots))}{end}"
+            for (num, den, divergence_free, mult), value in zip(listed, values)], 6))
+        for kind, (roots, index, nullity, listed, values) in zip(kinds, counts)]
+    return _INDEX % (
+        _SPACE % (_json_string(space.name), space.dimension, f'"{lam}"',
+                  f'"{space.scalar_curvature}"'),
+        source, "true" if strict else "false", "null" if declared is None else f'"{declared}"',
+        _array(list(map(_json_string, warnings)), 2), _array(reports, 2))
 
 
 def _energy_json(dimension: int, rows) -> str:
     """json.dumps({"dimension": ..., "rows": [...]}, indent=2) for `energy`.
 
     Each row is a list of floats in _ENERGY_COLUMNS order, and there is at
-    least one.  json writes a finite float as its repr, and every value is
-    finite: _check_t bounds t, and evaluate_family raises QuadratureFailure
-    rather than return a value or error that is not finite.  Writing the
-    rows directly skips the pure-Python encoder that `indent` selects.
+    least one.  json writes a finite float as its repr, which is its str(),
+    and every value is finite: _check_t bounds t, and evaluate_family raises
+    QuadratureFailure rather than return a value or error that is not finite.
+    Writing the rows directly skips the pure-Python encoder that `indent` selects.
     """
-    return (f'{{\n  "dimension": {dimension!r},\n  "rows": [\n'
-            + ",\n".join(_ENERGY_ROW % tuple(row) for row in rows) + "\n  ]\n}")
+    return _ENERGY % (dimension, _array([_ENERGY_ROW % tuple(row) for row in rows], 2))
 
 
 def _cmd_energy(args) -> int:
@@ -259,13 +244,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-# one check of the `verify` JSON document, in CheckResult's field order,
-# indented as json.dumps(indent=2) does
-_VERIFY_CHECK = ("    {\n" + "".join(f'      "{name}": %s,\n' for name in
-                                       ("suite", "name", "expected", "got", "tolerance"))
-                 + '      "passed": %s\n    }')
-
-
 def _verify_json(results, failed: int) -> str:
     """json.dumps({"checks": [...], "total": ..., "failed": ..., "ok": ...}, indent=2)
     for `verify`, each check being vars() of a CheckResult.
@@ -276,14 +254,11 @@ def _verify_json(results, failed: int) -> str:
     """
     from json.encoder import encode_basestring_ascii as _json_string
 
-    checks = ",\n".join(
-        _VERIFY_CHECK % (_json_string(r.suite), _json_string(r.name), _json_string(r.expected),
-                         _json_string(r.got), _json_string(r.tolerance),
-                         "true" if r.passed else "false")
-        for r in results)
-    return ('{\n  "checks": ' + (f"[\n{checks}\n  ]" if results else "[]")
-            + f',\n  "total": {len(results)},\n  "failed": {failed},'
-            + f'\n  "ok": {"false" if failed else "true"}\n}}')
+    checks = [_CHECK % (_json_string(r.suite), _json_string(r.name), _json_string(r.expected),
+                        _json_string(r.got), _json_string(r.tolerance),
+                        "true" if r.passed else "false")
+              for r in results]
+    return _VERIFY % (_array(checks, 2), len(results), failed, "false" if failed else "true")
 
 
 def _cmd_verify(args) -> int:

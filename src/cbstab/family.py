@@ -324,18 +324,13 @@ def upper_bound(m: int, t: float) -> float:
     return c_constant(m) * (2.0 * math.pi * t / (1.0 + t) ** 2)
 
 
-def sphere_volume_exact(n: int) -> tuple[Fraction, int]:
-    """Volume of the unit n-sphere as (rational coefficient, power of pi).
+def _sphere_volume_terms(n: int) -> tuple[int, int, int]:
+    """Volume of the unit n-sphere as (numerator, denominator, power of pi),
+    the rational coefficient not reduced.
 
     Uses the half-integer Gamma recursion, so the coefficient is exact:
     odd n gives 2/k! type values, even n gives 2*4^k*k!/(2k)!.
     """
-    num, den, k = _sphere_volume_terms(n)
-    return Fraction(num, den), k
-
-
-def _sphere_volume_terms(n: int) -> tuple[int, int, int]:
-    """sphere_volume_exact(n) as (numerator, denominator, power of pi), not reduced."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"sphere dimension must be an integer, got {n!r}")
     if n < 1:

@@ -14,7 +14,7 @@ from cbstab.cli import _ENERGY_COLUMNS, _energy_json, _verify_json, build_parser
 from cbstab.core import Functional, index_reports
 from cbstab.errors import ParseError
 from cbstab.family import evaluate_family
-from cbstab.spectra import load_spectrum
+from cbstab.spectra import builtin_spectrum, load_spectrum
 
 PI = math.pi
 
@@ -500,9 +500,11 @@ WRITER_KINDS = {"e": [Functional.ENERGY], "e2": [Functional.BIENERGY],
                 "e2c": [Functional.CONFORMAL_BIENERGY], "all": list(Functional)}
 
 
-def index_document_reference(path, functional, strict):
-    """The `index` document of a spectrum file as json.dumps(doc, indent=2) prints it."""
-    loaded = load_spectrum(path, strict=strict)
+def index_document_reference(path, functional, strict, loaded=None):
+    """The `index` document of the spectrum file at `path`, or of the
+    closed-form sphere `loaded`, as json.dumps(doc, indent=2) prints it."""
+    if loaded is None:
+        loaded = load_spectrum(path, strict=strict)
     space = loaded.space
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -512,7 +514,9 @@ def index_document_reference(path, functional, strict):
         "space": {"name": space.name, "dimension": space.dimension,
                   "einstein_constant": str(space.einstein_constant),
                   "scalar_curvature": str(space.scalar_curvature)},
-        "source": {"origin": "file", "path": loaded.path},
+        "source": {"origin": "file", "path": loaded.path} if loaded.path is not None else
+                  {"origin": "closed_form_sphere", "dimension": space.dimension,
+                   "einstein_constant": str(space.einstein_constant)},
         "strict": strict,
         "complete_up_to": None if loaded.complete_up_to is None else str(loaded.complete_up_to),
         "warnings": list(loaded.warnings) + [str(w.message) for w in caught],
@@ -552,6 +556,19 @@ def test_index_writer_matches_json_dumps_on_files(tmp_path, capsys):
                             for report in printed["reports"])
     assert seen == {(key, value) for key in ("warnings", "strict", "listed")
                     for value in (False, True)}
+
+
+@pytest.mark.parametrize("m, lam", [(m, None) for m in range(1, 13)] + [(7, "7/3")],
+                         ids=[f"S^{m}" for m in range(1, 13)] + ["S^7 lambda=7/3"])
+def test_index_writer_matches_json_dumps_on_builtin_spheres(capsys, m, lam):
+    for functional in WRITER_KINDS:
+        for strict in (False, True):
+            argv = ["index", "--dim", str(m), "--functional", functional]
+            argv += ["--lambda", lam] if lam is not None else []
+            code, out, err = run(capsys, *argv, *(["--strict"] if strict else []))
+            assert code == 0, (functional, strict, err)
+            sphere = builtin_spectrum(m, lam, WRITER_KINDS[functional])
+            assert out == index_document_reference(None, functional, strict, sphere)
 
 
 def test_index_cost_counters(tmp_path, capsys, monkeypatch):

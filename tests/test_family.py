@@ -9,13 +9,13 @@ import pytest
 import cbstab.family
 from cbstab.errors import DomainError, QuadratureFailure
 from cbstab.family import (
+    _sphere_volume_terms,
     M_MAX,
     QuadratureConfig,
     c_constant,
     epsilon_schedule,
     evaluate_family,
     sphere_volume,
-    sphere_volume_exact,
     upper_bound,
 )
 from test_core import count_constructions
@@ -36,7 +36,8 @@ def test_sphere_volumes():
     assert sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert sphere_volume(3) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
     assert sphere_volume(4) == pytest.approx(8.0 * math.pi ** 2 / 3.0, rel=1e-15)
-    assert sphere_volume_exact(5) == (Fraction(1), 3)
+    num, den, k = _sphere_volume_terms(5)
+    assert (Fraction(num, den), k) == (Fraction(1), 3)
     # against the Gamma-function definition
     for n in range(1, 13):
         ref = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
@@ -49,8 +50,8 @@ def test_sphere_volume_is_its_exact_coefficient_rounded_once():
     # the integer numerator divided by the denominator is correctly rounded,
     # as float() of the exact coefficient is, so no Fraction is built
     for n in range(1, 400):
-        coeff, k = sphere_volume_exact(n)
-        assert float.hex(sphere_volume(n)) == float.hex(float(coeff) * PI ** k), n
+        num, den, k = _sphere_volume_terms(n)
+        assert float.hex(sphere_volume(n)) == float.hex(float(Fraction(num, den)) * PI ** k), n
     for m in range(5, M_MAX + 1):
         exact = 2 * (m - 2) ** 2 + Fraction(m * (m - 1) * (m - 3), 3)
         assert float.hex(c_constant(m)) == float.hex(float(exact) * sphere_volume(m - 1)), m

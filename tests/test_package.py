@@ -21,23 +21,28 @@ SOURCE = os.path.join(ROOT, "src", "cbstab")
 
 SPECTRUM = {"name": "x", "dimension": 4, "einstein_constant": "3", "complete_up_to": "6",
             "bands": [{"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}]}
-# the cbstab modules a fresh interpreter holds after each statement or CLI run
+# the cbstab and json modules a fresh interpreter holds after each statement
+# or CLI run; the CLI's JSON writers need no json module of their own
 CLI = {"cbstab", "cbstab.cli", "cbstab.errors"}
-ENGINE = CLI | {"cbstab.core", "cbstab.spectra"}
+JSON = {"json", "json.decoder", "json.encoder", "json.scanner"}
+ENGINE = CLI | JSON | {"cbstab.core", "cbstab.spectra"}
 # (id, statement, argv, expected): a row runs its statement, or cbstab.cli.main(argv)
 MODULE_SETS = [
     ("import cbstab", "import cbstab", None, {"cbstab"}),
     ("import cbstab.cli", "import cbstab.cli", None, CLI),
     ("cbstab.core", "import cbstab; cbstab.core", None, {"cbstab", "cbstab.errors", "cbstab.core"}),
     ("energy", None, ["energy", "--dim", "5", "--t", "1"], CLI | {"cbstab.family"}),
+    ("energy --format json", None, ["energy", "--dim", "5", "--t", "1", "--format", "json"],
+     CLI | {"cbstab.family"}),
     ("index --dim", None, ["index", "--dim", "5"], ENGINE),
     ("index --spectrum-file", None, ["index", "--spectrum-file", "{spectrum}"], ENGINE),
     ("spectrum", None, ["spectrum", "--dim", "4"], ENGINE),
     ("verify", None, ["verify"], ENGINE | {"cbstab.family", "cbstab.verify"}),
 ]
-# prints [exit code or null, sorted cbstab modules] and drops the CLI's stdout
+# prints [exit code or null, sorted cbstab and json modules] and drops the
+# CLI's stdout; json is imported only to print them
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 sys.path.insert(0, {src!r})
 argv = {argv!r}
 code = None
@@ -47,7 +52,9 @@ else:
     import cbstab.cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cbstab.cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "cbstab")]))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("cbstab", "json"))
+import json
+print(json.dumps([code, loaded]))
 """
 
 
