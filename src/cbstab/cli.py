@@ -62,6 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cbstab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # command word -> its parser, for _parse
+    parser.commands = sub.choices
 
     p_index = sub.add_parser("index", help="index/nullity of the identity map")
     p_index.add_argument("--dim", type=int, help="sphere dimension (built-in spectrum)")
@@ -103,6 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _shared_parser() -> argparse.ArgumentParser:
     # built on the first call to main, not at import, and reused after that
     return build_parser()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The shared parser's namespace for `argv`, or its DomainError or SystemExit.
+
+    A command word first goes straight to that command's parser.  The top
+    level adds nothing on that path: its one option is -h, and its
+    subparsers action takes every argument after the command word and
+    parses them with that same parser.  So the namespace, each error
+    message and each help text are the same, less the unread `command`.
+    Any other first argument, or none, goes to the top level.
+    """
+    parser = _shared_parser()
+    args = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(args[0]) if args else None
+    if command is None:
+        return parser.parse_args(args)
+    return command.parse_args(args[1:])
 
 
 def _object(keys, indent: int) -> str:
@@ -280,7 +300,7 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -9,10 +9,11 @@ import warnings
 import pytest
 
 import cbstab.core
+import cbstab.errors
 import cbstab.verify
-from cbstab.cli import _ENERGY_COLUMNS, _energy_json, _verify_json, build_parser, main
+from cbstab.cli import _ENERGY_COLUMNS, _energy_json, _parse, _verify_json, build_parser, main
 from cbstab.core import Functional, index_reports
-from cbstab.errors import ParseError
+from cbstab.errors import DomainError, ParseError
 from cbstab.family import evaluate_family
 from cbstab.spectra import builtin_spectrum, load_spectrum
 
@@ -461,8 +462,154 @@ def test_index_reports_source(capsys, tmp_path):
 
 
 def test_help_exits_zero(capsys):
-    code, out, _ = run(capsys, "--help")
-    assert code == 0
+    for command in ((), ("index",), ("energy",), ("spectrum",), ("verify",)):
+        code, out, err = run(capsys, *command, "--help")
+        assert (code, err) == (0, ""), command
+        assert out.startswith(" ".join(("usage: cbstab",) + command) + " "), command
+
+
+# the stderr prefix and exit code main gives each error class; a CbstabError
+# class not listed here fails the test below
+ERROR_EXITS = {
+    cbstab.errors.CbstabError: ("error", 1),
+    cbstab.errors.DomainError: ("usage error", 64),
+    cbstab.errors.QuadratureFailure: ("numerical failure", 3),
+    cbstab.errors.InvalidBand: ("spectrum file error", 66),
+    cbstab.errors.IncompleteSpectrum: ("validation failure", 2),
+    cbstab.errors.BoundViolation: ("validation failure", 2),
+    cbstab.errors.ParseError: ("spectrum file error", 66),
+    cbstab.errors.MissingField: ("spectrum file error", 66),
+}
+
+
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch):
+    import cbstab.family
+
+    classes = {value for value in vars(cbstab.errors).values()
+               if isinstance(value, type) and issubclass(value, cbstab.errors.CbstabError)}
+    assert classes == set(ERROR_EXITS)
+    for error, (prefix, exit_code) in ERROR_EXITS.items():
+        def failing(*args, error=error, **kwargs):
+            raise error("raised by the handler")
+
+        # the energy handler imports evaluate_family when it runs
+        monkeypatch.setattr(cbstab.family, "evaluate_family", failing)
+        code, out, err = run(capsys, "energy", "--dim", "5", "--t", "1")
+        assert (code, out, err) == (exit_code, "", f"cbstab: {prefix}: raised by the handler\n"), \
+            error.__name__
+
+
+@pytest.mark.parametrize("option", [("--dim", "4"), ("--lambda", "3")])
+def test_spectrum_file_excludes_dim_and_lambda_alone(tmp_path, capsys, option):
+    path = tmp_path / "s4.json"
+    path.write_text(run(capsys, "spectrum", "--dim", "4")[1], encoding="utf-8")
+    code, out, err = run(capsys, "index", "--spectrum-file", str(path), *option)
+    assert (code, out) == (64, "")
+    assert err == "cbstab: usage error: --spectrum-file excludes --dim/--lambda\n"
+
+
+def test_verify_text_counts_a_failed_check(capsys, monkeypatch):
+    checks = [("first", "1", "1", "exact", True), ("second", "2", "3", "exact", False),
+              ("third", "3", "3", "exact", True)]
+    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda: iter(checks))
+    code, out, _ = run(capsys, "verify", "--suites", "tables")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS tables/first: expected 1, got 1 (tolerance: exact)",
+        "FAIL tables/second: expected 2, got 3 (tolerance: exact)",
+        "PASS tables/third: expected 3, got 3 (tolerance: exact)",
+        "3 checks: 2 passed, 1 failed",
+    ]
+
+
+# command lines whose outcome _parse must share with the top-level parser:
+# valid lines, abbreviations, --opt=value, "--", help, the top-level path,
+# repeated options, negative values, type and choice errors, extra arguments
+PARSE_CASES = [
+    ("index", "--dim", "4"),
+    ("index", "--dim", "4", "--lambda", "3", "--functional", "e2c", "--strict"),
+    ("index", "--spectrum-file", "s.json", "--functional", "all"),
+    ("energy", "--dim", "7", "--t", "0.0123456789", "--format", "json"),
+    ("energy", "--dim", "4", "--t", "0.5,1,2"),
+    ("spectrum", "--dim", "4", "--lambda", "3", "--up-to", "6"),
+    ("spectrum", "--dim", "1"),
+    ("verify",),
+    ("verify", "--suites", "tables,hessian", "--format", "json"),
+    ("index", "--fun", "e", "--di", "4"),
+    ("energy", "--di", "5", "--t", "1", "--form", "json"),
+    ("verify", "--su", "tables"),
+    ("index", "--s", "s.json"),                          # ambiguous abbreviation
+    ("energy", "--dim=5", "--t=1,2", "--format=json"),
+    ("index", "--lambda=7/3", "--dim=7"),
+    ("energy", "--di=5", "--t=1"),
+    ("energy", "--dim", "5", "--t", "1", "--"),
+    ("energy", "--", "--dim", "5", "--t", "1"),
+    ("verify", "--", "tables"),
+    ("--", "energy", "--dim", "5", "--t", "1"),
+    ("energy", "-h"),
+    ("energy", "--help"),
+    ("index", "--he"),
+    ("spectrum", "-h"),
+    ("verify", "--help"),
+    ("energy", "--dim", "5", "-h"),
+    ("energy", "--dim", "x", "-h"),
+    (),
+    ("nonsense",),
+    ("ener",),
+    ("ENERGY",),
+    ("",),
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    ("-h", "energy"),
+    ("--dim", "4", "index"),
+    ("energy", "--dim", "4", "--dim", "5", "--t", "1"),
+    ("index", "--functional", "e", "--functional", "e2", "--dim", "4"),
+    ("verify", "--format", "json", "--format", "text"),
+    ("energy", "--dim", "-4", "--t", "1"),
+    ("energy", "--dim", "5", "--t", "-1,2"),
+    ("index", "--dim", "4", "--lambda", "-3"),
+    ("spectrum", "--dim", "4", "--up-to", "-1"),
+    ("energy", "--dim", "x", "--t", "1"),
+    ("energy", "--dim", "5", "--t", "abc"),
+    ("energy", "--dim", "5", "--t", "1", "--format", "xml"),
+    ("index", "--functional", "bogus"),
+    ("index", "--dim", "4", "--lambda", "3/0"),
+    ("spectrum", "--dim", "4", "--format", "csv"),
+    ("verify", "--suites", ","),
+    ("energy", "--t", "1"),
+    ("spectrum",),
+    ("energy", "--dim", "5", "--t"),
+    ("energy", "--dim", "5", "--t", "1", "extra"),
+    ("verify", "tables"),
+    ("index", "--dim", "4", "--strict", "--bogus"),
+    ("index", "--dim", "4", "energy"),
+    ("energy", "--dim", "5", "--t", "1e-3", "-x"),
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace less `command`, the DomainError's message or the
+    SystemExit's code, with what the parse printed."""
+    try:
+        namespace = parse(list(argv))
+    except DomainError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    else:
+        outcome = ("parsed", {key: value for key, value in vars(namespace).items()
+                              if key != "command"})
+    return outcome + tuple(capsys.readouterr())
+
+
+def test_parse_matches_the_top_level_parser(capsys):
+    kinds = set()
+    for argv in PARSE_CASES:
+        got = parse_outcome(_parse, argv, capsys)
+        assert got == parse_outcome(build_parser().parse_args, argv, capsys), argv
+        kinds.add(got[0])
+    assert len(PARSE_CASES) >= 40 and kinds == {"parsed", "error", "exit"}
 
 
 def count_calls(monkeypatch, module, name):
@@ -605,8 +752,20 @@ def test_parser_built_once_and_reused(capsys, monkeypatch):
     assert build_parser() is not build_parser()  # still a fresh parser per call
     run(capsys, "energy", "--dim", "4", "--t", "1")
     monkeypatch.setattr(cbstab.cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
-    code, _, err = run(capsys, "energy", "--dim", "1", "--t", "1")
-    assert code == 64 and "usage error" in err
+    # a command word goes straight to the shared parser's own subparser
+    energy = cbstab.cli._shared_parser().commands["energy"]
+    calls = []
+    parse_args = cbstab.cli._Parser.parse_args
+
+    def recorded(self, args=None, namespace=None):
+        calls.append((self, args))
+        return parse_args(self, args, namespace)
+
+    monkeypatch.setattr(cbstab.cli._Parser, "parse_args", recorded)
+    for _ in range(2):
+        code, _, err = run(capsys, "energy", "--dim", "1", "--t", "1")
+        assert code == 64 and "usage error" in err
+    assert calls == [(energy, ["--dim", "1", "--t", "1"])] * 2
 
 
 def test_missing_band_field_is_hash_seed_independent(tmp_path):

@@ -287,6 +287,27 @@ def test_builtin_spectrum_domain(args):
         builtin_spectrum(*args)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2.0,), "need integer m >= 1, got 2.0"), ((True,), "need integer m >= 1, got True"),
+    ((2, 0), "must be positive for m >= 2, got 0"),
+    ((2, -1), "must be positive for m >= 2, got -1"),
+])
+def test_builtin_spectrum_refuses_before_building_the_space(args, message):
+    # EinsteinSpace refuses most of these too, in its own words, so the
+    # message shows that builtin_spectrum's own check refused them
+    with pytest.raises(DomainError, match=message):
+        builtin_spectrum(*args)
+
+
+def test_circle_rows_cut_at_a_fractional_bound(capsys):
+    # k^2 <= 9/2 holds for k <= 2 only: the cut compares k^2 * 2 with 9
+    code = main(["spectrum", "--dim", "1", "--up-to", "9/2"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["complete_up_to"] == "9/2"
+    assert [band["eigenvalue"] for band in doc["bands"]] == ["0", "1", "4"]
+
+
 def write_spectrum(tmp_path, doc, name="spectrum.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
