@@ -46,9 +46,7 @@ from .errors import DomainError, InvalidBand, MissingField, ParseError
 
 
 def gradient_multiplicity(m: int, k: int) -> int:
-    """Dimension N(m, k) of the k-th gradient band on the m-sphere."""
-    if m < 2 or k < 1:
-        raise DomainError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
+    """Dimension N(m, k) of the k-th gradient band on the m-sphere, m >= 2, k >= 1."""
     num = (2 * k + m - 1) * math.factorial(k + m - 2)
     den = math.factorial(k) * math.factorial(m - 1)
     if num % den:
@@ -57,9 +55,7 @@ def gradient_multiplicity(m: int, k: int) -> int:
 
 
 def divergence_free_multiplicity(m: int, k: int) -> int:
-    """Dimension M(m, k) of the k-th divergence-free band on the m-sphere."""
-    if m < 2 or k < 1:
-        raise DomainError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
+    """Dimension M(m, k) of the k-th divergence-free band on the m-sphere, m >= 2, k >= 1."""
     num = k * (k + m - 1) * (2 * k + m - 1) * math.factorial(k + m - 3)
     den = math.factorial(k + 1) * math.factorial(m - 2)
     if num % den:

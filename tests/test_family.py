@@ -320,8 +320,18 @@ def test_epsilon_schedule_huge_eps_clamps():
     t, cert = epsilon_schedule(5, 1e9)
     assert cert.eta <= PI
     assert cert.rho > 0.0
-    assert cert.delta < PI / 2
+    # eta is clamped to pi, so the arcsin argument is 1 and delta takes the cap
+    assert cert.delta == 0.5 * PI * (1.0 - 1e-12)
     assert t > 0.0
+
+
+def test_epsilon_schedule_large_eps_below_the_clamp():
+    # eta = 3 is below the clamp, and delta = arcsin(sqrt(eta/(2 rho))) ~ 1.27
+    # is below the cap
+    _, cert = epsilon_schedule(5, 3.0 * c_constant(5))
+    assert cert.eta == pytest.approx(3.0, rel=1e-15)
+    assert cert.delta == math.asin(math.sqrt(cert.eta / (2.0 * cert.rho)))
+    assert cert.delta == pytest.approx(1.27, abs=0.01)
 
 
 def test_epsilon_schedule_domain():

@@ -17,7 +17,8 @@ import cbstab.cli
 import cbstab.verify
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SOURCE = os.path.join(ROOT, "src", "cbstab")
+# the package under test, in the checkout's src/ or wherever it is installed
+SOURCE = os.path.dirname(os.path.abspath(cbstab.__file__))
 
 SPECTRUM = {"name": "x", "dimension": 4, "einstein_constant": "3", "complete_up_to": "6",
             "bands": [{"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}]}
