@@ -421,6 +421,17 @@ def validate_spectrum(space: EinsteinSpace,
     return _validate_rows(space, _band_rows(_checked_bands(bands)))
 
 
+def _obata_pair(dimension: int, lam_num: int, lam_den: int) -> tuple[int, int]:
+    """The Lichnerowicz-Obata bound m*lambda/(m-1) as an unreduced integer pair.
+
+    The one definition of the bound, for dimension >= 2 and lambda =
+    lam_num/lam_den with lam_den > 0: _validate_rows checks gradient bands
+    against it, and verify's `tables` suite checks that each unit sphere's
+    first gradient band lies on it.
+    """
+    return dimension * lam_num, (dimension - 1) * lam_den
+
+
 def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
     """validate_spectrum on the engine's rows, by cross-multiplication.
 
@@ -435,7 +446,7 @@ def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
     m = space.dimension
     # 2*lambda is the energy's Jacobi root; both bounds stay unreduced pairs
     two_lam_num, two_lam_den = _roots(Functional.ENERGY, m, lam.numerator, lam.denominator)[0]
-    obata_num, obata_den = m * lam.numerator, (m - 1) * lam.denominator
+    obata_num, obata_den = _obata_pair(m, lam.numerator, lam.denominator)
     picked = [(num, den, divergence_free) for num, den, divergence_free, _ in rows
               if (num * two_lam_den < two_lam_num * den if divergence_free
                   else num * obata_den <= obata_num * den)]

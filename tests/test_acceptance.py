@@ -15,7 +15,7 @@ import pytest
 from cbstab.errors import DomainError
 from cbstab.family import M_MAX
 from cbstab.verify import HESSIAN_DIMENSIONS, SUITES, run_suites, suite_hessian, suite_tables
-from test_core import count_constructions, patch_energy_root_plus_one
+from test_core import count_constructions
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
 
@@ -58,7 +58,7 @@ def test_criterion_3_h4c_constancy():
 
 
 def test_criterion_4_closed_form_spot_values():
-    """E2c(Id), E(Id) and E2(Id) against their closed forms."""
+    """E2c(Id) and E(Id) against their closed forms."""
     _assert_suite("constancy", lambda name: "(Id)" in name)
 
 
@@ -74,11 +74,11 @@ def test_each_suite_gives_passing_checks_under_its_own_name(suite):
     assert results and all(r.suite == suite and r.passed for r in results)
 
 
-def test_exact_suites_give_44_passing_checks():
+def test_exact_suites_give_45_passing_checks():
     # tables and hessian compare integer pairs, so their verdicts, unlike
     # the pinned energy and verify digests, do not depend on the libm
     results = run_suites(["tables", "hessian"])
-    assert len(results) == 44 and all(r.passed for r in results)
+    assert len(results) == 45 and all(r.passed for r in results)
 
 
 @pytest.mark.parametrize("names", [["nonsense"], ["tables", "nonsense"]])
@@ -90,8 +90,10 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
 
 # symmetry's 30 positivity points are distinct;
 # constancy's log-spaced curve passes t = 1 on S^4, a spot value too;
-# hessian differences E2c at t = e^-h, 1 and e^h for m = 4..7
-@pytest.mark.parametrize("suite, calls", [("symmetry", 30), ("constancy", 25), ("hessian", 12)])
+# hessian differences E2c at t = e^-h, 1 and e^h for m = 4..7;
+# bounds stops at t = 1, since E2c and the bound are symmetric under t <-> 1/t
+@pytest.mark.parametrize("suite, calls", [("symmetry", 30), ("constancy", 25), ("hessian", 12),
+                                          ("bounds", 9)])
 def test_suite_evaluates_each_point_once(monkeypatch, suite, calls):
     import cbstab.verify
 
@@ -125,7 +127,7 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
     reports = []
     monkeypatch.setattr(cbstab.core, "IndexReport", lambda **fields: reports.append(fields))
     counts, results = count_constructions(lambda: list(suite_tables()))
-    assert len(results) == 38 and all(passed for *_, passed in results)
+    assert len(results) == 39 and all(passed for *_, passed in results)
     assert reports == []
     assert counts["SpectralBand"] == 0
     assert counts["EinsteinSpace"] == 10
@@ -141,15 +143,3 @@ def test_hessian_builds_a_fraction_per_family_side_only():
     assert all(passed for *_, passed in results)
     assert counts == {"Fraction": (M_MAX - 1) + len(HESSIAN_DIMENSIONS), "SpectralBand": 0,
                       "EinsteinSpace": 0}
-
-
-def test_scaled_copy_short_of_its_cutoff_is_a_mismatch(monkeypatch):
-    # with energy root 2*lambda + 1 the top cutoff of S^4, S^5 and S^7 does not
-    # scale with lambda, so a copy scaled by c < 1 declares a bound short of
-    # it; the run goes on, and the scaling check counts each such copy, 19 of
-    # the 50 factors on each of the three spheres, as one mismatch
-    patch_energy_root_plus_one(monkeypatch)
-    results = {r.name: r for r in run_suites(["tables"])}
-    scaling = results["scaling invariance (50 rational factors)"]
-    assert not scaling.passed
-    assert scaling.got == f"{3 * 19} mismatches"
