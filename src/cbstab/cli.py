@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Einstein constant as 'p/q' (default: unit sphere m-1)")
     p_spectrum.add_argument("--up-to", type=_rational,
                             help="largest eigenvalue to emit (default: contribution cutoff)")
-    p_spectrum.add_argument("--format", choices=["json"], default="json")
     p_spectrum.set_defaults(func=_cmd_spectrum)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
@@ -184,7 +183,7 @@ def _cmd_index(args) -> int:
     lam = space.einstein_constant
     counts = _sign_counts(space.dimension, lam.numerator, lam.denominator, loaded.rows, kinds,
                           None if declared is None else (declared.numerator, declared.denominator))
-    doc_warnings = list(loaded.warnings)
+    doc_warnings = list(loaded.validation.warnings)
     if declared is None:
         # what index_reports warns, once per functional
         doc_warnings += [COMPLETENESS_WARNING] * len(kinds)

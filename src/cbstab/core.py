@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
@@ -127,7 +127,7 @@ class IndexReport:
     functional: Functional
     index: int
     nullity: int
-    contributing_bands: tuple[tuple[SpectralBand, Fraction], ...] = field(default=())
+    contributing_bands: tuple[tuple[SpectralBand, Fraction], ...]
 
 
 def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> Fraction:
@@ -396,10 +396,6 @@ class SpectrumValidation:
 
     warnings: tuple[str, ...]
     first_violation: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_violation is None
 
     def raise_first_violation(self) -> None:
         """Strict mode: raise BoundViolation for the first violation, if any."""

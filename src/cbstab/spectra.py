@@ -71,6 +71,9 @@ def _rows(m: int, lam: Fraction, up_to: Fraction) -> list[tuple]:
     cut and the sort compare numerators.  m = 1 is the flat circle: the
     rotation field at 0 plus k^2 harmonics, with denominator 1.
     """
+    if m > 1 and lam <= 0:
+        # the loops below would never end; builtin_spectrum refuses this first
+        raise AssertionError(f"_rows needs lam > 0 for m >= 2, got {lam}")
     top_num, top_den = up_to.numerator, up_to.denominator
     if m == 1:
         rows = [(0, 1, True, 1)]
@@ -110,10 +113,6 @@ class LoadedSpectrum:
     @functools.cached_property
     def bands(self) -> tuple[SpectralBand, ...]:
         return tuple(_row_band(*row) for row in self.rows)
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return self.validation.warnings
 
 
 def builtin_spectrum(m: int, lam: Rational | None = None,
@@ -222,8 +221,8 @@ def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:
     """Load a JSON spectrum file and validate its bounds non-strictly.
 
-    The result carries the validation report as `validation`; its
-    bound violations and rigidity notes are the `warnings` of the result.
+    The result carries the validation report as `validation`, whose
+    `warnings` hold the bound violations and rigidity notes.
     Structural problems raise ParseError, MissingField or InvalidBand.
     """
     with open(path, "r", encoding="utf-8") as handle:

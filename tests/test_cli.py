@@ -194,6 +194,7 @@ def test_usage_errors_exit_64(capsys):
         ("energy", "--dim", "5", "--t", "1e9"),           # t out of range
         ("energy", "--dim", "5", "--t", "1,1e-9"),        # rejected after t = 1 ran
         ("energy", "--dim", "5", "--t", "abc"),
+        ("energy", "--dim", "5", "--t", ","),             # no t value
         ("energy", "--dim", "1", "--t", "1"),             # family needs m >= 2
         ("energy", "--dim", "51", "--t", "1"),            # family needs m <= 50
         ("index",),                                        # no source
@@ -203,6 +204,7 @@ def test_usage_errors_exit_64(capsys):
         ("index", "--dim", "4", "--lambda", "3/0"),
         ("verify", "--suites", "nonsense"),
         ("verify", "--suites", ","),                        # no suite: nothing checked
+        ("spectrum", "--dim", "4", "--format", "json"),     # spectrum writes JSON only
         ("nonsense",),
     ]
     for argv in cases:
@@ -702,7 +704,7 @@ def index_document_reference(path, functional, strict, loaded=None):
                    "einstein_constant": str(space.einstein_constant)},
         "strict": strict,
         "complete_up_to": None if loaded.complete_up_to is None else str(loaded.complete_up_to),
-        "warnings": list(loaded.warnings) + [str(w.message) for w in caught],
+        "warnings": list(loaded.validation.warnings) + [str(w.message) for w in caught],
         "reports": [{"functional": report.functional.value, "index": report.index,
                      "nullity": report.nullity,
                      "contributing_bands": [

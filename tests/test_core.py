@@ -381,13 +381,13 @@ def test_scaling_invariance():
 def test_validate_spectrum_unit_s5():
     s5 = EinsteinSpace(5, Fraction(4))
     report = validate_spectrum(s5, [band(5, 6, GRAD), band(8, 15, DIVFREE)])
-    assert report.ok
+    assert report.first_violation is None
     assert any("Obata" in msg for msg in report.warnings)  # rigidity note at mu = 5
 
 
 def test_validate_spectrum_violations():
     report = validate_spectrum(S4, [band(3, 5, GRAD)])
-    assert not report.ok
+    assert report.first_violation is not None
     with pytest.raises(BoundViolation) as info:
         validate_spectrum(S4, [band(3, 5, GRAD)]).raise_first_violation()
     assert str(info.value) == "gradient band mu=3 below Lichnerowicz-Obata bound 4"
@@ -399,7 +399,6 @@ def test_validate_spectrum_skips_ricci_flat():
     flat = EinsteinSpace(4, Fraction(0))
     report = validate_spectrum(flat, [band(0, 1, GRAD), band(0, 1, DIVFREE)])
     report.raise_first_violation()
-    assert report.ok
     assert report.warnings == ()
     assert report.first_violation is None
 
@@ -413,7 +412,7 @@ def test_validate_spectrum_keeps_band_order_and_reports_the_first_violation():
         "divergence-free band mu=5 below 2*lambda=6",
         "gradient band mu=3 below Lichnerowicz-Obata bound 4",
     )
-    assert not report.ok
+    assert report.first_violation is not None
     with pytest.raises(BoundViolation) as info:
         report.raise_first_violation()
     assert str(info.value) == "divergence-free band mu=5 below 2*lambda=6"
@@ -570,6 +569,25 @@ def test_root_counting_matches_brute_force():
             assert got == expected, (m, space.einstein_constant, report.functional)
             single = index_reports(space, bands, [report.functional], complete_up_to=10 ** 6)[0]
             assert single == report
+
+
+def test_sign_counts_reduces_only_the_rows_at_or_below_the_top(monkeypatch):
+    # rows mu = k/2, k = 1..59, on S^5 with lambda = 5/4: the energy's top
+    # cutoff is 2*lambda = 5/2, so the rows k <= 5 are reduced and merged,
+    # one math.gcd each, and one more reduces the root; a weaker cut keeps
+    # the counts but reduces rows past the top
+    calls = []
+    gcd = math.gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    rows = [(k, 2, False, 1) for k in range(1, 60)]
+    [(_, index, nullity, listed, _)] = _sign_counts(5, 5, 4, rows, (Functional.ENERGY,), None)
+    assert (index, nullity, len(listed)) == (4, 1, 5)
+    assert len(calls) == 6
 
 
 def test_sign_counts_are_the_reports_counts():

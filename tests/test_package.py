@@ -3,6 +3,7 @@ Library example that runs, lazy exports, and a CLI that loads only the
 modules each subcommand runs."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -125,6 +126,17 @@ def test_dir_lists_the_exports_and_the_submodules():
     listed = set(dir(cbstab))
     assert set(cbstab.__all__) <= listed
     assert {"__version__", "core", "errors", "family", "spectra"} <= listed
+
+
+def test_each_fact_has_one_public_path():
+    # the warnings live on `validation`, a clean report has first_violation
+    # None, and the default ladder is family's own, not a package export
+    assert not hasattr(cbstab.LoadedSpectrum, "warnings")
+    assert not hasattr(cbstab.SpectrumValidation, "ok")
+    assert all(field.default is dataclasses.MISSING
+               for field in dataclasses.fields(cbstab.IndexReport))
+    assert "DEFAULT_CONFIG" not in cbstab.__all__
+    assert isinstance(cbstab.family.DEFAULT_CONFIG, cbstab.QuadratureConfig)
 
 
 def test_unknown_attribute_is_named():

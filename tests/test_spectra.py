@@ -16,6 +16,7 @@ from cbstab.spectra import (
     gradient_multiplicity,
     _parse_rows,
     _rational_field,
+    _rows,
     load_spectrum,
     spectrum_document,
 )
@@ -143,7 +144,7 @@ def test_first_gradient_band_saturates_obata():
         assert len(below_killing) == 1  # nothing else in (0, 2 lambda)
         assert below_killing[0].eigenvalue == Fraction(m, m - 1) * lam
         report = validate_spectrum(space, below_killing)
-        assert report.ok
+        assert report.first_violation is None
         assert any("Obata" in msg for msg in report.warnings)
 
 
@@ -181,7 +182,7 @@ def test_builtin_spectrum_unit_sphere():
     assert [(b.eigenvalue, b.multiplicity, b.kind) for b in s4.bands] \
         == [(Fraction(4), 5, GRAD), (Fraction(6), 10, DIV)]
     assert s4.validation == validate_spectrum(s4.space, s4.bands)
-    assert any("Obata" in w for w in s4.warnings)
+    assert any("Obata" in w for w in s4.validation.warnings)
 
 
 def test_builtin_spectrum_cutoff_follows_kinds():
@@ -203,7 +204,7 @@ def test_builtin_spectrum_names_and_circle():
     assert (circle.space.name, circle.space.einstein_constant) == ("S^1", 0)
     assert [(b.eigenvalue, b.multiplicity) for b in circle.bands] \
         == [(Fraction(0), 1), (Fraction(1), 2), (Fraction(4), 2)]
-    assert circle.warnings == ()
+    assert circle.validation.warnings == ()
     assert builtin_spectrum(1).complete_up_to == 0
 
 
@@ -299,6 +300,14 @@ def test_builtin_spectrum_refuses_before_building_the_space(args, message):
         builtin_spectrum(*args)
 
 
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(-1)])
+def test_rows_refuses_a_sphere_without_positive_lambda(lam):
+    # every row's eigenvalue would be <= 0 and pass the cut, so the loops
+    # would never end; builtin_spectrum's DomainError stands before this
+    with pytest.raises(AssertionError, match="lam > 0"):
+        _rows(2, lam, Fraction(1))
+
+
 def test_circle_rows_cut_at_a_fractional_bound(capsys):
     # k^2 <= 9/2 holds for k <= 2 only: the cut compares k^2 * 2 with 9
     code = main(["spectrum", "--dim", "1", "--up-to", "9/2"])
@@ -327,7 +336,7 @@ def test_load_spectrum_round_trip(tmp_path, m):
     assert loaded.bands == builtin.bands
     assert loaded.complete_up_to == builtin.complete_up_to
     assert loaded.path == str(path)
-    assert loaded.warnings == builtin.warnings
+    assert loaded.validation.warnings == builtin.validation.warnings
     from_file = index_reports(loaded.space, loaded.bands, Functional,
                               complete_up_to=loaded.complete_up_to)
     from_builtin = index_reports(builtin.space, builtin.bands, Functional,
@@ -353,7 +362,7 @@ def test_load_spectrum_attaches_validation_warnings(tmp_path):
         "bands": [{"eigenvalue": "3", "multiplicity": 5, "kind": "gradient"}],
     }
     loaded = load_spectrum(write_spectrum(tmp_path, doc))
-    assert any("Lichnerowicz-Obata" in w for w in loaded.warnings)
+    assert any("Lichnerowicz-Obata" in w for w in loaded.validation.warnings)
 
 
 def test_load_spectrum_errors(tmp_path):
@@ -577,7 +586,7 @@ def test_load_spectrum_builds_no_fraction_per_flagged_band(tmp_path):
                                          "bands": flagged[:number]},
                               name=f"flagged-{number}.json")
         fractions, loaded = count_constructions(lambda: load_spectrum(path))
-        assert len(loaded.warnings) == number
+        assert len(loaded.validation.warnings) == number
         counts.append(fractions)
     assert counts[0] == counts[1]
     assert counts[1]["SpectralBand"] == 0
