@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # the submodule that defines each exported name
 _EXPORTS = {
     "core": ("BandKind", "EinsteinSpace", "Functional", "IndexReport", "SpectralBand",
-             "SpectrumValidation", "contribution_cutoff", "index_reports",
-             "jacobi_eigenvalue", "validate_spectrum"),
+             "SpectrumValidation", "index_reports", "jacobi_eigenvalue", "validate_spectrum"),
     "errors": ("BoundViolation", "CbstabError", "DomainError", "IncompleteSpectrum",
                "InvalidBand", "MissingField", "ParseError", "QuadratureFailure",
                "SpectrumCompletenessWarning"),

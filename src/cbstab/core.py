@@ -205,12 +205,6 @@ def _largest(pairs) -> tuple[int, int]:
     return best_num, best_den
 
 
-def contribution_cutoff(space: EinsteinSpace, kind: Functional) -> Fraction:
-    """Least mu* with Jacobi eigenvalue > 0 for every mu > mu*."""
-    lam = space.einstein_constant
-    return Fraction(*_largest(_roots(kind, space.dimension, lam.numerator, lam.denominator)))
-
-
 def _cutoffs(dimension: int, lam_num: int, lam_den: int, kinds: Iterable[Functional]) -> tuple:
     """(roots, cutoffs, top): each kind's _roots and contribution cutoff, and the largest cutoff.
 
@@ -224,21 +218,21 @@ def _cutoffs(dimension: int, lam_num: int, lam_den: int, kinds: Iterable[Functio
     return roots, cutoffs, _largest(cutoffs) if cutoffs else None
 
 
-def _checked_bands(bands: Iterable[SpectralBand]) -> list[SpectralBand]:
-    """The bands as SpectralBands; a band-like is converted, and so checked."""
-    return [band if type(band) is SpectralBand
-            else SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
-            for band in bands]
+def _band_rows(bands: Iterable[SpectralBand]) -> list[tuple]:
+    """The engine's rows (num, den, divergence_free, multiplicity) of the bands.
 
-
-def _band_rows(bands: list[SpectralBand]) -> list[tuple]:
-    """The engine's rows (num, den, divergence_free, multiplicity) of SpectralBands.
-
+    A band that is not a SpectralBand is converted, and so checked, first.
     A band's eigenvalue is a Fraction, so num/den is in lowest terms; the
     rows of spectra._rows and spectra._parse_rows need not be.
     """
-    return [(band.eigenvalue.numerator, band.eigenvalue.denominator,
-             band.kind is BandKind.DIVERGENCE_FREE, band.multiplicity) for band in bands]
+    rows = []
+    for band in bands:
+        if type(band) is not SpectralBand:
+            band = SpectralBand(band.eigenvalue, band.multiplicity, band.kind)
+        mu = band.eigenvalue
+        rows.append((mu.numerator, mu.denominator, band.kind is BandKind.DIVERGENCE_FREE,
+                     band.multiplicity))
+    return rows
 
 
 def _row_band(num: int, den: int, divergence_free: bool, multiplicity: int) -> SpectralBand:
@@ -267,12 +261,9 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     cutoffs, the cut of bands past the largest one (every selected Jacobi
     eigenvalue is positive there) and the completeness check are integer
     cross-multiplications too.  Repeated (eigenvalue, kind) rows are merged
-    once.  A dict from each reduced (num, den, divergence_free) key to the
-    first band given with it names the band a report lists: that band if
-    the row merged nothing, else one band with the summed multiplicity,
-    built only if a report lists the row and shared by every report that
-    does.  A Fraction is built only for each reported Jacobi eigenvalue.  A
-    band that is not a SpectralBand is converted, and so checked, first.
+    once, and a report lists each merged row as a new band with the summed
+    multiplicity.  A band that is not a SpectralBand is converted, and so
+    checked, first.
 
     `complete_up_to` declares that `bands` lists every eigenvalue up to that
     bound.  If the declared bound does not reach a functional's contribution
@@ -282,40 +273,27 @@ def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
     computation proceeds on the bands given.
     """
     kinds = list(kinds)
-    bands = _checked_bands(bands)
     rows = _band_rows(bands)
-    # a band's eigenvalue is a Fraction, so each row is reduced and is its own key
-    first = {}
-    for band, row in zip(bands, rows):
-        first.setdefault(row[:3], band)
     declared = None
     if complete_up_to is not None:
         bound = as_rational(complete_up_to)
         declared = bound.numerator, bound.denominator
     lam = space.einstein_constant
-    counts = _sign_counts(space.dimension, lam.numerator, lam.denominator, rows, kinds,
-                          declared, complete_up_to)
+    counts = _sign_counts(space.dimension, lam.numerator, lam.denominator, rows, kinds, declared)
     if complete_up_to is None:
         for _ in kinds:
             warnings.warn(COMPLETENESS_WARNING, SpectrumCompletenessWarning, stacklevel=2)
     reports = []
     for kind, (roots, index, nullity, listed, values) in zip(kinds, counts):
-        contributing = []
-        for (num, den, divergence_free, mult), value in zip(listed, values):
-            key = num, den, divergence_free
-            band = first[key]
-            # a merged row's one summed band, which later reports share
-            if mult != band.multiplicity:
-                band = first[key] = SpectralBand(band.eigenvalue, mult, band.kind)
-            contributing.append((band, Fraction(value, _jacobi_denominator(den, roots))))
+        contributing = tuple((_row_band(*row), Fraction(value, _jacobi_denominator(row[1], roots)))
+                             for row, value in zip(listed, values))
         reports.append(IndexReport(functional=kind, index=index, nullity=nullity,
-                                   contributing_bands=tuple(contributing)))
+                                   contributing_bands=contributing))
     return reports
 
 
 def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
-                 kinds: Iterable[Functional], declared: tuple[int, int] | None,
-                 written: Rational | None = None) -> list[tuple]:
+                 kinds: Iterable[Functional], declared: tuple[int, int] | None) -> list[tuple]:
     """The engine's sign counts, with no band, report, Fraction or warning made.
 
     The one counting function: `cbstab index`, index_reports and verify's
@@ -323,8 +301,7 @@ def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
     lambda = lam_num/lam_den, and the declared completeness bound as an
     integer pair (num, den), or None for none; every denominator is > 0
     and none need be reduced.  A declared bound short of a cutoff raises
-    IncompleteSpectrum, whose message writes the bound as `written`, the
-    caller's own spelling of it, or in lowest terms if that is None.
+    IncompleteSpectrum, whose message writes the bound in lowest terms.
 
     Returns one (roots, index, nullity, listed, values) per kind, in order:
     the kind's _roots, its index and nullity, the merged rows whose Jacobi
@@ -360,11 +337,9 @@ def _sign_counts(dimension: int, lam_num: int, lam_den: int, rows,
         declared_num, declared_den = declared
         for cut_num, cut_den in cutoffs:
             if declared_num * cut_den < cut_num * declared_den:
-                if written is None:
-                    written = _ratio_text(declared_num, declared_den)
                 raise IncompleteSpectrum(
-                    f"bands declared complete up to {written} but contributions "
-                    f"extend to {_ratio_text(cut_num, cut_den)}")
+                    f"bands declared complete up to {_ratio_text(declared_num, declared_den)} "
+                    f"but contributions extend to {_ratio_text(cut_num, cut_den)}")
 
     entries = sorted(merged.values(), key=functools.cmp_to_key(_row_order))
     counts = []
@@ -414,7 +389,7 @@ def validate_spectrum(space: EinsteinSpace,
     callers raise the first violation with
     SpectrumValidation.raise_first_violation().
     """
-    return _validate_rows(space, _band_rows(_checked_bands(bands)))
+    return _validate_rows(space, _band_rows(bands))
 
 
 def _obata_pair(dimension: int, lam_num: int, lam_den: int) -> tuple[int, int]:

@@ -47,8 +47,9 @@ from fractions import Fraction
 from .errors import DomainError, QuadratureFailure
 
 # the supported parameter range; M_MAX is the largest dimension on which
-# _first_step was measured.  _check_m and _check_t are the only checks of
-# it: the CLI and spectral_prediction rely on them.
+# _first_step was measured.  _check_m and _check_t check it for the CLI and
+# spectral_prediction; c_constant checks 5 <= m <= M_MAX itself, and
+# upper_bound and epsilon_schedule rely on that.
 T_MIN = 1e-8
 T_MAX = 1e8
 M_MAX = 50

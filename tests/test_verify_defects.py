@@ -13,7 +13,6 @@ pattern that matches no check.
 import dataclasses
 import fnmatch
 import functools
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -27,7 +26,7 @@ import cbstab.verify
 from cbstab.core import Functional
 from cbstab.family import M_MAX, _family_side
 from cbstab.verify import run_suites
-from test_core import patch_energy_root_plus_one
+from helpers import patch_energy_root_plus_one, rebind_everywhere
 
 IDENTITY = f"E2c''(1) family side = Jacobi side, m=2..{M_MAX}"
 SIGN = f"sign of the Jacobi factor, m=2..{M_MAX}"
@@ -37,17 +36,10 @@ SPOTS = ("E2c(Id) closed form m=*", "E(Id) closed form m=*")
 NUMERICAL = "m=* second difference in log t, step 0.01"
 
 
-def _everywhere(monkeypatch, module, name, new):
-    """Replace module.name and every cbstab import of it, as a defect in its source would."""
-    old = getattr(module, name)
-    for loaded_name, loaded in list(sys.modules.items()):
-        if loaded_name.startswith("cbstab") and vars(loaded).get(name) is old:
-            monkeypatch.setattr(loaded, name, new)
-
-
 def _wrapped(module, name, wrap):
     """The defect that turns the function module.name into wrap(that function)."""
-    return lambda monkeypatch: _everywhere(monkeypatch, module, name, wrap(getattr(module, name)))
+    return lambda monkeypatch: rebind_everywhere(monkeypatch, module, name,
+                                                 wrap(getattr(module, name)))
 
 
 def _setting(module, name, value):
