@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -40,8 +41,10 @@ def as_rational(value: Rational) -> Fraction:
     The reader of exact rationals in the CLI, the library and every
     spectrum-file field but a band eigenvalue in the plain ASCII "p" or
     "p/q" spelling, which spectra._parse_rows reads as an integer pair.  A
-    string is accepted exactly when Fraction(str) accepts it.  Anything
-    else, a float or a bool included, raises DomainError.
+    string is accepted exactly when Fraction(str) accepts it and str() can
+    write the value: a numerator or denominator past Python's integer
+    conversion limit (4300 digits by default, as in "1e5000") raises
+    DomainError, as anything else does, a float or a bool included.
     """
     cls = type(value)
     if cls is Fraction:
@@ -50,9 +53,17 @@ def as_rational(value: Rational) -> Fraction:
         raise DomainError(f"not a rational: {value!r} "
                           f"(a {cls.__name__}; rationals are exact)")
     try:
-        return Fraction(value)
+        rational = Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"not a rational: {value!r} ({exc})") from exc
+    # 0, no limit, where the function is absent (before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    largest = max(abs(rational.numerator), rational.denominator)
+    # 2**(3 * limit) < 10**limit, so only a longer integer is compared with 10**limit
+    if limit and largest.bit_length() > 3 * limit and largest >= 10 ** limit:
+        # no repr: an int past the limit cannot be written
+        raise DomainError(f"out of range: numerator or denominator past {limit} digits")
+    return rational
 
 
 class BandKind(Enum):

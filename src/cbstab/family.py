@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, QuadratureFailure
 
 # the supported parameter range; M_MAX is the largest dimension on which
-# _first_step was measured.  _check_m and _check_t check it for the CLI and
-# spectral_prediction; c_constant checks 5 <= m <= M_MAX itself, and
-# upper_bound and epsilon_schedule rely on that.
+# _first_step was measured.  evaluate_family checks it with _check_m and
+# _check_t, and upper_bound checks t with _check_t; c_constant checks
+# 5 <= m <= M_MAX itself, and upper_bound and epsilon_schedule rely on that.
 T_MIN = 1e-8
 T_MAX = 1e8
 M_MAX = 50
@@ -90,6 +89,8 @@ def _real(x, name: str) -> float:
             return float(x)
         except (TypeError, ValueError):
             pass
+        except OverflowError as exc:  # no repr: str() of 10**5000 raises too
+            raise DomainError(f"{name} is out of float range ({type(x).__name__})") from exc
     raise DomainError(f"{name} must be a real number, got {x!r}")
 
 
@@ -290,8 +291,8 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
                                  delta_prime=delta_prime)
 
 
-def _family_side(m: int) -> Fraction:
-    """E2c''(t=1) from the family's integrals, in units of omega_m.
+def _family_side(m: int) -> tuple[int, int]:
+    """E2c''(t=1) / omega_m from the family's integrals, as an integer pair.
 
     E2c is even in s = log t, so E2c''(t=1) = d^2 E2c/ds^2 at s = 0, taken
     under the integrals above.  With B(n) = integral of sech^n,
@@ -305,12 +306,7 @@ def _family_side(m: int) -> Fraction:
     # (m+1) E_ss(0) and (m+1) E2_ss(0), integers
     energy = m * (2 * (m + 1) - 3 * m)
     bienergy = (m - 2) ** 2 * m
-    return Fraction(3 * bienergy + 2 * (m - 1) * (m - 3) * energy, 3 * (m + 1))
-
-
-def spectral_prediction(m: int) -> float:
-    """E2c''(t=1) for 2 <= m <= M_MAX; 0.0 exactly when the exact value is 0."""
-    return float(_family_side(_check_m(m))) * sphere_volume(m)
+    return 3 * bienergy + 2 * (m - 1) * (m - 3) * energy, 3 * (m + 1)
 
 
 def upper_bound(m: int, t: float) -> float:

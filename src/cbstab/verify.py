@@ -15,10 +15,10 @@ index` and index_reports read; it builds no SpectralBand, IndexReport or
 Jacobi Fraction, and its rescaled spheres are integer pairs, with no
 EinsteinSpace or Fraction of their own.  It also checks each unit
 sphere's first gradient band against core._obata_pair, the Obata bound
-that validation reads.  The exact half of `hessian` compares the Jacobi
-numerator of core._jacobi_pair with family._family_side by integer
-cross-multiplication.  Both read the roots from their one definition,
-core._roots.
+that validation reads.  `hessian` compares core._jacobi_pair's pair with
+family._family_side's by integer cross-multiplication, and its second
+differences with the Jacobi pair, so it builds no Fraction.  Both suites
+read the roots from their one definition, core._roots.
 
 No suite compares E2c with E2 + (2/3)(m-1)(m-3) E: evaluate_family computes
 it that way, so the comparison would test rounding only.  Nor does one
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 from .core import Functional, _jacobi_pair, _obata_pair, _ratio_text, _sign_counts
 from .errors import DomainError, IncompleteSpectrum
-from .family import (M_MAX, _family_side, epsilon_schedule, evaluate_family,
-                     spectral_prediction, sphere_volume, upper_bound)
+from .family import (M_MAX, _family_side, epsilon_schedule, evaluate_family, sphere_volume,
+                     upper_bound)
 from .spectra import builtin_spectrum
 
 CONSTANCY_REL_TOL = 1e-8
@@ -201,16 +201,17 @@ def suite_hessian():
     identity is a critical point of the c-bienergy, so E2c''(t=1) is the
     Hessian on W: in units of omega_m, the Jacobi side _factor(m) * w, with
     ||W||^2 / omega_m = w = m/(m+1) (Wallis).  family._family_side gives the
-    family side, and spectral_prediction(m) its value.  The two sides are
-    compared by integer cross-multiplication.
+    family side; the two integer pairs are compared by cross-multiplication,
+    and the second differences with the Jacobi side times omega_m.
     """
     factors = {m: _factor(m) for m in range(2, M_MAX + 1)}
     differ = []
     for m, (value, den) in factors.items():
-        family = _family_side(m)
+        family_num, family_den = _family_side(m)
         # the Jacobi side is (value * m) / (den * (m + 1))
-        if family.numerator * den * (m + 1) != value * m * family.denominator:
-            differ.append((m, family, _ratio_text(value * m, den * (m + 1))))
+        if family_num * den * (m + 1) != value * m * family_den:
+            differ.append((m, _ratio_text(family_num, family_den),
+                           _ratio_text(value * m, den * (m + 1))))
     yield (f"E2c''(1) family side = Jacobi side, m=2..{M_MAX}",
            f"0 of {len(factors)} differ",
            f"{len(differ)} of {len(factors)} differ"
@@ -229,8 +230,9 @@ def suite_hessian():
         plus = evaluate_family(m, math.exp(h)).c_bienergy
         minus = evaluate_family(m, math.exp(-h)).c_bienergy
         quotient = (plus - 2.0 * center + minus) / (h * h)
-        prediction = spectral_prediction(m)
-        if prediction == 0.0:
+        value, den = factors[m]
+        prediction = value * m / (den * (m + 1)) * sphere_volume(m)
+        if value == 0:
             tolerance = f"abs {HESSIAN_ABS_TOL_AT_ZERO:g}"
             ok = abs(quotient) <= HESSIAN_ABS_TOL_AT_ZERO
         else:
@@ -299,15 +301,18 @@ SUITES = {
 def run_suites(names=None) -> list[CheckResult]:
     """Run the named suites (all of them by default) in the order given.
 
-    Every name is checked before any suite runs; an unknown one raises
-    DomainError.  Each suite yields its checks as (name, expected, got,
-    tolerance, passed), and this is the one place that makes them
-    CheckResults, under the suite's name in SUITES.
+    Every name is checked before any suite runs; an unknown or repeated
+    one raises DomainError.  Each suite yields its checks as (name,
+    expected, got, tolerance, passed), and this is the one place that
+    makes them CheckResults, under the suite's name in SUITES.
     """
     names = list(SUITES) if names is None else list(names)
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise DomainError(f"unknown suite {unknown[0]!r}; available: {', '.join(SUITES)}")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise DomainError(f"suite {repeated[0]!r} named twice")
     return [CheckResult(suite, name, str(expected), str(got), tolerance, bool(passed))
             for suite in names
             for name, expected, got, tolerance, passed in SUITES[suite]()]

@@ -13,8 +13,7 @@ import time
 import pytest
 
 from cbstab.errors import DomainError
-from cbstab.family import M_MAX
-from cbstab.verify import HESSIAN_DIMENSIONS, SUITES, run_suites, suite_hessian, suite_tables
+from cbstab.verify import SUITES, run_suites, suite_hessian, suite_tables
 from helpers import count_constructions
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
@@ -75,10 +74,13 @@ def test_exact_suites_give_45_passing_checks():
     assert len(results) == 45 and all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("names", [["nonsense"], ["tables", "nonsense"]])
+@pytest.mark.parametrize("names", [["nonsense"], ["tables", "nonsense"], ["tables", "tables"]])
 def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
+    # a repeated name would run its suite, and list each of its checks, twice
     monkeypatch.setitem(SUITES, "tables", lambda: pytest.fail("a suite ran"))
-    with pytest.raises(DomainError, match="unknown suite 'nonsense'"):
+    refusal = ("unknown suite 'nonsense'" if "nonsense" in names
+               else "suite 'tables' named twice")
+    with pytest.raises(DomainError, match=refusal):
         run_suites(names)
 
 
@@ -128,12 +130,11 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
     assert counts["Fraction"] <= 10 * 2
 
 
-def test_hessian_builds_a_fraction_per_family_side_only():
-    # the exact half compares integer pairs by cross-multiplication, so its
-    # only Fraction per m = 2..M_MAX is _family_side's; the numerical half
-    # builds one more per spectral_prediction, and evaluate_family none
-    # (314 Fractions and 49 spaces while the sides were compared as Fractions)
+def test_hessian_builds_no_fraction():
+    # a machine-independent cost counter: the exact half cross-multiplies
+    # two integer pairs, the numerical half rounds the Jacobi pair once, and
+    # evaluate_family builds none (53 Fractions while the family side was a
+    # Fraction, 314 and 49 spaces while the sides were compared as Fractions)
     counts, results = count_constructions(lambda: list(suite_hessian()))
     assert all(passed for *_, passed in results)
-    assert counts == {"Fraction": (M_MAX - 1) + len(HESSIAN_DIMENSIONS), "SpectralBand": 0,
-                      "EinsteinSpace": 0}
+    assert counts == {"Fraction": 0, "SpectralBand": 0, "EinsteinSpace": 0}

@@ -203,8 +203,11 @@ def test_usage_errors_exit_64(capsys):
         ("index", "--dim", "1", "--lambda", "2"),          # circle is flat
         ("index", "--dim", "4", "--spectrum-file", "x", "--lambda", "3"),
         ("index", "--dim", "4", "--lambda", "3/0"),
+        ("index", "--dim", "4", "--lambda", "1e5000"),      # str() could not write it
+        ("spectrum", "--dim", "4", "--lambda", "1e5000"),
         ("verify", "--suites", "nonsense"),
         ("verify", "--suites", ","),                        # no suite: nothing checked
+        ("verify", "--suites", "tables,tables"),            # would run tables twice
         ("spectrum", "--dim", "4", "--format", "json"),     # spectrum writes JSON only
         ("nonsense",),
     ]
@@ -283,6 +286,21 @@ def test_malformed_file_exits_66(tmp_path, capsys):
         code, out, err = run(capsys, "index", "--spectrum-file", str(path))
         assert (code, out) == (66, ""), name
         assert err.startswith(f"cbstab: spectrum file error: {path}: invalid JSON: "), name
+
+    # rationals that Fraction(str) reads but str() cannot write: a numerator
+    # or denominator past the 4300-digit limit
+    base = {"name": "x", "dimension": 4, "einstein_constant": "3", "complete_up_to": "6",
+            "bands": [{"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}]}
+    for where, doc in [("einstein_constant", dict(base, einstein_constant="1e5000")),
+                       ("complete_up_to", dict(base, complete_up_to="1e5000")),
+                       ("bands[0].eigenvalue", dict(base, bands=[
+                           {"eigenvalue": "1e-5000", "multiplicity": 5, "kind": "gradient"}]))]:
+        path = tmp_path / "unwritable.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "index", "--spectrum-file", str(path))
+        assert (code, out) == (66, ""), where
+        assert err == (f"cbstab: spectrum file error: {where} is out of range: "
+                       "numerator or denominator past 4300 digits\n"), where
 
 
 def test_malformed_band_exits_66_with_position(tmp_path, capsys):

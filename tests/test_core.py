@@ -1,6 +1,7 @@
 import enum
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -426,6 +427,18 @@ def test_as_rational_returns_fraction_unchanged():
     assert as_rational("6/8") == value
     with pytest.raises(DomainError):
         as_rational(0.75)
+
+
+def test_as_rational_refuses_what_str_cannot_write():
+    # Fraction reads all of these, but str() of an integer of more than
+    # `limit` digits raises, so such a value could not be printed
+    limit = sys.get_int_max_str_digits()
+    for text in (f"1e{limit - 1}", f"1e-{limit - 1}", "9" * limit):
+        assert str(as_rational(text))
+    for value in (f"1e{limit}", f"-1e{limit}", f"1e-{limit}", 10 ** limit):
+        with pytest.raises(DomainError, match=f"out of range: numerator or denominator "
+                                              f"past {limit} digits"):
+            as_rational(value)
 
 
 # None is the default of up_to, lam and complete_up_to, so only the first

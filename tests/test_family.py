@@ -16,7 +16,6 @@ from cbstab.family import (
     c_constant,
     epsilon_schedule,
     evaluate_family,
-    spectral_prediction,
     sphere_volume,
     upper_bound,
 )
@@ -77,6 +76,9 @@ def test_volume_recursion_identity():
 def test_config_invariants():
     with pytest.raises(DomainError):
         QuadratureConfig(max_doublings=0)
+    # README documents the default budget
+    assert QuadratureConfig().max_doublings == 12
+    assert cbstab.family.DEFAULT_CONFIG == QuadratureConfig()
 
 
 def test_identity_map_closed_forms():
@@ -271,6 +273,12 @@ def test_evaluate_family_domain():
             evaluate_family(5, t)
     with pytest.raises(DomainError, match="must be a real number"):
         upper_bound(5, None)
+    # float() overflows on these, and repr(10**5000) raises too
+    for t in (10 ** 400, -10 ** 400, Fraction(10 ** 5000, 3)):
+        with pytest.raises(DomainError, match="out of float range"):
+            evaluate_family(5, t)
+    with pytest.raises(DomainError, match="out of float range"):
+        upper_bound(5, 10 ** 400)
 
 
 def test_evaluate_family_takes_any_real_t():
@@ -348,6 +356,9 @@ def test_epsilon_schedule_domain():
     for eps in ("x", None, "2", True):
         with pytest.raises(DomainError, match="eps must be a real number"):
             epsilon_schedule(5, eps)
+    for eps in (10 ** 400, Fraction(10 ** 5000, 3)):
+        with pytest.raises(DomainError, match="eps is out of float range"):
+            epsilon_schedule(5, eps)
     assert epsilon_schedule(5, Fraction(1, 2)) == epsilon_schedule(5, 0.5)
 
 
@@ -379,8 +390,9 @@ def test_concurrent_evaluations_are_deterministic():
 
 
 def test_prediction_m5_closed_form():
-    # (5-8)(5-8/3) * omega_4 * int sin^6 = -7 * (8 pi^2/3) * (5 pi/16) = -35 pi^3/6
-    assert spectral_prediction(5) == pytest.approx(-35.0 * PI ** 3 / 6.0, rel=1e-14)
+    # (5-8)(5-8/3) * omega_4 * int sin^6 = -7 * (8 pi^2/3) * (5 pi/16) = -35 pi^3/6,
+    # and omega_5 = pi^3
+    assert Fraction(*_family_side(5)) == Fraction(-35, 6)
 
 
 def test_prediction_matches_factor_times_field_norm():
@@ -390,22 +402,8 @@ def test_prediction_matches_factor_times_field_norm():
         p = m + 1  # Wallis: integral of sin^p over (0, pi), from Gamma
         sin_power = math.sqrt(PI) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
         w_norm_sq = sphere_volume(m - 1) * sin_power
-        assert spectral_prediction(m) == pytest.approx(factor * w_norm_sq, rel=1e-13)
-
-
-def test_prediction_signs():
-    assert spectral_prediction(2) == spectral_prediction(4) == 0.0
-    assert spectral_prediction(3) > 0.0  # J_2^c = J^2 at m = 3
-    for m in range(5, M_MAX + 1):
-        assert spectral_prediction(m) < 0.0
-
-
-def test_prediction_domain_is_the_family_domain():
-    # past the family's M_MAX: underflow reads -0.0 near m = 380, and
-    # math.pi ** k overflows at m = 2000
-    for m in (1, 51, 380, 2000):
-        with pytest.raises(DomainError):
-            spectral_prediction(m)
+        num, den = _family_side(m)
+        assert num / den * sphere_volume(m) == pytest.approx(factor * w_norm_sq, rel=1e-13)
 
 
 def _sech_power_integral(n):
@@ -421,5 +419,6 @@ def test_family_side_from_the_sech_integrals():
         energy = m / 2 * omega * (4 * b_m - 6 * b_m2)
         bienergy = (m - 2) ** 2 * omega * b_m2
         want = bienergy + 2 * (m - 1) * (m - 3) / 3 * energy
-        got = float(_family_side(m)) * sphere_volume(m)
+        num, den = _family_side(m)
+        got = num / den * sphere_volume(m)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-10), m

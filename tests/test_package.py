@@ -23,16 +23,19 @@ SOURCE = os.path.dirname(os.path.abspath(cbstab.__file__))
 
 SPECTRUM = {"name": "x", "dimension": 4, "einstein_constant": "3", "complete_up_to": "6",
             "bands": [{"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}]}
-# the cbstab and json modules a fresh interpreter holds after each statement
-# or CLI run; the CLI's JSON writers need no json module of their own
+# the cbstab, json and exact-arithmetic modules a fresh interpreter holds
+# after each statement or CLI run; the CLI's JSON writers need no json module
+# of their own, and the family's floats need no fractions
 CLI = {"cbstab", "cbstab.cli", "cbstab.errors"}
 JSON = {"json", "json.decoder", "json.encoder", "json.scanner"}
-ENGINE = CLI | JSON | {"cbstab.core", "cbstab.spectra"}
+EXACT = {"fractions", "decimal", "numbers"}
+CORE = {"cbstab", "cbstab.errors", "cbstab.core"} | EXACT
+ENGINE = CLI | JSON | CORE | {"cbstab.spectra"}
 # (id, statement, argv, expected): a row runs its statement, or cbstab.cli.main(argv)
 MODULE_SETS = [
     ("import cbstab", "import cbstab", None, {"cbstab"}),
     ("import cbstab.cli", "import cbstab.cli", None, CLI),
-    ("cbstab.core", "import cbstab; cbstab.core", None, {"cbstab", "cbstab.errors", "cbstab.core"}),
+    ("cbstab.core", "import cbstab; cbstab.core", None, CORE),
     ("energy", None, ["energy", "--dim", "5", "--t", "1"], CLI | {"cbstab.family"}),
     ("energy --format json", None, ["energy", "--dim", "5", "--t", "1", "--format", "json"],
      CLI | {"cbstab.family"}),
@@ -41,8 +44,8 @@ MODULE_SETS = [
     ("spectrum", None, ["spectrum", "--dim", "4"], ENGINE),
     ("verify", None, ["verify"], ENGINE | {"cbstab.family", "cbstab.verify"}),
 ]
-# prints [exit code or null, sorted cbstab and json modules] and drops the
-# CLI's stdout; json is imported only to print them
+# prints [exit code or null, sorted tracked modules] and drops the CLI's
+# stdout; json is imported only to print them
 PROBE = """
 import contextlib, io, sys
 sys.path.insert(0, {src!r})
@@ -54,7 +57,8 @@ else:
     import cbstab.cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cbstab.cli.main(argv)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("cbstab", "json"))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("cbstab", "json", "fractions", "decimal", "numbers"))
 import json
 print(json.dumps([code, loaded]))
 """
