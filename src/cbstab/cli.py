@@ -203,23 +203,29 @@ def _index_json(space, path, strict, declared, warnings, kinds, counts) -> str:
     """
     from json.encoder import encode_basestring_ascii as _json_string
 
-    from .core import _jacobi_denominator, _ratio_text
+    from .core import _jacobi_denominator, _ratio_text, _unwritable
     from .spectra import _KIND_VALUES
 
     lam = space.einstein_constant
     source = (_SPHERE_SOURCE % ('"closed_form_sphere"', space.dimension, f'"{lam}"')
               if path is None else _FILE_SOURCE % ('"file"', _json_string(path)))
     start, after_eigenvalue, after_multiplicity, after_kind, end = _BAND_PARTS
-    reports = [
-        _REPORT % (_json_string(kind.value), index, nullity, _array([
-            f"{start}{_ratio_text(num, den)}{after_eigenvalue}{mult}{after_multiplicity}"
-            f"{_KIND_VALUES[divergence_free]}{after_kind}"
-            f"{_ratio_text(value, _jacobi_denominator(den, roots))}{end}"
-            for (num, den, divergence_free, mult), value in zip(listed, values)], 6))
-        for kind, (roots, index, nullity, listed, values) in zip(kinds, counts)]
+    try:
+        reports = [
+            _REPORT % (_json_string(kind.value), index, nullity, _array([
+                f"{start}{_ratio_text(num, den)}{after_eigenvalue}{mult}{after_multiplicity}"
+                f"{_KIND_VALUES[divergence_free]}{after_kind}"
+                f"{_ratio_text(value, _jacobi_denominator(den, roots))}{end}"
+                for (num, den, divergence_free, mult), value in zip(listed, values)], 6))
+            for kind, (roots, index, nullity, listed, values) in zip(kinds, counts)]
+        scalar_curvature = str(space.scalar_curvature)
+    except ValueError:
+        # str() of a multiplicity, an index, a nullity or m * lambda past the
+        # limit; _ratio_text raises the same refusal itself
+        raise _unwritable() from None
     return _INDEX % (
         _SPACE % (_json_string(space.name), space.dimension, f'"{lam}"',
-                  f'"{space.scalar_curvature}"'),
+                  f'"{scalar_curvature}"'),
         source, "true" if strict else "false", "null" if declared is None else f'"{declared}"',
         _array(list(map(_json_string, warnings)), 2), _array(reports, 2))
 

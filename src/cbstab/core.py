@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -52,18 +53,49 @@ def as_rational(value: Rational) -> Fraction:
     if isinstance(value, (float, bool)):
         raise DomainError(f"not a rational: {value!r} "
                           f"(a {cls.__name__}; rationals are exact)")
+    # 0, no limit, where the function is absent (before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # no repr: an int past the limit cannot be written
+    past_limit = f"out of range: numerator or denominator past {limit} digits"
+    if limit and cls is str and _exponent_past(value, limit):
+        raise DomainError(past_limit)
     try:
         rational = Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"not a rational: {value!r} ({exc})") from exc
-    # 0, no limit, where the function is absent (before Python 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
     largest = max(abs(rational.numerator), rational.denominator)
     # 2**(3 * limit) < 10**limit, so only a longer integer is compared with 10**limit
     if limit and largest.bit_length() > 3 * limit and largest >= 10 ** limit:
-        # no repr: an int past the limit cannot be written
-        raise DomainError(f"out of range: numerator or denominator past {limit} digits")
+        raise DomainError(past_limit)
     return rational
+
+
+# a decimal with an exponent in ASCII digits, a spelling Fraction(str) reads
+# on every Python: the digits before and after the point, and the exponent
+_EXPONENT_FORM = r"\s*[-+]?(?=[0-9]|\.[0-9])([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)\s*\Z"
+
+
+def _exponent_past(text: str, limit: int) -> bool:
+    """Whether Fraction(text) surely has a numerator or denominator of 10**limit or more.
+
+    Decided from the lengths of text's digit strings, so that an exponent
+    such as "1e10000000" is refused before Fraction builds 10**10000000.
+    False where the lengths do not decide it, for any other spelling and
+    for a part too long for int(), so Fraction reads or refuses such text
+    as before.  The pattern is compiled on the first text with an exponent.
+    """
+    match = ("e" in text or "E" in text) and re.match(_EXPONENT_FORM, text)
+    if not match:
+        return False
+    whole, decimals, exponent = match.groups("")
+    digits = whole + decimals
+    if max(len(whole), len(decimals), len(exponent.lstrip("+-"))) > limit:
+        return False
+    if not digits.strip("0"):
+        return False  # zero at any exponent
+    # the value is M * 10**shift with 1 <= M < 10**len(digits)
+    shift = int(exponent) - len(decimals)
+    return shift >= limit or -shift - len(digits) >= limit
 
 
 class BandKind(Enum):
@@ -199,12 +231,25 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 
 
 def _ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    """str(Fraction(num, den)) for den > 0, without building the Fraction.
+
+    The one writer of exact pairs: where str() cannot write the reduced
+    numerator or denominator, it raises _unwritable()'s DomainError.
+    """
     common = math.gcd(num, den)
     if common != 1:
         num //= common
         den //= common
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise _unwritable() from None
+
+
+def _unwritable() -> DomainError:
+    """The refusal of an output integer past Python's conversion limit, where str() raises."""
+    return DomainError(f"out of range: a number in the output past "
+                       f"{sys.get_int_max_str_digits()} digits")
 
 
 def _largest(pairs) -> tuple[int, int]:
@@ -419,8 +464,9 @@ def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
 
     Every row's eigenvalue is >= 0, so for lambda = 0 nothing is flagged.
     One cross-multiplication per row picks the rows below or at a bound, in
-    band order, and only a picked row's message is formatted; every number
-    in it is written from its integer pair, so no Fraction is built.
+    band order, and only a picked row's message is formatted, and a bound
+    only once a message names it; every number in it is written from its
+    integer pair, so no Fraction is built.
     """
     lam = space.einstein_constant
     if not lam:
@@ -432,19 +478,20 @@ def _validate_rows(space: EinsteinSpace, rows) -> SpectrumValidation:
     picked = [(num, den, divergence_free) for num, den, divergence_free, _ in rows
               if (num * two_lam_den < two_lam_num * den if divergence_free
                   else num * obata_den <= obata_num * den)]
-    obata = _ratio_text(obata_num, obata_den)
-    two_lam = _ratio_text(two_lam_num, two_lam_den)
     messages = []
     first_violation = None
+    two_lam = obata = ""  # each written once, for the first message that names it
     for num, den, divergence_free in picked:
         mu = _ratio_text(num, den)
         if divergence_free:
+            two_lam = two_lam or _ratio_text(two_lam_num, two_lam_den)
             messages.append(f"divergence-free band mu={mu} below 2*lambda={two_lam}")
         elif num * obata_den == obata_num * den:
             # a rigidity note, not a violation
             messages.append(f"gradient band mu={mu} saturates the Obata bound: round sphere only")
             continue
         else:
+            obata = obata or _ratio_text(obata_num, obata_den)
             messages.append(f"gradient band mu={mu} below Lichnerowicz-Obata bound {obata}")
         if first_violation is None:
             first_violation = messages[-1]

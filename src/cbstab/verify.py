@@ -7,7 +7,8 @@ sample points are fixed here, not configurable, so the suites mean the same
 thing in every run.  The acceptance tests (tests/test_acceptance.py) call
 these suites through run_suites and define no check of their own, and
 tests/test_verify_defects.py names a defect in the program that fails each
-check, or the reason a check no defect fails stays.
+check.  The `symmetry` suite checks the family's t <-> 1/t symmetry, so the
+other family checks sample t <= 1, but for hessian's second difference.
 
 The exact checks run on integer pairs.  The `tables` suite compares
 (index, nullity) from core._sign_counts, the counting core that `cbstab
@@ -30,7 +31,6 @@ closed form in tests/test_family_reference.py.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -42,7 +42,6 @@ from .family import (M_MAX, _family_side, epsilon_schedule, evaluate_family, sph
 from .spectra import builtin_spectrum
 
 CONSTANCY_REL_TOL = 1e-8
-SPOT_REL_TOL = 1e-8
 HESSIAN_REL_TOL = 1e-3
 HESSIAN_ABS_TOL_AT_ZERO = 1e-4
 # the numerical check's central second difference in s = log t
@@ -161,28 +160,27 @@ def _scaling_invariance(bases) -> tuple:
 
 def suite_constancy():
     """Constancy of the m=4 c-bienergy curve plus closed-form spot values of E2c and E."""
-    evaluate = functools.cache(evaluate_family)  # each (m, t) once per run
+    # t < 1: at t = 1 the m=4 spot value m(m-1)(m-3)/3 * omega_m is 32*pi^2/3
     target = 32.0 * math.pi ** 2 / 3.0
     worst = 0.0
-    for k in range(-10, 11):
-        t = 10.0 ** (k / 10.0)
-        ev = evaluate(4, t)
+    for k in range(-10, 0):
+        ev = evaluate_family(4, 10.0 ** (k / 10.0))
         worst = max(worst, abs(ev.c_bienergy - target) / target)
-    yield ("E2c(phi_t) on S^4 over 21 log-spaced t in [0.1, 10]",
+    yield ("E2c(phi_t) on S^4 over 10 log-spaced t in [0.1, 1)",
            f"32*pi^2/3 = {target:.12g}", f"worst rel dev {worst:.3e}",
            f"rel {CONSTANCY_REL_TOL:g}", worst <= CONSTANCY_REL_TOL)
 
     for m in range(4, 9):
-        ev = evaluate(m, 1.0)
+        ev = evaluate_family(m, 1.0)
         omega_m = sphere_volume(m)
         want_e2c = m * (m - 1) * (m - 3) / 3.0 * omega_m
         want_e = 0.5 * m * omega_m
         gap_e2c = abs(ev.c_bienergy - want_e2c) / want_e2c
         gap_e = abs(ev.energy - want_e) / want_e
         yield (f"E2c(Id) closed form m={m}", f"{want_e2c:.12g}", f"{ev.c_bienergy:.12g}",
-               f"rel {SPOT_REL_TOL:g}", gap_e2c <= SPOT_REL_TOL)
+               f"rel {CONSTANCY_REL_TOL:g}", gap_e2c <= CONSTANCY_REL_TOL)
         yield (f"E(Id) closed form m={m}", f"{want_e:.12g}", f"{ev.energy:.12g}",
-               f"rel {SPOT_REL_TOL:g}", gap_e <= SPOT_REL_TOL)
+               f"rel {CONSTANCY_REL_TOL:g}", gap_e <= CONSTANCY_REL_TOL)
 
 
 def _factor(m: int) -> tuple[int, int]:
@@ -202,7 +200,8 @@ def suite_hessian():
     Hessian on W: in units of omega_m, the Jacobi side _factor(m) * w, with
     ||W||^2 / omega_m = w = m/(m+1) (Wallis).  family._family_side gives the
     family side; the two integer pairs are compared by cross-multiplication,
-    and the second differences with the Jacobi side times omega_m.
+    and the second differences with the Jacobi side times omega_m.  Their e^h
+    is the one family point past t = 1: a central difference needs both sides.
     """
     factors = {m: _factor(m) for m in range(2, M_MAX + 1)}
     differ = []
@@ -259,8 +258,8 @@ def suite_epsilon():
 def suite_bounds():
     """Strict upper bound C * integral sin^2(alpha) for m >= 5.
 
-    E2c and the bound are both symmetric under t <-> 1/t, so the points stop
-    at t = 1.
+    E2c is symmetric under t <-> 1/t, as the `symmetry` suite checks, and so
+    is the bound 2 pi t/(1 + t)^2 * C, so the points stop at t = 1.
     """
     for m in (5, 6, 7):
         for t in (0.01, 0.5, 1.0):
@@ -272,20 +271,21 @@ def suite_bounds():
 
 
 def suite_symmetry():
-    """Positivity of E2c along the family for m = 4..8.
+    """E2c(phi_t) = E2c(phi_{1/t}) for m = 4..8, within the two error estimates.
 
-    No defect in the program fails these checks short of a sign error in
-    E2c's constant (2/3)(m-1)(m-3), since E2 and E are sums of non-negative
-    node terms.  The suite stays because the benchmark's verify workload
-    runs it by name.  The t <-> 1/t symmetry holds by construction, since
-    evaluate_family sums the same node values for t and 1/t;
-    tests/test_family_reference.py checks it.
+    phi_{1/t} is phi_t conjugated by the reflection r -> pi - r, so the
+    functionals take the same value at t and 1/t.
     """
-    for m in (4, 5, 6, 7, 8):
-        for t in (0.05, 0.37, 0.5, 1.0, 3.0, 20.0):
-            ev = evaluate_family(m, t)
-            yield (f"positivity m={m} t={t}", "> 0", f"{ev.c_bienergy:.6e}", "strict",
-                   ev.c_bienergy > 0.0)
+    pairs = [(m, t) for m in range(4, 9) for t in (0.05, 0.37, 0.5)]
+    differ = []
+    for m, t in pairs:
+        ev, mirror = evaluate_family(m, t), evaluate_family(m, 1.0 / t)
+        if abs(ev.c_bienergy - mirror.c_bienergy) > ev.c_bienergy_error + mirror.c_bienergy_error:
+            differ.append((m, t, ev.c_bienergy, mirror.c_bienergy))
+    yield ("E2c(phi_t) = E2c(phi_{1/t}), m=4..8, t=0.05, 0.37, 0.5",
+           f"0 of {len(pairs)} pairs differ", f"{len(differ)} of {len(pairs)} pairs differ"
+           + (", first m={} t={}: {:.12g} vs {:.12g}".format(*differ[0]) if differ else ""),
+           "sum of the two error estimates", not differ)
 
 
 SUITES = {

@@ -84,12 +84,13 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
         run_suites(names)
 
 
-# symmetry's 30 positivity points are distinct;
-# constancy's log-spaced curve passes t = 1 on S^4, a spot value too;
+# symmetry evaluates each of its 15 pairs at t and 1/t;
+# constancy's log-spaced curve stops short of t = 1 on S^4, a spot value;
 # hessian differences E2c at t = e^-h, 1 and e^h for m = 4..7;
-# bounds stops at t = 1, since E2c and the bound are symmetric under t <-> 1/t
-@pytest.mark.parametrize("suite, calls", [("symmetry", 30), ("constancy", 25), ("hessian", 12),
-                                          ("bounds", 9)])
+# bounds stops at t = 1, since E2c and the bound are symmetric under t <-> 1/t;
+# epsilon evaluates each of its four constructions once
+@pytest.mark.parametrize("suite, calls", [("symmetry", 30), ("constancy", 15), ("hessian", 12),
+                                          ("bounds", 9), ("epsilon", 4)])
 def test_suite_evaluates_each_point_once(monkeypatch, suite, calls):
     import cbstab.verify
 

@@ -190,7 +190,31 @@ def test_energy_deterministic(capsys):
     assert first == second
 
 
-def test_usage_errors_exit_64(capsys):
+def _oversized_files(tmp_path):
+    """Spectrum files whose inputs fit the 4300-digit limit but whose output would not."""
+    nines = "9" * 4299  # lambda; 12 lambda has 4301 digits
+    gradient = {"multiplicity": 1, "kind": "gradient"}
+    docs = [
+        # a listed Jacobi eigenvalue past the limit
+        {"dimension": 5, "einstein_constant": "1" + "0" * 3000, "complete_up_to": "3" + "0" * 3000,
+         "bands": [{**gradient, "eigenvalue": "1/" + "7" * 3000}]},
+        # two bands of multiplicity 10^4300 - 1 merge into 4301 digits
+        {"dimension": 5, "einstein_constant": "4", "complete_up_to": "100",
+         "bands": [{**gradient, "eigenvalue": "5", "multiplicity": 10 ** 4300 - 1}] * 2},
+        # the flagged band's message writes the Obata bound 12 lambda/11
+        {"dimension": 12, "einstein_constant": nines, "bands": [{**gradient, "eigenvalue": "1"}]},
+        # no band is listed or flagged; the scalar curvature is 12 lambda
+        {"dimension": 12, "einstein_constant": nines,
+         "bands": [{**gradient, "eigenvalue": "2" + "0" * 4299}]},
+    ]
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(tmp_path / f"oversized{i}.json")
+        paths[-1].write_text(json.dumps({"name": "oversized", **doc}), encoding="utf-8")
+    return [("index", "--spectrum-file", str(path)) for path in paths]
+
+
+def test_usage_errors_exit_64(tmp_path, capsys):
     cases = [
         ("energy", "--dim", "5", "--t", "1e9"),           # t out of range
         ("energy", "--dim", "5", "--t", "1,1e-9"),        # rejected after t = 1 ran
@@ -204,6 +228,10 @@ def test_usage_errors_exit_64(capsys):
         ("index", "--dim", "4", "--spectrum-file", "x", "--lambda", "3"),
         ("index", "--dim", "4", "--lambda", "3/0"),
         ("index", "--dim", "4", "--lambda", "1e5000"),      # str() could not write it
+        ("index", "--dim", "4", "--lambda", "1e3000000"),   # refused before it is built
+        ("index", "--dim", "5", "--lambda", "1e3000"),      # a Jacobi eigenvalue could not
+        ("index", "--dim", "12", "--lambda", "9" * 4299),   # nor the Obata bound 12 lambda/11
+        *_oversized_files(tmp_path),
         ("spectrum", "--dim", "4", "--lambda", "1e5000"),
         ("verify", "--suites", "nonsense"),
         ("verify", "--suites", ","),                        # no suite: nothing checked
@@ -215,7 +243,7 @@ def test_usage_errors_exit_64(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 64, argv
         assert out == ""
-        assert err
+        assert err.startswith("cbstab: usage error: ") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("line, exit_code", [

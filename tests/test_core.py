@@ -439,6 +439,23 @@ def test_as_rational_refuses_what_str_cannot_write():
         with pytest.raises(DomainError, match=f"out of range: numerator or denominator "
                                               f"past {limit} digits"):
             as_rational(value)
+    # a text with an exponent is refused before Fraction reads it only where
+    # the digits' lengths decide it; at the boundary the verdict is still
+    # Fraction's value against the limit
+    for text in ("1e4299", "1e4300", "1.5e4299", "100e4298", "0.001e4302", "1e-4299",
+                 "1e-4300", "0e100000", "-0.0e-100000", " +12.5E4298 ", "0.5e-4299"):
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) < 10 ** limit:
+            assert as_rational(text) == value, text
+        else:
+            with pytest.raises(DomainError, match="out of range"):
+                as_rational(text)
+    # a machine-independent cost counter: no Fraction of 10**10000000 digits
+    # is built to be refused (the whole power took seconds)
+    for text in ("1e10000000", "-2.5e+10000000", "7e-10000000"):
+        counts, refusal = count_constructions(lambda: pytest.raises(DomainError, as_rational, text))
+        assert counts["Fraction"] == 0
+        assert str(refusal.value) == f"out of range: numerator or denominator past {limit} digits"
 
 
 # None is the default of up_to, lam and complete_up_to, so only the first

@@ -253,7 +253,7 @@ def test_a_non_finite_level_sum_ends_in_quadrature_failure(monkeypatch, call, va
 
 def test_positivity():
     for m in (4, 5, 6, 7, 8):
-        for t in (0.01, 0.37, 1.0, 2.0, 50.0):
+        for t in (0.01, 0.05, 0.37, 0.5, 1.0, 2.0, 3.0, 20.0, 50.0):
             assert evaluate_family(m, t).c_bienergy > 0.0
 
 
