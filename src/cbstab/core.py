@@ -57,8 +57,12 @@ def as_rational(value: Rational) -> Fraction:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     # no repr: an int past the limit cannot be written
     past_limit = f"out of range: numerator or denominator past {limit} digits"
-    if limit and cls is str and _exponent_past(value, limit):
-        raise DomainError(past_limit)
+    if limit and cls is str:
+        past = _exponent_past(value, limit)
+        if past is None:
+            return Fraction(0)  # zero at any exponent: no power of 10 to build
+        if past:
+            raise DomainError(past_limit)
     try:
         rational = Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -75,14 +79,15 @@ def as_rational(value: Rational) -> Fraction:
 _EXPONENT_FORM = r"\s*[-+]?(?=[0-9]|\.[0-9])([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)\s*\Z"
 
 
-def _exponent_past(text: str, limit: int) -> bool:
+def _exponent_past(text: str, limit: int) -> bool | None:
     """Whether Fraction(text) surely has a numerator or denominator of 10**limit or more.
 
     Decided from the lengths of text's digit strings, so that an exponent
     such as "1e10000000" is refused before Fraction builds 10**10000000.
-    False where the lengths do not decide it, for any other spelling and
-    for a part too long for int(), so Fraction reads or refuses such text
-    as before.  The pattern is compiled on the first text with an exponent.
+    None for a zero mantissa, whose value is 0 at any exponent.  False
+    where the lengths do not decide it, for any other spelling and for a
+    part too long for int(), so Fraction reads or refuses such text as
+    before.  The pattern is compiled on the first text with an exponent.
     """
     match = ("e" in text or "E" in text) and re.match(_EXPONENT_FORM, text)
     if not match:
@@ -92,7 +97,7 @@ def _exponent_past(text: str, limit: int) -> bool:
     if max(len(whole), len(decimals), len(exponent.lstrip("+-"))) > limit:
         return False
     if not digits.strip("0"):
-        return False  # zero at any exponent
+        return None
     # the value is M * 10**shift with 1 <= M < 10**len(digits)
     shift = int(exponent) - len(decimals)
     return shift >= limit or -shift - len(digits) >= limit

@@ -47,8 +47,8 @@ from .errors import DomainError, InvalidBand, MissingField, ParseError
 
 def gradient_multiplicity(m: int, k: int) -> int:
     """Dimension N(m, k) of the k-th gradient band on the m-sphere, m >= 2, k >= 1."""
-    num = (2 * k + m - 1) * math.factorial(k + m - 2)
-    den = math.factorial(k) * math.factorial(m - 1)
+    # (k + m - 2)! / (k! (m - 1)!) = C(k + m - 2, k) / (m - 1)
+    num, den = (2 * k + m - 1) * math.comb(k + m - 2, k), m - 1
     if num % den:
         raise AssertionError(f"N({m},{k}) is not an integer; formula broken")
     return num // den
@@ -56,8 +56,8 @@ def gradient_multiplicity(m: int, k: int) -> int:
 
 def divergence_free_multiplicity(m: int, k: int) -> int:
     """Dimension M(m, k) of the k-th divergence-free band on the m-sphere, m >= 2, k >= 1."""
-    num = k * (k + m - 1) * (2 * k + m - 1) * math.factorial(k + m - 3)
-    den = math.factorial(k + 1) * math.factorial(m - 2)
+    # k (k + m - 3)! / ((k + 1)! (m - 2)!) = C(k + m - 3, k - 1) / (k + 1)
+    num, den = (k + m - 1) * (2 * k + m - 1) * math.comb(k + m - 3, k - 1), k + 1
     if num % den:
         raise AssertionError(f"M({m},{k}) is not an integer; formula broken")
     return num // den

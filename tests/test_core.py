@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cbstab.core
 from cbstab.core import (
     _band_rows,
     _cutoffs,
@@ -429,7 +430,7 @@ def test_as_rational_returns_fraction_unchanged():
         as_rational(0.75)
 
 
-def test_as_rational_refuses_what_str_cannot_write():
+def test_as_rational_refuses_what_str_cannot_write(monkeypatch):
     # Fraction reads all of these, but str() of an integer of more than
     # `limit` digits raises, so such a value could not be printed
     limit = sys.get_int_max_str_digits()
@@ -456,6 +457,19 @@ def test_as_rational_refuses_what_str_cannot_write():
         counts, refusal = count_constructions(lambda: pytest.raises(DomainError, as_rational, text))
         assert counts["Fraction"] == 0
         assert str(refusal.value) == f"out of range: numerator or denominator past {limit} digits"
+    # a zero mantissa is 0 at any exponent; Fraction(text) would build the
+    # power first (seconds for 10**10000000), so no Fraction reads the text.
+    # An exponent longer than the limit is still Fraction's to refuse.
+    with pytest.raises(DomainError, match="not a rational"):
+        as_rational("0e" + "1" * (limit + 1))
+
+    def no_text(value=0, *args):
+        assert not isinstance(value, str), value
+        return Fraction(value, *args)
+
+    monkeypatch.setattr(cbstab.core, "Fraction", no_text)
+    for text in ("0e10000000", "-0.000e-3000000"):
+        assert as_rational(text) == 0
 
 
 # None is the default of up_to, lam and complete_up_to, so only the first

@@ -47,7 +47,8 @@ MODERATE = sorted({(m, t) for m in (3, 4, 5, 6) for t in (0.3, 1.0, 2.5)}
                   | {(m, t) for m in (4, 5, 6, 7) for t in (0.05, 0.5, 1.0, 3.0, 20.0)})
 NEAR_ONE = [(m, t) for m in (2, 4, 7, 12) for t in (1 - 2.0 ** -30, 1 + 2.0 ** -30, 1 + 2.0 ** -52)]
 HIGH_DIMENSIONS = [(m, 10.0 ** k) for m in (16, 24, 50) for k in (-8, -4, 0, 4, 8)]
-# the points the hessian suite of verify differences (t = 1 is in MODERATE)
+# the hessian suite of verify differences t = e^-h and 1 (t = 1 is in MODERATE);
+# t = e^h, which no verify check reads, still tests the ladder's accuracy
 SECOND_DIFFERENCE = [(m, math.exp(s)) for m in HESSIAN_DIMENSIONS
                      for s in (-HESSIAN_STEP, HESSIAN_STEP)]
 POINTS = list(dict.fromkeys(GRID + PROBES + MODERATE + NEAR_ONE + HIGH_DIMENSIONS

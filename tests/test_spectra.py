@@ -102,6 +102,19 @@ def test_divergence_free_anchor_values():
     assert divergence_free_multiplicity(5, 1) == 15
 
 
+def test_multiplicities_build_no_factorial(monkeypatch):
+    # a machine-independent cost counter: each multiplicity is one binomial,
+    # so a high sphere's rows are quick (two factorials of about m each took
+    # seconds at m = 300000)
+    def factorial(n):
+        raise AssertionError(f"factorial({n})")
+
+    monkeypatch.setattr(math, "factorial", factorial)
+    spectrum = builtin_spectrum(10 ** 6)
+    assert spectrum.rows[0][3] == 10 ** 6 + 1  # the gradient band k = 1
+    assert divergence_free_multiplicity(10 ** 6, 1) == 10 ** 6 * (10 ** 6 + 1) // 2
+
+
 def bands_of(m, lam, up_to, kind=None):
     """The built-in bands up to `up_to`, optionally only those of one kind."""
     bands = builtin_spectrum(m, lam, up_to=up_to).bands
