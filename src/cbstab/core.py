@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+# the grammar Fraction(str) reads on the running Python
+from fractions import _RATIONAL_FORMAT, Fraction
 from typing import Iterable, Union
 
 from .errors import (
@@ -74,29 +74,28 @@ def as_rational(value: Rational) -> Fraction:
     return rational
 
 
-# a decimal with an exponent in ASCII digits, a spelling Fraction(str) reads
-# on every Python: the digits before and after the point, and the exponent
-_EXPONENT_FORM = r"\s*[-+]?(?=[0-9]|\.[0-9])([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)\s*\Z"
-
-
 def _exponent_past(text: str, limit: int) -> bool | None:
     """Whether Fraction(text) surely has a numerator or denominator of 10**limit or more.
 
     Decided from the lengths of text's digit strings, so that an exponent
     such as "1e10000000" is refused before Fraction builds 10**10000000.
+    The text is read by the grammar Fraction(str) uses on the running
+    Python, so any digits and underscores that Fraction reads count here.
     None for a zero mantissa, whose value is 0 at any exponent.  False
     where the lengths do not decide it, for any other spelling and for a
     part too long for int(), so Fraction reads or refuses such text as
-    before.  The pattern is compiled on the first text with an exponent.
+    before.
     """
-    match = ("e" in text or "E" in text) and re.match(_EXPONENT_FORM, text)
-    if not match:
+    match = ("e" in text or "E" in text) and _RATIONAL_FORMAT.match(text)
+    if not match or not match["exp"]:
         return False
-    whole, decimals, exponent = match.groups("")
+    whole, decimals, exponent = ((match[part] or "").replace("_", "")
+                                 for part in ("num", "decimal", "exp"))
     digits = whole + decimals
-    if max(len(whole), len(decimals), len(exponent.lstrip("+-"))) > limit:
+    # isdecimal: the grammar of 3.11 and 3.12 also reads letters d as a decimal part
+    if not digits.isdecimal() or max(map(len, (whole, decimals, exponent.lstrip("+-")))) > limit:
         return False
-    if not digits.strip("0"):
+    if int(whole or 0) == int(decimals or 0) == 0:  # any decimal digit zero, not only "0"
         return None
     # the value is M * 10**shift with 1 <= M < 10**len(digits)
     shift = int(exponent) - len(decimals)

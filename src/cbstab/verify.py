@@ -11,6 +11,9 @@ check.  The `symmetry` suite checks the family's t <-> 1/t symmetry, so
 every other family check samples t <= 1.  A family value compared with an
 exact one must lie within its own error estimate, so no tolerance on it is
 set by hand; the second differences add only their O(h^2) truncation.
+Each suite reads the family as its one argument, family(m, t): run_suites
+evaluates each distinct (m, t) once per call and hands the values to the
+suites that read them; no value outlives the call.
 
 The exact checks run on integer pairs.  The `tables` suite compares
 (index, nullity) from core._sign_counts, the counting core that `cbstab
@@ -33,6 +36,7 @@ closed form in tests/test_family_reference.py.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -96,7 +100,7 @@ def _expected_c_bienergy(m: int) -> tuple[int, int]:
     return m + 1, m * (m + 1) // 2
 
 
-def suite_tables():
+def suite_tables(family):
     """Index/nullity tables for unit spheres m = 1..10, exact."""
     spheres = {m: _unit_sphere(m) for m in range(1, 11)}
     counts = {m: _sphere_counts(*data) for m, data in spheres.items()}
@@ -159,20 +163,20 @@ def _scaling_invariance(bases) -> tuple:
             "0 mismatches", f"{failures} mismatches", "exact", failures == 0)
 
 
-def suite_constancy():
+def suite_constancy(family):
     """Constancy of the m=4 c-bienergy curve plus closed-form spot values of E2c and E."""
     # t < 1: at t = 1 the m=4 spot value m(m-1)(m-3)/3 * omega_m is 32*pi^2/3
     target = 32.0 * math.pi ** 2 / 3.0
     worst = 0.0
     for k in range(-10, 0):
-        ev = evaluate_family(4, 10.0 ** (k / 10.0))
+        ev = family(4, 10.0 ** (k / 10.0))
         worst = max(worst, abs(ev.c_bienergy - target) / ev.c_bienergy_error)
     yield ("E2c(phi_t) on S^4 over 10 log-spaced t in [0.1, 1)",
            f"32*pi^2/3 = {target:.12g}", f"worst |dev| / error estimate {worst:.3e}",
            "error estimate", worst <= 1.0)
 
     for m in range(4, 9):
-        ev = evaluate_family(m, 1.0)
+        ev = family(m, 1.0)
         omega_m = sphere_volume(m)
         want_e2c = m * (m - 1) * (m - 3) / 3.0 * omega_m
         want_e = 0.5 * m * omega_m
@@ -190,7 +194,7 @@ def _factor(m: int) -> tuple[int, int]:
     return _jacobi_pair(Functional.CONFORMAL_BIENERGY, m, m - 1, 1, m, 1)
 
 
-def suite_hessian():
+def suite_hessian(family):
     """E2c''(t=1) from the family's integrals against the Jacobi eigenvalue, then numerically.
 
     The variation field of the family at t = 1 is W = (sin r) d/dr, the
@@ -226,7 +230,7 @@ def suite_hessian():
            "exact", zero == [2, 4] and positive == [3])
     h = HESSIAN_STEP
     for m in HESSIAN_DIMENSIONS:
-        center, side = evaluate_family(m, 1.0), evaluate_family(m, math.exp(-h))
+        center, side = family(m, 1.0), family(m, math.exp(-h))
         quotient = 2.0 * (side.c_bienergy - center.c_bienergy) / (h * h)
         value, den = factors[m]
         prediction = value * m / (den * (m + 1)) * sphere_volume(m)
@@ -237,11 +241,11 @@ def suite_hessian():
                abs(quotient - prediction) <= allowance)
 
 
-def suite_epsilon():
+def suite_epsilon(family):
     """The epsilon construction really achieves E2c(phi_t) < eps."""
     for m, eps in ((5, 1.0), (5, 0.1), (6, 0.5), (7, 0.25)):
         t, cert = epsilon_schedule(m, eps)
-        ev = evaluate_family(m, t)
+        ev = family(m, t)
         achieved = ev.c_bienergy + ev.c_bienergy_error
         yield (f"m={m} eps={eps}: E2c + err < eps", f"< {eps}",
                f"{achieved:.6e} (t={t:.6e})", "strict", achieved < eps)
@@ -251,7 +255,7 @@ def suite_epsilon():
                "strict", lhs < rhs)
 
 
-def suite_bounds():
+def suite_bounds(family):
     """Strict upper bound C * integral sin^2(alpha) for m >= 5.
 
     E2c is symmetric under t <-> 1/t, as the `symmetry` suite checks, and so
@@ -259,14 +263,14 @@ def suite_bounds():
     """
     for m in (5, 6, 7):
         for t in (0.01, 0.5, 1.0):
-            ev = evaluate_family(m, t)
+            ev = family(m, t)
             bound = upper_bound(m, t)
             yield (f"m={m} t={t}: E2c < C*int sin^2(alpha)", f"< {bound:.10g}",
                    f"{ev.c_bienergy:.10g} (+{ev.c_bienergy_error:.2e})", "strict",
                    ev.c_bienergy + ev.c_bienergy_error < bound)
 
 
-def suite_symmetry():
+def suite_symmetry(family):
     """E2c(phi_t) = E2c(phi_{1/t}) for m = 4..8, within the two error estimates.
 
     phi_{1/t} is phi_t conjugated by the reflection r -> pi - r, so the
@@ -275,7 +279,7 @@ def suite_symmetry():
     pairs = [(m, t) for m in range(4, 9) for t in (0.05, 0.37, 0.5)]
     differ = []
     for m, t in pairs:
-        ev, mirror = evaluate_family(m, t), evaluate_family(m, 1.0 / t)
+        ev, mirror = family(m, t), family(m, 1.0 / t)
         if abs(ev.c_bienergy - mirror.c_bienergy) > ev.c_bienergy_error + mirror.c_bienergy_error:
             differ.append((m, t, ev.c_bienergy, mirror.c_bienergy))
     yield ("E2c(phi_t) = E2c(phi_{1/t}), m=4..8, t=0.05, 0.37, 0.5",
@@ -298,9 +302,9 @@ def run_suites(names=None) -> list[CheckResult]:
     """Run the named suites (all of them by default) in the order given.
 
     Every name is checked before any suite runs; an unknown or repeated
-    one raises DomainError.  Each suite yields its checks as (name,
-    expected, got, tolerance, passed), and this is the one place that
-    makes them CheckResults, under the suite's name in SUITES.
+    one raises DomainError.  Each suite, given this call's one family
+    table, yields (name, expected, got, tolerance, passed), and this is
+    the one place that makes them CheckResults, under its SUITES name.
     """
     names = list(SUITES) if names is None else list(names)
     unknown = [name for name in names if name not in SUITES]
@@ -309,6 +313,7 @@ def run_suites(names=None) -> list[CheckResult]:
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise DomainError(f"suite {repeated[0]!r} named twice")
+    family = functools.cache(evaluate_family)
     return [CheckResult(suite, name, str(expected), str(got), tolerance, bool(passed))
             for suite in names
-            for name, expected, got, tolerance, passed in SUITES[suite]()]
+            for name, expected, got, tolerance, passed in SUITES[suite](family)]

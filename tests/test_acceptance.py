@@ -13,6 +13,7 @@ import time
 import pytest
 
 from cbstab.errors import DomainError
+from cbstab.family import evaluate_family
 from cbstab.verify import SUITES, run_suites, suite_hessian, suite_tables
 from helpers import count_constructions
 
@@ -77,7 +78,7 @@ def test_exact_suites_give_45_passing_checks():
 @pytest.mark.parametrize("names", [["nonsense"], ["tables", "nonsense"], ["tables", "tables"]])
 def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
     # a repeated name would run its suite, and list each of its checks, twice
-    monkeypatch.setitem(SUITES, "tables", lambda: pytest.fail("a suite ran"))
+    monkeypatch.setitem(SUITES, "tables", lambda family: pytest.fail("a suite ran"))
     refusal = ("unknown suite 'nonsense'" if "nonsense" in names
                else "suite 'tables' named twice")
     with pytest.raises(DomainError, match=refusal):
@@ -88,26 +89,38 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
 # constancy's log-spaced curve stops short of t = 1 on S^4, a spot value;
 # hessian differences E2c at t = e^-h and 1 for m = 4..7, E2c being even in log t;
 # bounds stops at t = 1, since E2c and the bound are symmetric under t <-> 1/t;
-# epsilon evaluates each of its four constructions once
-@pytest.mark.parametrize("suite, calls", [("symmetry", 30), ("constancy", 15), ("hessian", 8),
-                                          ("bounds", 9), ("epsilon", 4)])
+# epsilon evaluates each of its four constructions once;
+# a full run evaluates each shared point once, t = 1 for m = 4..7 (constancy,
+# hessian, bounds) and t = 0.5 for m = 5..7 (bounds, symmetry): 56 for 66 reads
+@pytest.mark.parametrize("suite, calls", [(None, 56), ("symmetry", 30), ("constancy", 15),
+                                          ("hessian", 8), ("bounds", 9), ("epsilon", 4)])
 def test_suite_evaluates_each_point_once(monkeypatch, suite, calls):
     import cbstab.verify
 
     points = []
+    running = []
     original = cbstab.verify.evaluate_family
 
     def counted(m, t):
-        points.append((m, t))
+        points.append((running[-1], m, t))
         return original(m, t)
 
+    def named(name, run):
+        def tagged(family):
+            running.append(name)
+            yield from run(family)
+        return tagged
+
     monkeypatch.setattr(cbstab.verify, "evaluate_family", counted)
-    run_suites([suite])
-    assert len(points) == len(set(points)) == calls
+    for name, run in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, named(name, run))
+    names = None if suite is None else [suite]
+    run_suites(names)
+    assert len(points) == len({(m, t) for _, m, t in points}) == calls
     # symmetry is the one suite that looks past t = 1
-    assert suite == "symmetry" or all(t <= 1.0 for _, t in points)
+    assert all(t <= 1.0 for name, _, t in points if name != "symmetry")
     # no value outlives the run: a second run evaluates every point again
-    run_suites([suite])
+    run_suites(names)
     assert len(points) == 2 * calls
 
 
@@ -125,7 +138,7 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
 
     reports = []
     monkeypatch.setattr(cbstab.core, "IndexReport", lambda **fields: reports.append(fields))
-    counts, results = count_constructions(lambda: list(suite_tables()))
+    counts, results = count_constructions(lambda: list(suite_tables(evaluate_family)))
     assert len(results) == 39 and all(passed for *_, passed in results)
     assert reports == []
     assert counts["SpectralBand"] == 0
@@ -138,6 +151,6 @@ def test_hessian_builds_no_fraction():
     # two integer pairs, the numerical half rounds the Jacobi pair once, and
     # evaluate_family builds none (53 Fractions while the family side was a
     # Fraction, 314 and 49 spaces while the sides were compared as Fractions)
-    counts, results = count_constructions(lambda: list(suite_hessian()))
+    counts, results = count_constructions(lambda: list(suite_hessian(evaluate_family)))
     assert all(passed for *_, passed in results)
     assert counts == {"Fraction": 0, "SpectralBand": 0, "EinsteinSpace": 0}

@@ -505,7 +505,7 @@ def test_verify_json_writes_each_string_as_json_does(capsys, monkeypatch):
          "\x00\x1f\x7f", True),
         ("\U0001d4ae failed", "", "\u00e9\ud83d", "exact", False),
     ]
-    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda: iter(checks))
+    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda family: iter(checks))
     code, out, _ = run(capsys, "verify", "--suites", "tables", "--format", "json")
     assert code == 1
     assert out == _verify_doc([cbstab.verify.CheckResult("tables", *check)
@@ -593,7 +593,7 @@ def test_spectrum_file_excludes_dim_and_lambda_alone(tmp_path, capsys, option):
 def test_verify_text_counts_a_failed_check(capsys, monkeypatch):
     checks = [("first", "1", "1", "exact", True), ("second", "2", "3", "exact", False),
               ("third", "3", "3", "exact", True)]
-    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda: iter(checks))
+    monkeypatch.setitem(cbstab.verify.SUITES, "tables", lambda family: iter(checks))
     code, out, _ = run(capsys, "verify", "--suites", "tables")
     assert code == 1
     assert out.splitlines() == [

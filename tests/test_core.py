@@ -452,24 +452,40 @@ def test_as_rational_refuses_what_str_cannot_write(monkeypatch):
             with pytest.raises(DomainError, match="out of range"):
                 as_rational(text)
     # a machine-independent cost counter: no Fraction of 10**10000000 digits
-    # is built to be refused (the whole power took seconds)
-    for text in ("1e10000000", "-2.5e+10000000", "7e-10000000"):
+    # is built to be refused (the whole power took seconds), whatever digits
+    # Fraction reads: any decimal digit, and from 3.11 on underscores between
+    # digits, which 3.10's Fraction refuses
+    underscores = ("1_0e10000000", "1e1_0000000", "-2_5.0_1e+1_0000000")
+    past = ("1e10000000", "-2.5e+10000000", "7e-10000000", "\uff11e1000000",
+            "\u0663.\u0665e10000000")
+    if sys.version_info >= (3, 11):
+        past += underscores
+    else:
+        for text in underscores:
+            with pytest.raises(DomainError, match="not a rational"):
+                as_rational(text)
+    for text in past:
         counts, refusal = count_constructions(lambda: pytest.raises(DomainError, as_rational, text))
-        assert counts["Fraction"] == 0
+        assert counts["Fraction"] == 0, text
         assert str(refusal.value) == f"out of range: numerator or denominator past {limit} digits"
     # a zero mantissa is 0 at any exponent; Fraction(text) would build the
     # power first (seconds for 10**10000000), so no Fraction reads the text.
-    # An exponent longer than the limit is still Fraction's to refuse.
-    with pytest.raises(DomainError, match="not a rational"):
-        as_rational("0e" + "1" * (limit + 1))
+    # An exponent longer than the limit is still Fraction's to refuse, and so
+    # is a decimal part of letters d, which the grammar of 3.11 and 3.12 reads.
+    for text in ("0e" + "1" * (limit + 1), "1.de10000000"):
+        with pytest.raises(DomainError, match="not a rational"):
+            as_rational(text)
 
     def no_text(value=0, *args):
         assert not isinstance(value, str), value
         return Fraction(value, *args)
 
     monkeypatch.setattr(cbstab.core, "Fraction", no_text)
-    for text in ("0e10000000", "-0.000e-3000000"):
-        assert as_rational(text) == 0
+    zeros = ["0e10000000", "-0.000e-3000000", "\uff10e10000000", "\u0660.\u0660e-3000000"]
+    if sys.version_info >= (3, 11):
+        zeros += ["0_0e10000000", "0.0_0e1_0000000"]
+    for text in zeros:
+        assert as_rational(text) == 0, text
 
 
 # None is the default of up_to, lam and complete_up_to, so only the first

@@ -144,6 +144,9 @@ def test_each_fact_has_one_public_path():
     assert isinstance(cbstab.family.DEFAULT_CONFIG, cbstab.QuadratureConfig)
     assert "contribution_cutoff" not in cbstab.__all__
     assert not hasattr(cbstab.core, "contribution_cutoff")
+    # epsilon_schedule's certificate type is family's own, not a package export
+    assert "EpsilonCertificate" not in cbstab.__all__
+    assert isinstance(cbstab.epsilon_schedule(5, 0.1)[1], cbstab.family.EpsilonCertificate)
 
 
 def test_unknown_attribute_is_named():
