@@ -21,8 +21,8 @@ _EXPORTS = {
     "errors": ("BoundViolation", "CbstabError", "DomainError", "IncompleteSpectrum",
                "InvalidBand", "MissingField", "ParseError", "QuadratureFailure",
                "SpectrumCompletenessWarning"),
-    "family": ("FamilyEvaluation", "QuadratureConfig", "c_constant", "epsilon_schedule",
-               "evaluate_family", "sphere_volume", "upper_bound"),
+    "family": ("FamilyEvaluation", "c_constant", "epsilon_schedule", "evaluate_family",
+               "sphere_volume", "upper_bound"),
     "spectra": ("LoadedSpectrum", "builtin_spectrum", "load_spectrum", "spectrum_document"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,11 +19,11 @@ import functools
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 # the grammar Fraction(str) reads on the running Python
 from fractions import _RATIONAL_FORMAT, Fraction
-from typing import Iterable, Union
 
 from .errors import (
     BoundViolation,
@@ -33,10 +33,8 @@ from .errors import (
     SpectrumCompletenessWarning,
 )
 
-Rational = Union[Fraction, int, str]
 
-
-def as_rational(value: Rational) -> Fraction:
+def as_rational(value: Fraction | int | str) -> Fraction:
     """Coerce int / "p/q" string / Fraction to an exact Fraction.
 
     The reader of exact rationals in the CLI, the library and every
@@ -177,7 +175,8 @@ class IndexReport:
     contributing_bands: tuple[tuple[SpectralBand, Fraction], ...]
 
 
-def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace, mu: Rational) -> Fraction:
+def jacobi_eigenvalue(kind: Functional, space: EinsteinSpace,
+                      mu: Fraction | int | str) -> Fraction:
     """Eigenvalue of the Jacobi operator of `kind` on a band with eigenvalue mu."""
     mu = as_rational(mu)
     if mu < 0:
@@ -311,7 +310,7 @@ COMPLETENESS_WARNING = "band list has no declared completeness bound; index/null
 
 def index_reports(space: EinsteinSpace, bands: Iterable[SpectralBand],
                   kinds: Iterable[Functional],
-                  complete_up_to: Rational | None = None) -> list[IndexReport]:
+                  complete_up_to: Fraction | int | str | None = None) -> list[IndexReport]:
     """Exact index and nullity of each functional in `kinds`, in that order.
 
     Each Jacobi eigenvalue is a monic polynomial in mu with the roots that

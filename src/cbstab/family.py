@@ -65,9 +65,6 @@ class QuadratureConfig:
             raise DomainError(f"max_doublings must be >= 1, got {self.max_doublings}")
 
 
-DEFAULT_CONFIG = QuadratureConfig()
-
-
 # The ladder stops once every integral's change between two levels is
 # within ABS_TOLERANCE or within REL_TOLERANCE of its value.
 REL_TOLERANCE = 1e-11
@@ -137,7 +134,7 @@ def _tail_margin(rate: float) -> float:
 
 
 def evaluate_family(m: int, t: float,
-                    quad: QuadratureConfig = DEFAULT_CONFIG) -> FamilyEvaluation:
+                    quad: QuadratureConfig = QuadratureConfig()) -> FamilyEvaluation:
     """Energy, bienergy and c-bienergy of phi_t on the unit m-sphere.
 
     Along this family the c-bienergy density is pointwise the bienergy

@@ -25,15 +25,14 @@ import functools
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .core import (
     BandKind,
     EinsteinSpace,
     Functional,
-    Rational,
     SpectralBand,
     SpectrumValidation,
     _cutoffs,
@@ -47,20 +46,14 @@ from .errors import DomainError, InvalidBand, MissingField, ParseError
 
 def gradient_multiplicity(m: int, k: int) -> int:
     """Dimension N(m, k) of the k-th gradient band on the m-sphere, m >= 2, k >= 1."""
-    # (k + m - 2)! / (k! (m - 1)!) = C(k + m - 2, k) / (m - 1)
-    num, den = (2 * k + m - 1) * math.comb(k + m - 2, k), m - 1
-    if num % den:
-        raise AssertionError(f"N({m},{k}) is not an integer; formula broken")
-    return num // den
+    # (k + m - 2)! / (k! (m - 1)!) = C(k + m - 2, k) / (m - 1); N is an integer
+    return (2 * k + m - 1) * math.comb(k + m - 2, k) // (m - 1)
 
 
 def divergence_free_multiplicity(m: int, k: int) -> int:
     """Dimension M(m, k) of the k-th divergence-free band on the m-sphere, m >= 2, k >= 1."""
-    # k (k + m - 3)! / ((k + 1)! (m - 2)!) = C(k + m - 3, k - 1) / (k + 1)
-    num, den = (k + m - 1) * (2 * k + m - 1) * math.comb(k + m - 3, k - 1), k + 1
-    if num % den:
-        raise AssertionError(f"M({m},{k}) is not an integer; formula broken")
-    return num // den
+    # k (k + m - 3)! / ((k + 1)! (m - 2)!) = C(k + m - 3, k - 1) / (k + 1); M is an integer
+    return (k + m - 1) * (2 * k + m - 1) * math.comb(k + m - 3, k - 1) // (k + 1)
 
 
 def _rows(m: int, lam: Fraction, up_to: Fraction) -> list[tuple]:
@@ -115,9 +108,9 @@ class LoadedSpectrum:
         return tuple(_row_band(*row) for row in self.rows)
 
 
-def builtin_spectrum(m: int, lam: Rational | None = None,
+def builtin_spectrum(m: int, lam: Fraction | int | str | None = None,
                      kinds: Iterable[Functional] = tuple(Functional),
-                     up_to: Rational | None = None) -> LoadedSpectrum:
+                     up_to: Fraction | int | str | None = None) -> LoadedSpectrum:
     """The closed-form spectrum of the round m-sphere, or of the flat circle for m = 1.
 
     `lam` defaults to the unit sphere's m - 1; the circle must have lam = 0

@@ -244,6 +244,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         assert code == 64, argv
         assert out == ""
         assert err.startswith("cbstab: usage error: ") and err.count("\n") == 1, argv
+    # a missing source is named as such, not found later as a bad dimension
+    assert run(capsys, "index")[2] == (
+        "cbstab: usage error: need either --dim (built-in sphere) or --spectrum-file\n")
 
 
 @pytest.mark.parametrize("line, exit_code", [

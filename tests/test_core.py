@@ -48,6 +48,9 @@ def test_space_invariants():
     s = EinsteinSpace(5, Fraction(7, 2), name="demo")
     assert s.scalar_curvature == Fraction(35, 2)
     assert EinsteinSpace(3, 0).einstein_constant == 0
+    for lam in ("3", 3):  # held as the exact Fraction it is read as
+        held = EinsteinSpace(4, lam).einstein_constant
+        assert type(held) is Fraction and held == 3
     with pytest.raises(DomainError):
         EinsteinSpace(0, Fraction(1))
     with pytest.raises(DomainError):
@@ -161,6 +164,9 @@ def test_index_nullity_s4():
     assert (e2.index, e2.nullity) == (0, 10)
     e2c = index_reports(S4, S4_BANDS, [Functional.CONFORMAL_BIENERGY], complete_up_to=6)[0]
     assert (e2c.index, e2c.nullity) == (0, 15)
+    # kinds is read once, so any iterable works, a generator too
+    reports = index_reports(S4, S4_BANDS, (k for k in Functional), complete_up_to=6)
+    assert [(r.index, r.nullity) for r in reports] == [(5, 10), (0, 10), (0, 15)]
 
 
 def test_index_nullity_ricci_flat():
@@ -279,6 +285,9 @@ def test_undeclared_completeness_warns():
     with pytest.warns(SpectrumCompletenessWarning) as record:
         index_reports(S4, S4_BANDS, list(Functional))
     assert len(record) == 3
+    with pytest.warns(SpectrumCompletenessWarning) as generated:
+        assert len(index_reports(S4, S4_BANDS, (k for k in Functional))) == 3
+    assert len(generated) == 3
     # one warning per functional, attributed to index_reports' caller, past
     # the engine's own frames
     assert {w.filename for w in record} == {__file__}

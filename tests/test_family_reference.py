@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import pytest
 
-from cbstab.family import DEFAULT_CONFIG, evaluate_family
+from cbstab.family import evaluate_family
 from cbstab.verify import HESSIAN_DIMENSIONS, HESSIAN_STEP
 
 DIGITS = 40  # significant digits on which two successive precisions must agree
@@ -42,9 +42,10 @@ NODE_BUDGET = 600
 GRID = [(m, 10.0 ** k) for m in range(2, 13) for k in range(-8, 9)]
 # the energy-sweep benchmark's defect probes, and a point past 1e7.5 for m = 6
 PROBES = [(2, 1e-6), (3, 1e-5), (4, 1e-6), (4, 67146.58302973828), (6, 6.948e7)]
-# moderate t in low dimensions
+# moderate t in low dimensions, and more t on S^4, where E2c is constant
 MODERATE = sorted({(m, t) for m in (3, 4, 5, 6) for t in (0.3, 1.0, 2.5)}
-                  | {(m, t) for m in (4, 5, 6, 7) for t in (0.05, 0.5, 1.0, 3.0, 20.0)})
+                  | {(m, t) for m in (4, 5, 6, 7) for t in (0.05, 0.5, 1.0, 3.0, 20.0)}
+                  | {(4, 0.37), (4, 4.2)})
 NEAR_ONE = [(m, t) for m in (2, 4, 7, 12) for t in (1 - 2.0 ** -30, 1 + 2.0 ** -30, 1 + 2.0 ** -52)]
 HIGH_DIMENSIONS = [(m, 10.0 ** k) for m in (16, 24, 50) for k in (-8, -4, 0, 4, 8)]
 # the hessian suite of verify differences t = e^-h and 1 (t = 1 is in MODERATE);
@@ -237,7 +238,7 @@ def test_sin_squared_alpha_integral_is_2_pi_t_over_1_plus_t_squared():
 
 def test_shared_node_count_is_bounded():
     # a machine-independent cost bound: nodes, not seconds
-    worst = max(evaluate_family(m, 10.0 ** k, DEFAULT_CONFIG).nodes
+    worst = max(evaluate_family(m, 10.0 ** k).nodes
                 for m in range(2, 13) for k in range(-8, 9, 2))
     assert worst <= NODE_BUDGET
 

@@ -25,7 +25,8 @@ SPECTRUM = {"name": "x", "dimension": 4, "einstein_constant": "3", "complete_up_
             "bands": [{"eigenvalue": "4", "multiplicity": 5, "kind": "gradient"}]}
 # the cbstab, json and exact-arithmetic modules a fresh interpreter holds
 # after each statement or CLI run; the CLI's JSON writers need no json module
-# of their own, and the family's floats need no fractions
+# of their own, the family's floats need no fractions, and no row loads
+# typing, which is tracked too
 CLI = {"cbstab", "cbstab.cli", "cbstab.errors"}
 JSON = {"json", "json.decoder", "json.encoder", "json.scanner"}
 EXACT = {"fractions", "decimal", "numbers"}
@@ -57,8 +58,8 @@ else:
     import cbstab.cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cbstab.cli.main(argv)
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] in ("cbstab", "json", "fractions", "decimal", "numbers"))
+tracked = ("cbstab", "json", "fractions", "decimal", "numbers", "typing")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in tracked)
 import json
 print(json.dumps([code, loaded]))
 """
@@ -102,7 +103,8 @@ def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, statement, argv, ex
         path.write_text(json.dumps(SPECTRUM), encoding="utf-8")
         argv = [arg.format(spectrum=path) for arg in argv]
     probe = PROBE.format(src=os.path.dirname(SOURCE), argv=argv, statement=statement or "pass")
-    proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True,
+    # -S: site's .pth files may import typing before the probe starts
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
@@ -134,14 +136,14 @@ def test_dir_lists_the_exports_and_the_submodules():
 
 def test_each_fact_has_one_public_path():
     # the warnings live on `validation`, a clean report has first_violation
-    # None, the default ladder is family's own, not a package export, and a
+    # None, the ladder's budget is family's own, not a package export, and a
     # contribution cutoff is core._cutoffs' alone
     assert not hasattr(cbstab.LoadedSpectrum, "warnings")
     assert not hasattr(cbstab.SpectrumValidation, "ok")
     assert all(field.default is dataclasses.MISSING
                for field in dataclasses.fields(cbstab.IndexReport))
-    assert "DEFAULT_CONFIG" not in cbstab.__all__
-    assert isinstance(cbstab.family.DEFAULT_CONFIG, cbstab.QuadratureConfig)
+    assert "QuadratureConfig" not in cbstab.__all__
+    assert not hasattr(cbstab.family, "DEFAULT_CONFIG")
     assert "contribution_cutoff" not in cbstab.__all__
     assert not hasattr(cbstab.core, "contribution_cutoff")
     # epsilon_schedule's certificate type is family's own, not a package export

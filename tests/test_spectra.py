@@ -367,6 +367,8 @@ def test_load_spectrum_exact_rationals(tmp_path):
     assert loaded.bands[0].eigenvalue == Fraction(7, 2)
     assert loaded.space.einstein_constant == Fraction(7, 4)
     assert loaded.complete_up_to is None
+    # written back without a bound, as the document that was read
+    assert spectrum_document(loaded) == doc
 
 
 def test_load_spectrum_attaches_validation_warnings(tmp_path):
