@@ -7,10 +7,11 @@ sample points are fixed here, not configurable, so the suites mean the same
 thing in every run.  The acceptance tests (tests/test_acceptance.py) call
 these suites through run_suites and define no check of their own, and
 tests/test_verify_defects.py names a defect in the program that fails each
-check.  The `symmetry` suite checks the family's t <-> 1/t symmetry, so
-every other family check samples t <= 1.  A family value compared with an
-exact one must lie within its own error estimate, so no tolerance on it is
-set by hand; the second differences add only their O(h^2) truncation.
+check.  The `symmetry` suite checks the family's t <-> 1/t symmetry bit
+for bit at t = 2^-k, where it is exact, so every other family check
+samples t <= 1.  A family value compared with an exact one must lie within
+its own error estimate, so no tolerance on it is set by hand; the second
+differences add only their O(h^2) truncation.
 Each suite reads the family as its one argument, family(m, t): run_suites
 evaluates each distinct (m, t) once per call and hands the values to the
 suites that read them; no value outlives the call.
@@ -204,9 +205,10 @@ def suite_hessian(family):
     ||W||^2 / omega_m = w = m/(m+1) (Wallis).  family._family_side gives the
     family side; the two integer pairs are compared by cross-multiplication,
     and the second differences with the Jacobi side times omega_m.  E2c is
-    even in log t (the `symmetry` suite), so each second difference is
-    2 (E2c(e^-h) - E2c(1)) / h^2, with no point past t = 1; it may miss the
-    Jacobi side by its O(h^2) truncation and its propagated error estimates.
+    even in log t (`symmetry` checks this bit for bit at t = 2^-k), so each
+    second difference is 2 (E2c(e^-h) - E2c(1)) / h^2, with no point past
+    t = 1; it may miss the Jacobi side by its O(h^2) truncation and its
+    propagated error estimates.
     """
     factors = {m: _factor(m) for m in range(2, M_MAX + 1)}
     differ = []
@@ -258,8 +260,9 @@ def suite_epsilon(family):
 def suite_bounds(family):
     """Strict upper bound C * integral sin^2(alpha) for m >= 5.
 
-    E2c is symmetric under t <-> 1/t, as the `symmetry` suite checks, and so
-    is the bound 2 pi t/(1 + t)^2 * C, so the points stop at t = 1.
+    E2c is even in log t, which the `symmetry` suite checks bit for bit at
+    t = 2^-k, and so is the bound 2 pi t/(1 + t)^2 * C, so the points stop
+    at t = 1.
     """
     for m in (5, 6, 7):
         for t in (0.01, 0.5, 1.0):
@@ -271,21 +274,23 @@ def suite_bounds(family):
 
 
 def suite_symmetry(family):
-    """E2c(phi_t) = E2c(phi_{1/t}) for m = 4..8, within the two error estimates.
+    """family(m, t) = family(m, 1/t) bit for bit, for m = 4..8 and t = 2^-1, 2^-2, 2^-3.
 
     phi_{1/t} is phi_t conjugated by the reflection r -> pi - r, so the
-    functionals take the same value at t and 1/t.
+    functionals take the same value at t and 1/t.  At these t, 1/t is
+    exact and s = log t changes sign only, so the ladder sums the same node
+    values at t and 1/t: its window depends on |s| only, the mirror node -u
+    swaps sin r and sin alpha, sinh is odd, and math.fsum does not depend on
+    the order of the terms.  So all three values, their error estimates and
+    the node count must be equal, not merely close; the floats are positive
+    and finite, so == compares their bits.
     """
-    pairs = [(m, t) for m in range(4, 9) for t in (0.05, 0.37, 0.5)]
-    differ = []
-    for m, t in pairs:
-        ev, mirror = family(m, t), family(m, 1.0 / t)
-        if abs(ev.c_bienergy - mirror.c_bienergy) > ev.c_bienergy_error + mirror.c_bienergy_error:
-            differ.append((m, t, ev.c_bienergy, mirror.c_bienergy))
-    yield ("E2c(phi_t) = E2c(phi_{1/t}), m=4..8, t=0.05, 0.37, 0.5",
+    pairs = [(m, t) for m in range(4, 9) for t in (0.5, 0.25, 0.125)]
+    differ = [(m, t) for m, t in pairs if family(m, t) != family(m, 1.0 / t)]
+    yield ("family(m, t) = family(m, 1/t), m=4..8, t=0.5, 0.25, 0.125",
            f"0 of {len(pairs)} pairs differ", f"{len(differ)} of {len(pairs)} pairs differ"
-           + (", first m={} t={}: {:.12g} vs {:.12g}".format(*differ[0]) if differ else ""),
-           "sum of the two error estimates", not differ)
+           + (", first m={} t={}".format(*differ[0]) if differ else ""),
+           "bit for bit", not differ)
 
 
 SUITES = {

@@ -85,7 +85,8 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, names):
         run_suites(names)
 
 
-# symmetry evaluates each of its 15 pairs at t and 1/t;
+# symmetry evaluates each of its 15 pairs at t = 2^-1, 2^-2, 2^-3 and at 1/t,
+# where the two evaluations are equal bit for bit;
 # constancy's log-spaced curve stops short of t = 1 on S^4, a spot value;
 # hessian differences E2c at t = e^-h and 1 for m = 4..7, E2c being even in log t;
 # bounds stops at t = 1, since E2c and the bound are symmetric under t <-> 1/t;

@@ -313,19 +313,6 @@ def test_index_nullity_rejects_invalid_band():
         validate_spectrum(EinsteinSpace(4, 0), [FakeBand()])
 
 
-def test_scaling_invariance():
-    rng = random.Random(4242)
-    bands = S4_BANDS + [band(9, 4, GRAD)]
-    base = {kind: index_reports(S4, bands, [kind], complete_up_to=9)[0] for kind in Functional}
-    for _ in range(50):
-        c = Fraction(rng.randint(1, 50), rng.randint(1, 50))
-        scaled_space = EinsteinSpace(4, Fraction(3) * c)
-        scaled = [SpectralBand(b.eigenvalue * c, b.multiplicity, b.kind) for b in bands]
-        for kind in Functional:
-            report = index_reports(scaled_space, scaled, [kind], complete_up_to=9 * c)[0]
-            assert (report.index, report.nullity) == (base[kind].index, base[kind].nullity)
-
-
 def test_validate_spectrum_unit_s5():
     s5 = EinsteinSpace(5, Fraction(4))
     report = validate_spectrum(s5, [band(5, 6, GRAD), band(8, 15, DIVFREE)])

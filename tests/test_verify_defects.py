@@ -11,6 +11,7 @@ on a check that no entry fails and on a pattern that matches no check.
 import dataclasses
 import fnmatch
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,7 +30,7 @@ IDENTITY = f"E2c''(1) family side = Jacobi side, m=2..{M_MAX}"
 SIGN = f"sign of the Jacobi factor, m=2..{M_MAX}"
 SCALING = "scaling invariance (50 rational factors)"
 CURVE = "E2c(phi_t) on S^4 over 10 log-spaced t in *"  # a pattern reads [...] as a class
-SYMMETRY = "E2c(phi_t) = E2c(phi_{1/t}), m=4..8, t=0.05, 0.37, 0.5"
+SYMMETRY = "family(m, t) = family(m, 1/t), m=4..8, t=0.5, 0.25, 0.125"
 SPOTS = ("E2c(Id) closed form m=*", "E(Id) closed form m=*")
 NUMERICAL = "m=* second difference in log t, step 0.01"
 
@@ -84,6 +85,10 @@ def _scaled(factor, where=lambda t: True):
 
 def _offset_above_1(m, t, ev):
     return dataclasses.replace(ev, c_bienergy=ev.c_bienergy + 1e-3) if t > 1.0 else ev
+
+
+def _positive_times(function, factor):
+    return lambda x: factor * function(x) if x > 0.0 else function(x)
 
 
 def _times(factor):
@@ -179,11 +184,15 @@ DEFECTS = [
            _scaled(1.0 + 2.0 ** -46), ()),
     # no check but `symmetry` evaluates the family past t = 1
     Defect("every value x 1.001 at t > 1", _scaled(1.001, lambda t: t > 1.0), (SYMMETRY,)),
-    # each pair's error estimates are near 1e-13 of its value, so every pair sees it
     Defect("every value x (1 + 1e-7) at t > 1", _scaled(1.0 + 1e-7, lambda t: t > 1.0),
-           (SYMMETRY,),
-           {SYMMETRY: lambda r: r.got.startswith("15 of 15 pairs differ, first m=4 t=0.05: ")}),
+           (SYMMETRY,), {SYMMETRY: "15 of 15 pairs differ, first m=4 t=0.5"}),
     Defect("E2c + 1e-3 at t > 1, unreported", _family(_offset_above_1), (SYMMETRY,)),
+    # one ulp, far within every error estimate; the mirror is exact, so `symmetry` sees it
+    Defect("every value x (1 + 2**-52) at t > 1", _scaled(1.0 + 2.0 ** -52, lambda t: t > 1.0),
+           (SYMMETRY,)),
+    # a sinh that is not odd: sinh(s)^2, the bienergy's coefficient, moves at t > 1 only
+    Defect("math.sinh x (1 + 2**-50) for positive arguments",
+           _setting(math, "sinh", _positive_times(math.sinh, 1.0 + 2.0 ** -50)), (SYMMETRY,)),
     # the ladder still stops on its accurate second level; the family's tests catch it
     Defect("REL_TOLERANCE 1e-4", _setting(cbstab.family, "REL_TOLERANCE", 1e-4), ()),
     # every error estimate 2**44 times its value: E2c - err would pass
