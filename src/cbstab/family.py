@@ -204,38 +204,46 @@ def evaluate_family(m: int, t: float,
     # (j + 0.5)*h for -k <= j < k.
     h = _first_step(m)
     k = math.ceil((0.5 * abs(s) + _tail_margin(m)) / h)
-    totals = level_sums(0, k + 1)
+    # The running sums, values and changes of E, E2 and E2c are plain
+    # locals, prefixed e_, b_ and c_: lists, generators and zips built per
+    # level cost 7-10% of an evaluation.
+    e_total, b_total, c_total = level_sums(0, k + 1)
     nodes = 2 * k + 1
-    values = [h * total for total in totals]
+    e_value, b_value, c_value = h * e_total, h * b_total, h * c_total
     history = []
     reason = "no convergence"
     for _ in range(quad.max_doublings):
-        totals = [a + b for a, b in zip(totals, level_sums(0.5, k))]
+        e_level, b_level, c_level = level_sums(0.5, k)
+        e_total += e_level
+        b_total += b_level
+        c_total += c_level
         nodes += 2 * k
         h *= 0.5
         k *= 2
-        current = [h * total for total in totals]
-        changes = [abs(c - v) for c, v in zip(current, values)]
-        values = current
+        e, b, c = h * e_total, h * b_total, h * c_total
+        e_change, b_change, c_change = abs(e - e_value), abs(b - b_value), abs(c - c_value)
+        e_value, b_value, c_value = e, b, c
         # a non-finite value makes its change inf or NaN, and the tolerance
         # test below reads inf <= inf as true, so such a level ends the ladder
-        if not all(map(math.isfinite, changes)):
-            history.append(sum(changes))  # inf or NaN, as every change is >= 0
+        if not (math.isfinite(e_change) and math.isfinite(b_change)
+                and math.isfinite(c_change)):
+            # inf or NaN, as every change is >= 0
+            history.append(e_change + b_change + c_change)
             reason = "non-finite level sum"
             break
-        if all(d <= ABS_TOLERANCE or d <= REL_TOLERANCE * abs(v)
-               for d, v in zip(changes, values)):
-            errors = [d + LADDER_ROUNDOFF * abs(v) for d, v in zip(changes, values)]
+        if ((e_change <= ABS_TOLERANCE or e_change <= REL_TOLERANCE * abs(e_value))
+                and (b_change <= ABS_TOLERANCE or b_change <= REL_TOLERANCE * abs(b_value))
+                and (c_change <= ABS_TOLERANCE or c_change <= REL_TOLERANCE * abs(c_value))):
             return FamilyEvaluation(
-                energy=values[0],
-                energy_error=errors[0],
-                bienergy=values[1],
-                bienergy_error=errors[1],
-                c_bienergy=values[2],
-                c_bienergy_error=errors[2],
+                energy=e_value,
+                energy_error=e_change + LADDER_ROUNDOFF * abs(e_value),
+                bienergy=b_value,
+                bienergy_error=b_change + LADDER_ROUNDOFF * abs(b_value),
+                c_bienergy=c_value,
+                c_bienergy_error=c_change + LADDER_ROUNDOFF * abs(c_value),
                 nodes=nodes,
             )
-        history.append(max(changes))
+        history.append(max(e_change, b_change, c_change))
     raise QuadratureFailure(
         f"{reason} after {len(history)} halvings ({nodes} nodes, "
         f"step {h:.3g}): largest change per level "
@@ -268,6 +276,11 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
     eta is clamped to pi for very large eps (keeps rho positive and only
     shrinks t, so the guarantee survives); the arcsin argument is clamped
     to 1 and delta capped strictly below pi/2 for the same reason.
+
+    For small eps the t returned lies below T_MIN, where evaluate_family
+    raises DomainError, so the guarantee cannot be checked there: (m, eps)
+    = (5, 0.03), (6, 0.1) and (7, 0.18) give t = 5.47e-9, 9.35e-9 and
+    9.17e-9.
     """
     constant = c_constant(m)
     eps = _real(eps, "eps")
@@ -318,6 +331,10 @@ def upper_bound(m: int, t: float) -> float:
     return c_constant(m) * (2.0 * math.pi * t / (1.0 + t) ** 2)
 
 
+# pi - math.pi, rounded to a double
+_PI_LOW = 1.2246467991473532e-16
+
+
 def _sphere_volume_terms(n: int) -> tuple[int, int, int]:
     """Volume of the unit n-sphere as (numerator, denominator, power of pi),
     the rational coefficient not reduced.
@@ -337,7 +354,21 @@ def _sphere_volume_terms(n: int) -> tuple[int, int, int]:
 
 
 def sphere_volume(n: int) -> float:
-    """Volume of the Euclidean unit n-sphere (2*pi^((n+1)/2)/Gamma((n+1)/2))."""
+    """Volume of the Euclidean unit n-sphere (2*pi^((n+1)/2)/Gamma((n+1)/2)).
+
+    0.0 from n = 455 on, where the volume rounds to zero.
+    """
     num, den, k = _sphere_volume_terms(n)
     # int / int is correctly rounded, as float() of the coefficient is
-    return num / den * math.pi ** k
+    coefficient = num / den
+    if coefficient >= 2.0 ** -1022:  # a normal double: n <= 342
+        return coefficient * math.pi ** k
+    # Past n = 342 the coefficient would lose bits as a subnormal, and past
+    # n = 1240 pi^k overflows.  Scale both by powers of 2, which is exact,
+    # into range, and scale their product back once: pi = 4 * (pi/4).
+    # math.pi ** k is off by k times math.pi's relative rounding error d,
+    # 3.9e-17, up to 7 units of 2^-1074 where the volume is subnormal
+    # (n >= 438), so that error is taken out: pi^k = math.pi^k (1 + k d).
+    shift = den.bit_length() - num.bit_length()
+    pi_power = (0.25 * math.pi) ** k * (1.0 + k * (_PI_LOW / math.pi))
+    return math.ldexp((num << shift) / den * pi_power, 2 * k - shift)

@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import json
 import math
 import os
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,8 @@ from cbstab.family import (
     sphere_volume,
     upper_bound,
 )
-from helpers import count_constructions
+from helpers import count_code_calls, count_constructions
+from test_family_reference import _pi
 
 PI = math.pi
 
@@ -49,8 +52,10 @@ def test_sphere_volumes():
 
 def test_sphere_volume_is_its_exact_coefficient_rounded_once():
     # the integer numerator divided by the denominator is correctly rounded,
-    # as float() of the exact coefficient is, so no Fraction is built
-    for n in range(1, 400):
+    # as float() of the exact coefficient is, so no Fraction is built; up to
+    # n = 342, where the coefficient is a normal double (past it a subnormal
+    # coefficient would lose bits, test_sphere_volume_against_decimal)
+    for n in range(1, 343):
         num, den, k = _sphere_volume_terms(n)
         assert float.hex(sphere_volume(n)) == float.hex(float(Fraction(num, den)) * PI ** k), n
     for m in range(5, M_MAX + 1):
@@ -58,6 +63,26 @@ def test_sphere_volume_is_its_exact_coefficient_rounded_once():
         assert float.hex(c_constant(m)) == float.hex(float(exact) * sphere_volume(m - 1)), m
     counts, _ = count_constructions(lambda: (sphere_volume(7), c_constant(7)))
     assert counts["Fraction"] == 0
+
+
+def test_sphere_volume_against_decimal():
+    # Past n = 342 the coefficient is subnormal, past n = 356 it is 0.0 and
+    # past n = 1240 pi^k overflows, while the volume is a normal double up
+    # to n = 437 and rounds to 0.0 from n = 455 on.
+    smallest_normal, unit = 2.0 ** -1022, 2.0 ** -1074
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = _pi(40)
+        for n in range(1, 2001):
+            num, den, k = _sphere_volume_terms(n)
+            exact = Decimal(num) / Decimal(den) * pi ** k
+            got = sphere_volume(n)
+            if n >= 455:
+                assert float(exact) == 0.0 and got == 0.0, n
+            elif exact >= smallest_normal:
+                assert abs(Decimal(got) - exact) <= Decimal(1e-13) * exact, n
+            else:
+                assert abs(Decimal(got) - exact) <= 2 * Decimal(unit), n
 
 
 @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])
@@ -119,6 +144,42 @@ def test_one_exp_pair_per_mirror_pair(monkeypatch, m, t):
     monkeypatch.setattr(math, "exp", counting_exp)
     ev = evaluate_family(m, t)
     assert len(calls) == ev.nodes + 1
+
+
+def _code_objects(module):
+    """Every code object of module's source file that its functions and
+    classes hold, nested ones (level_sums, comprehensions) included."""
+    stack = []
+    for value in vars(module).values():
+        for obj in vars(value).values() if isinstance(value, type) else (value,):
+            code = getattr(getattr(obj, "__func__", obj), "__code__", None)
+            if code is not None and code.co_filename == module.__file__:
+                stack.append(code)
+    found = set()
+    while stack:
+        code = stack.pop()
+        found.add(code)
+        stack.extend(c for c in code.co_consts if inspect.iscode(c))
+    return found
+
+
+def test_ladder_bookkeeping_runs_no_comprehension():
+    # a machine-independent cost counter: the ladder keeps its running sums,
+    # values and changes in locals, so per level it calls only level_sums,
+    # and no comprehension or generator code (3.12 inlines list
+    # comprehensions, but not generator expressions)
+    codes = _code_objects(cbstab.family)
+    comprehensions = {c for c in codes if c.co_flags & inspect.CO_GENERATOR
+                      or c.co_name in ("<listcomp>", "<setcomp>", "<dictcomp>")}
+    level_sums = {c for c in codes if c.co_name == "level_sums"}
+    assert len(comprehensions) >= 1 and len(level_sums) == 1  # the failure message's join
+    counts, _ = count_code_calls(
+        {"comprehension": comprehensions, "level_sums": level_sums,
+         "other": codes - comprehensions - level_sums},
+        lambda: evaluate_family(5, 0.7))
+    # evaluate_family and its seven argument and constant helpers; the first
+    # level and two halvings
+    assert counts == {"comprehension": 0, "level_sums": 3, "other": 8}
 
 
 def test_ladder_levels_are_nested(monkeypatch):
