@@ -280,13 +280,15 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
     For small eps the t returned lies below T_MIN, where evaluate_family
     raises DomainError, so the guarantee cannot be checked there: (m, eps)
     = (5, 0.03), (6, 0.1) and (7, 0.18) give t = 5.47e-9, 9.35e-9 and
-    9.17e-9.
+    9.17e-9.  An eps so small that eta, or t itself, underflows to 0.0 is
+    refused with DomainError: t = 0.0 is not a family parameter.
     """
     constant = c_constant(m)
-    eps = _real(eps, "eps")
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    eta = eps / constant
+    value = _real(eps, "eps")
+    # a positive eps that float() takes to 0.0 is refused as underflowing below
+    if not (value > 0.0 or value == 0.0 and eps > 0) or not math.isfinite(value):
+        raise DomainError(f"eps must be positive, got {value!r}")
+    eta = value / constant
     if eta > math.pi:
         eta = math.pi
     rho = math.pi - 0.5 * eta
@@ -297,6 +299,8 @@ def epsilon_schedule(m: int, eps: float) -> tuple[float, EpsilonCertificate]:
         delta = cap
     delta_prime = math.tan(0.5 * delta) / k
     t = 0.5 * delta_prime
+    if t == 0.0:  # no repr of eps: str() of a huge Fraction raises
+        raise DomainError(f"eps underflows: the t it gives for m = {m} is 0.0")
     return t, EpsilonCertificate(eta=eta, rho=rho, k=k, delta=delta,
                                  delta_prime=delta_prime)
 
@@ -331,8 +335,9 @@ def upper_bound(m: int, t: float) -> float:
     return c_constant(m) * (2.0 * math.pi * t / (1.0 + t) ** 2)
 
 
-# pi - math.pi, rounded to a double
-_PI_LOW = 1.2246467991473532e-16
+# pi to 105 bits, times 2^105: math.pi and pi - math.pi rounded to a
+# double are both multiples of 2^-105, so the sum is exact
+_PI_105 = int(math.pi * 2.0 ** 105) + int(1.2246467991473532e-16 * 2.0 ** 105)
 
 
 def _sphere_volume_terms(n: int) -> tuple[int, int, int]:
@@ -356,19 +361,15 @@ def _sphere_volume_terms(n: int) -> tuple[int, int, int]:
 def sphere_volume(n: int) -> float:
     """Volume of the Euclidean unit n-sphere (2*pi^((n+1)/2)/Gamma((n+1)/2)).
 
-    0.0 from n = 455 on, where the volume rounds to zero.
+    Correctly rounded past n = 342, and 0.0 at once from n = 455 on, where
+    the volume rounds to zero; no factorial is built there.
     """
+    if isinstance(n, int) and n >= 455:  # bool, str and n <= 0 fail below
+        return 0.0
     num, den, k = _sphere_volume_terms(n)
     # int / int is correctly rounded, as float() of the coefficient is
     coefficient = num / den
     if coefficient >= 2.0 ** -1022:  # a normal double: n <= 342
         return coefficient * math.pi ** k
-    # Past n = 342 the coefficient would lose bits as a subnormal, and past
-    # n = 1240 pi^k overflows.  Scale both by powers of 2, which is exact,
-    # into range, and scale their product back once: pi = 4 * (pi/4).
-    # math.pi ** k is off by k times math.pi's relative rounding error d,
-    # 3.9e-17, up to 7 units of 2^-1074 where the volume is subnormal
-    # (n >= 438), so that error is taken out: pi^k = math.pi^k (1 + k d).
-    shift = den.bit_length() - num.bit_length()
-    pi_power = (0.25 * math.pi) ** k * (1.0 + k * (_PI_LOW / math.pi))
-    return math.ldexp((num << shift) / den * pi_power, 2 * k - shift)
+    # past it a subnormal coefficient would lose bits: one exact quotient
+    return num * _PI_105 ** k / (den << 105 * k)

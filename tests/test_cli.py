@@ -267,7 +267,8 @@ def test_main_reads_sys_argv(capsys, monkeypatch, line, exit_code):
 
 def test_module_run_without_arguments_exits_64():
     proc = subprocess.run([sys.executable, "-m", "cbstab.cli"], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT), timeout=60)
+                          encoding="utf-8", env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT),
+                          timeout=60)
     assert (proc.returncode, proc.stdout) == (64, "")
     assert proc.stderr.startswith("cbstab: usage error: ")
 
@@ -861,7 +862,7 @@ def test_missing_band_field_is_hash_seed_independent(tmp_path):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=PACKAGE_PARENT)
         proc = subprocess.run([sys.executable, "-m", "cbstab.cli", "index",
                                "--spectrum-file", str(path)],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=env, capture_output=True, text=True, encoding="utf-8", timeout=60)
         assert proc.returncode == 66
         stderrs.add(proc.stderr)
     assert len(stderrs) == 1

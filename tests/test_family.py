@@ -66,23 +66,39 @@ def test_sphere_volume_is_its_exact_coefficient_rounded_once():
 
 
 def test_sphere_volume_against_decimal():
-    # Past n = 342 the coefficient is subnormal, past n = 356 it is 0.0 and
-    # past n = 1240 pi^k overflows, while the volume is a normal double up
-    # to n = 437 and rounds to 0.0 from n = 455 on.
-    smallest_normal, unit = 2.0 ** -1022, 2.0 ** -1074
+    # Past n = 342 the coefficient is subnormal and the volume is one exact
+    # integer quotient, correctly rounded: a normal double up to n = 437 and
+    # 0.0 from n = 455 on.  Up to n = 342 it is the coefficient times
+    # math.pi ** k, within 1e-13.
     with localcontext() as ctx:
-        ctx.prec = 40
-        pi = _pi(40)
+        ctx.prec = 60
+        pi = _pi(60)
         for n in range(1, 2001):
             num, den, k = _sphere_volume_terms(n)
             exact = Decimal(num) / Decimal(den) * pi ** k
             got = sphere_volume(n)
-            if n >= 455:
-                assert float(exact) == 0.0 and got == 0.0, n
-            elif exact >= smallest_normal:
+            if n <= 342:
                 assert abs(Decimal(got) - exact) <= Decimal(1e-13) * exact, n
             else:
-                assert abs(Decimal(got) - exact) <= 2 * Decimal(unit), n
+                assert got == float(exact), n
+    assert sphere_volume(437) >= 2.0 ** -1022 > sphere_volume(438)
+    assert sphere_volume(454) > 0.0 == sphere_volume(455)
+
+
+def test_sphere_volume_builds_no_factorial_past_the_last_nonzero_volume(monkeypatch):
+    factorial = math.factorial
+
+    def bounded(k):
+        assert k <= 1000, k
+        return factorial(k)
+
+    monkeypatch.setattr(cbstab.family.math, "factorial", bounded)
+    assert sphere_volume(400_000) == 0.0
+    assert sphere_volume(10 ** 18) == 0.0
+    for n, message in ((True, "must be an integer"), ("3", "must be an integer"),
+                       (-10 ** 18, "must be >= 1")):
+        with pytest.raises(DomainError, match=f"sphere dimension {message}, got"):
+            sphere_volume(n)
 
 
 @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])
@@ -391,6 +407,14 @@ def test_epsilon_schedule_domain():
         with pytest.raises(DomainError, match="eps is out of float range"):
             epsilon_schedule(5, eps)
     assert epsilon_schedule(5, Fraction(1, 2)) == epsilon_schedule(5, 0.5)
+    # eta = eps/C, or eps itself, underflows; no repr of the Fraction is built
+    for eps in (1.4e-320, 5e-324, Fraction(1, 10 ** 400), Fraction(1, 10 ** 5000)):
+        with pytest.raises(DomainError, match="eps underflows"):
+            epsilon_schedule(5, eps)
+    assert epsilon_schedule(5, 1.43e-320)[0] > 0.0  # about the smallest eps accepted
+    for m in range(5, M_MAX + 1):
+        for eps in (1e-300, 1e-16, 1e9):
+            assert epsilon_schedule(m, eps)[0] > 0.0, (m, eps)
 
 
 def test_upper_bound_at_identity():

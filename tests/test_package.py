@@ -105,7 +105,7 @@ def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, statement, argv, ex
     probe = PROBE.format(src=os.path.dirname(SOURCE), argv=argv, statement=statement or "pass")
     # -S: site's .pth files may import typing before the probe starts
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     assert code in (None, 0), proc.stderr
