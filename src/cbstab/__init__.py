@@ -19,8 +19,7 @@ _EXPORTS = {
     "core": ("BandKind", "EinsteinSpace", "Functional", "IndexReport", "SpectralBand",
              "SpectrumValidation", "index_reports", "jacobi_eigenvalue", "validate_spectrum"),
     "errors": ("BoundViolation", "CbstabError", "DomainError", "IncompleteSpectrum",
-               "InvalidBand", "MissingField", "ParseError", "QuadratureFailure",
-               "SpectrumCompletenessWarning"),
+               "InvalidBand", "ParseError", "QuadratureFailure", "SpectrumCompletenessWarning"),
     "family": ("FamilyEvaluation", "c_constant", "epsilon_schedule", "evaluate_family",
                "sphere_volume", "upper_bound"),
     "spectra": ("LoadedSpectrum", "builtin_spectrum", "load_spectrum", "spectrum_document"),

@@ -174,16 +174,18 @@ def _cmd_index(args) -> int:
         raise DomainError("need either --dim (built-in sphere) or --spectrum-file")
     else:
         loaded = builtin_spectrum(args.dim, args.einstein_constant, kinds)
+    # read first: a warning past the digit limit exits 64 before a strict check's 2
+    validation = loaded.validation
     space, declared = loaded.space, loaded.complete_up_to
     if args.strict:
         if declared is None:
             raise IncompleteSpectrum(
                 "strict mode requires the spectrum file to declare complete_up_to")
-        loaded.validation.raise_first_violation()
+        validation.raise_first_violation()
     lam = space.einstein_constant
     counts = _sign_counts(space.dimension, lam.numerator, lam.denominator, loaded.rows, kinds,
                           None if declared is None else (declared.numerator, declared.denominator))
-    doc_warnings = list(loaded.validation.warnings)
+    doc_warnings = list(validation.warnings)
     if declared is None:
         # what index_reports warns, once per functional
         doc_warnings += [COMPLETENESS_WARNING] * len(kinds)

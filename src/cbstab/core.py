@@ -115,7 +115,7 @@ class Functional(Enum):
 class EinsteinSpace:
     """Compact Einstein manifold: dimension m and Einstein constant lambda >= 0.
 
-    In dimension 1 (the circle) lambda must be 0.
+    In dimension 1 (the circle) lambda must be 0.  The name is None or a str.
     """
 
     dimension: int
@@ -132,6 +132,8 @@ class EinsteinSpace:
             raise DomainError(f"the circle is flat; its Einstein constant must be 0, got {lam}")
         if lam < 0:
             raise DomainError(f"Einstein constant must be >= 0, got {lam}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise DomainError(f"name must be a string, got {self.name!r}")
 
     @property
     def scalar_curvature(self) -> Fraction:
@@ -216,15 +218,18 @@ def _roots(kind: Functional, dimension: int, lam_num: int,
 
     The one definition of the roots, for lambda = lam_num/lam_den with
     lam_den > 0, not necessarily reduced.  Each root is a reduced
-    (numerator, denominator) pair with denominator > 0.
+    (numerator, denominator) pair with denominator > 0.  A kind that is not
+    a Functional member, such as its value "energy", raises DomainError.
     """
     two_lam = _reduced(2 * lam_num, lam_den)
     if kind is Functional.ENERGY:
         return (two_lam,)
     if kind is Functional.BIENERGY:
         return (two_lam, two_lam)
-    # c = (2/3)(6 - m)*lambda
-    return (two_lam, _reduced(2 * (6 - dimension) * lam_num, 3 * lam_den))
+    if kind is Functional.CONFORMAL_BIENERGY:
+        # c = (2/3)(6 - m)*lambda
+        return (two_lam, _reduced(2 * (6 - dimension) * lam_num, 3 * lam_den))
+    raise DomainError(f"kind must be a Functional, got {kind!r}")
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:

@@ -32,9 +32,5 @@ class ParseError(CbstabError, ValueError):
     """A spectrum file is malformed."""
 
 
-class MissingField(ParseError):
-    """A required field is absent from a spectrum file."""
-
-
 class SpectrumCompletenessWarning(UserWarning):
     """Band list used without a declared completeness bound; counts may be low."""

@@ -41,7 +41,7 @@ from .core import (
     _validate_rows,
     as_rational,
 )
-from .errors import DomainError, InvalidBand, MissingField, ParseError
+from .errors import DomainError, InvalidBand, ParseError
 
 
 def gradient_multiplicity(m: int, k: int) -> int:
@@ -93,19 +93,24 @@ def _rows(m: int, lam: Fraction, up_to: Fraction) -> list[tuple]:
 class LoadedSpectrum:
     """A validated spectrum: a closed-form sphere (path None) or a spectrum file.
 
-    `rows` holds the bands as the engine's four-integer rows; `bands` is
-    built from them on first access.
+    `rows` holds the bands as the engine's four-integer rows; `bands` and
+    the `validation` report are built from them on first access, so a
+    record made with other rows (dataclasses.replace) reports on those.
     """
 
     space: EinsteinSpace
     rows: tuple[tuple, ...]
     complete_up_to: Fraction | None
     path: str | None
-    validation: SpectrumValidation
 
     @functools.cached_property
     def bands(self) -> tuple[SpectralBand, ...]:
         return tuple(_row_band(*row) for row in self.rows)
+
+    @functools.cached_property
+    def validation(self) -> SpectrumValidation:
+        """validate_spectrum's report on the rows: bound violations and rigidity notes."""
+        return _validate_rows(self.space, self.rows)
 
 
 def builtin_spectrum(m: int, lam: Fraction | int | str | None = None,
@@ -116,8 +121,8 @@ def builtin_spectrum(m: int, lam: Fraction | int | str | None = None,
     `lam` defaults to the unit sphere's m - 1; the circle must have lam = 0
     and every other sphere lam > 0.  The bands run up to `up_to`, by default
     the largest contribution cutoff over `kinds` (0 for no kinds), and that
-    bound is declared complete.  The result carries the same validation
-    report that load_spectrum gives a file, and no path.
+    bound is declared complete.  The result has no path, and its
+    `validation` is built as a file's is.
     """
     if type(m) is not int or m < 1:
         raise DomainError(f"need integer m >= 1, got {m!r}")
@@ -133,8 +138,7 @@ def builtin_spectrum(m: int, lam: Fraction | int | str | None = None,
     if up_to < 0:
         raise DomainError(f"up_to must be >= 0, got {up_to}")
     rows = tuple(_rows(m, lam, up_to))
-    return LoadedSpectrum(space=space, rows=rows, complete_up_to=up_to, path=None,
-                          validation=_validate_rows(space, rows))
+    return LoadedSpectrum(space=space, rows=rows, complete_up_to=up_to, path=None)
 
 
 _TOP_FIELDS = {"name", "dimension", "einstein_constant", "complete_up_to", "bands"}
@@ -180,8 +184,7 @@ def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
                 raise ParseError(f"bands[{len(rows)}] must be an object, "
                                  f"got {type(raw).__name__}") from None
             missing = next(name for name in _BAND_FIELDS if name not in raw)
-            raise MissingField(
-                f"bands[{len(rows)}] is missing required field {missing!r}") from None
+            raise ParseError(f"bands[{len(rows)}] is missing required field {missing!r}") from None
         if strict and len(raw) > len(_BAND_FIELDS):
             unknown = set(raw).difference(_BAND_FIELDS)
             raise ParseError(f"bands[{len(rows)}] has unknown fields {sorted(unknown)}")
@@ -212,12 +215,16 @@ def _parse_rows(raw_bands: list, strict: bool) -> tuple[tuple, ...]:
 
 
 def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectrum:
-    """Load a JSON spectrum file and validate its bounds non-strictly.
+    """Load a JSON spectrum file; its bounds are checked on first access to `validation`.
 
-    The result carries the validation report as `validation`, whose
-    `warnings` hold the bound violations and rigidity notes.
-    Structural problems raise ParseError, MissingField or InvalidBand.
+    `path` is a str or an os.PathLike; anything else, such as a file
+    descriptor, raises DomainError before any file is opened.  The
+    report's `warnings` hold the bound violations and rigidity notes.
+    Structural problems raise ParseError or InvalidBand.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        # open() would take an int, or a bool, as a file descriptor and close it
+        raise DomainError(f"path must be a str or an os.PathLike, got {path!r}")
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -229,7 +236,7 @@ def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectr
         raise ParseError(f"{path}: top level must be an object")
     for name in ("name", "dimension", "einstein_constant", "bands"):
         if name not in doc:
-            raise MissingField(f"{path}: missing required field {name!r}")
+            raise ParseError(f"{path}: missing required field {name!r}")
     if strict:
         unknown = set(doc) - _TOP_FIELDS
         if unknown:
@@ -249,8 +256,7 @@ def load_spectrum(path: str | os.PathLike, strict: bool = False) -> LoadedSpectr
     if not isinstance(doc["bands"], list):
         raise ParseError(f"{path}: bands must be an array")
     rows = _parse_rows(doc["bands"], strict)
-    return LoadedSpectrum(space=space, rows=rows, complete_up_to=complete_up_to,
-                          path=str(path), validation=_validate_rows(space, rows))
+    return LoadedSpectrum(space=space, rows=rows, complete_up_to=complete_up_to, path=str(path))
 
 
 def spectrum_document(spectrum: LoadedSpectrum) -> dict:

@@ -15,7 +15,7 @@ import pytest
 from cbstab.errors import DomainError
 from cbstab.family import evaluate_family
 from cbstab.verify import SUITES, run_suites, suite_hessian, suite_tables
-from helpers import count_constructions
+from helpers import count_constructions, rebind_everywhere
 
 TIME_LIMITS_S = {"tables": 1.0, "constancy": 5.0, "hessian": 30.0}
 
@@ -135,13 +135,17 @@ def test_tables_counts_signs_without_building_reports(monkeypatch):
     # 3.13 (5 Fractions per sphere while each cutoff was a Fraction).  A
     # scaled copy is integer pairs only, so neither count grows with
     # SCALING_SAMPLES (415 Fractions and 163 spaces while each copy had its own).
+    # No sphere's validation report is read, so none is built (10 were).
     import cbstab.core
 
     reports = []
+    validations = []
     monkeypatch.setattr(cbstab.core, "IndexReport", lambda **fields: reports.append(fields))
+    rebind_everywhere(monkeypatch, cbstab.core, "_validate_rows",
+                      lambda space, rows: validations.append(space))
     counts, results = count_constructions(lambda: list(suite_tables(evaluate_family)))
     assert len(results) == 39 and all(passed for *_, passed in results)
-    assert reports == []
+    assert reports == validations == []
     assert counts["SpectralBand"] == 0
     assert counts["EinsteinSpace"] == 10
     assert counts["Fraction"] <= 10 * 2

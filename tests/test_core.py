@@ -64,6 +64,22 @@ def test_space_invariants():
     assert EinsteinSpace(1, 0).einstein_constant == 0
     with pytest.raises(DomainError, match="the circle is flat"):
         EinsteinSpace(1, Fraction(3))  # Ric vanishes in dimension 1
+    # spectrum_document would write a name of 5 that load_spectrum refuses
+    with pytest.raises(DomainError, match="name must be a string, got 5"):
+        EinsteinSpace(4, 3, name=5)
+
+
+@pytest.mark.parametrize("kind", ["energy", None])
+def test_a_kind_that_is_not_a_functional_is_refused(kind):
+    # each was read as the c-bienergy: (0, 15) for S^4's energy, a Jacobi
+    # eigenvalue of 0 for -2, and S^2's default bound 8/3 for 2
+    refusal = "kind must be a Functional, got "
+    with pytest.raises(DomainError, match=refusal):
+        index_reports(S4, S4_BANDS, [Functional.ENERGY, kind], complete_up_to=6)
+    with pytest.raises(DomainError, match=refusal):
+        jacobi_eigenvalue(kind, S4, 4)
+    with pytest.raises(DomainError, match=refusal):
+        builtin_spectrum(2, kinds=[kind])
 
 
 def test_band_invariants():
@@ -155,18 +171,6 @@ def test_contribution_cutoff_examples():
 
 
 S4_BANDS = [band(4, 5, GRAD), band(6, 10, DIVFREE)]
-
-
-def test_index_nullity_s4():
-    e = index_reports(S4, S4_BANDS, [Functional.ENERGY], complete_up_to=6)[0]
-    assert (e.index, e.nullity) == (5, 10)
-    e2 = index_reports(S4, S4_BANDS, [Functional.BIENERGY], complete_up_to=6)[0]
-    assert (e2.index, e2.nullity) == (0, 10)
-    e2c = index_reports(S4, S4_BANDS, [Functional.CONFORMAL_BIENERGY], complete_up_to=6)[0]
-    assert (e2c.index, e2c.nullity) == (0, 15)
-    # kinds is read once, so any iterable works, a generator too
-    reports = index_reports(S4, S4_BANDS, (k for k in Functional), complete_up_to=6)
-    assert [(r.index, r.nullity) for r in reports] == [(5, 10), (0, 10), (0, 15)]
 
 
 def test_index_nullity_ricci_flat():
@@ -609,7 +613,8 @@ def test_sign_counts_are_the_reports_counts():
                                   None if declared is None else (declared * k, k))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            reports = index_reports(space, bands * 2, kinds, declared)
+            # kinds is read once, so any iterable works, an iterator too
+            reports = index_reports(space, bands * 2, iter(kinds), declared)
         assert [w.category for w in caught] \
             == [SpectrumCompletenessWarning] * (len(kinds) if declared is None else 0)
         assert len(counts) == len(reports) == len(kinds)

@@ -441,23 +441,6 @@ def test_concurrent_evaluations_are_deterministic():
     assert concurrent == sequential
 
 
-def test_prediction_m5_closed_form():
-    # (5-8)(5-8/3) * omega_4 * int sin^6 = -7 * (8 pi^2/3) * (5 pi/16) = -35 pi^3/6,
-    # and omega_5 = pi^3
-    assert Fraction(*_family_side(5)) == Fraction(-35, 6)
-
-
-def test_prediction_matches_factor_times_field_norm():
-    for m in (3, 5, 6, 7, 8):
-        lam = m - 1
-        factor = (m - 2 * lam) * (m - 2.0 / 3.0 * (6 - m) * lam)
-        p = m + 1  # Wallis: integral of sin^p over (0, pi), from Gamma
-        sin_power = math.sqrt(PI) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
-        w_norm_sq = sphere_volume(m - 1) * sin_power
-        num, den = _family_side(m)
-        assert num / den * sphere_volume(m) == pytest.approx(factor * w_norm_sq, rel=1e-13)
-
-
 def _sech_power_integral(n):
     # B(n) = integral over the real line of sech^n = 2^{n-1} Gamma(n/2)^2 / Gamma(n)
     return 2.0 ** (n - 1) * math.gamma(n / 2) ** 2 / math.gamma(n)

@@ -139,6 +139,10 @@ def test_each_fact_has_one_public_path():
     # None, the ladder's budget is family's own, not a package export, and a
     # contribution cutoff is core._cutoffs' alone
     assert not hasattr(cbstab.LoadedSpectrum, "warnings")
+    # a spectrum's report is derived from its rows, never stored beside them
+    assert "validation" not in {f.name for f in dataclasses.fields(cbstab.LoadedSpectrum)}
+    # a missing field is a ParseError like any other
+    assert not hasattr(cbstab.errors, "MissingField")
     assert not hasattr(cbstab.SpectrumValidation, "ok")
     assert all(field.default is dataclasses.MISSING
                for field in dataclasses.fields(cbstab.IndexReport))
